@@ -21,15 +21,7 @@ from .rankings import (
     unanimous_pairs,
     validate_ranking,
 )
-from .tournament import (
-    EdgeClass,
-    TournamentGraph,
-    backward_weight,
-    check_triangle_inequality,
-    from_profile,
-    majority_cycles3,
-    weight_matrix,
-)
+from .tournament import weight_matrix
 from .kemeny import (
     BRUTE_MAX_M,
     EXACT_MAX_M,
@@ -43,9 +35,7 @@ from .kemeny import (
     profile_cost,
 )
 from .protocol import (
-    IntegrityError,
     Message,
-    NodeState,
     ProtocolConfig,
     adjust_ranking,
     collect_fixed_pairs,
@@ -93,13 +83,11 @@ __all__ = [
     "Pair", "ParseError", "Profile", "Ranking", "UniverseMismatch",
     "format_ranking", "is_ranking", "kendall_tau", "opposite", "pairs_of",
     "parse_profile", "tau_profile", "unanimous_pairs", "validate_ranking",
-    "EdgeClass", "TournamentGraph", "backward_weight",
-    "check_triangle_inequality", "from_profile", "majority_cycles3",
     "weight_matrix",
     "BRUTE_MAX_M", "EXACT_MAX_M", "INFINITE", "ApproxReport", "CapacityError",
     "MedianResult", "approx_ratio", "kemeny_brute", "kemeny_exact",
     "profile_cost",
-    "IntegrityError", "Message", "NodeState", "ProtocolConfig",
+    "Message", "ProtocolConfig",
     "adjust_ranking", "collect_fixed_pairs", "compute_proposals",
     "decide_dictator", "resolve_acyclic", "run_algorithm1", "run_algorithm2",
     "run_baseline_stv", "transcript_messages",

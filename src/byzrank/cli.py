@@ -28,7 +28,7 @@ from .kemeny import (
     kemeny_exact,
 )
 from .rankings import ParseError, Profile, format_ranking, parse_profile
-from .protocol import ProtocolConfig
+from .protocol import ProtocolConfig, expected_messages, expected_rounds
 from .scenarios import (
     SCENARIO_NAMES,
     InfeasibleError,
@@ -118,20 +118,6 @@ def _print_kemeny(record: dict) -> None:
 # --- simulate -----------------------------------------------------------------
 
 
-def _expected_messages(protocol, n, t, m, byz_ids, schedule) -> list[int]:
-    """Closed-form per-round correct-sender message counts."""
-    c = n - len(byz_ids)
-
-    def king(dictator: int) -> int:
-        return 2 * c * n + (n if dictator not in byz_ids else 0)
-
-    if protocol == "alg1":
-        return [king(schedule[r]) for r in range(t + 1)]
-    if protocol == "alg2":
-        return [c * n, 0] + [king(schedule[r]) for r in range(t + 1)]
-    return [king(schedule[r % (t + 1)]) for r in range((m - 1) * (t + 1))]
-
-
 def simulate_record(
     protocol: str,
     strategy_name: str,
@@ -143,12 +129,8 @@ def simulate_record(
     profile_rankings: list | None = None,
 ) -> dict:
     cfg = ProtocolConfig(n, t, m)
-    expected_rounds = {
-        "alg1": t + 1,
-        "alg2": t + 3,
-        "stv-baseline": (m - 1) * (t + 1),
-    }[protocol]
-    bound = (2 * n * n + n) * expected_rounds
+    rounds = expected_rounds(protocol, t, m)
+    bound = (2 * n * n + n) * rounds
     runs = []
     all_ok = True
     for i in range(seeds):
@@ -163,10 +145,10 @@ def simulate_record(
         props = {
             "agreement": result.agreement,
             "pareto": result.pareto,
-            "rounds": result.stats.rounds == expected_rounds,
+            "rounds": result.stats.rounds == rounds,
             "messages": (
                 list(result.stats.messages_per_round)
-                == _expected_messages(protocol, n, t, m, result.byz_ids, cfg.dictator_schedule)
+                == expected_messages(protocol, n, t, m, result.byz_ids, cfg.dictator_schedule)
                 and result.stats.messages_total <= bound
             ),
         }
@@ -315,12 +297,33 @@ def _print_scenario(record: dict) -> None:
 # --- replay -------------------------------------------------------------------
 
 
+# config keys each replayable command needs
+REPLAY_KEYS = {
+    "simulate": ("protocol", "strategy", "n", "t", "m", "seeds", "seed_start", "profile"),
+    "scenario": ("name", "n", "t", "m", "side", "case"),
+    "kemeny": ("profile", "ties", "verify"),
+}
+
+
 def replay(path: str) -> tuple[dict, bool]:
-    """Re-run a stored record from its own config; True iff bit-identical."""
+    """Re-run a stored record from its own config; True iff bit-identical.
+
+    Raises ValueError when the record is not an object with a known command
+    and every config key that command needs.
+    """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
+    if not isinstance(stored, dict):
+        raise ValueError("record is not a JSON object")
     command = stored.get("command")
-    cfg = stored.get("config", {})
+    if command not in REPLAY_KEYS:
+        raise ValueError(f"record has unknown command {command!r}")
+    cfg = stored.get("config")
+    if not isinstance(cfg, dict):
+        raise ValueError("record has no config object")
+    missing = [k for k in REPLAY_KEYS[command] if k not in cfg]
+    if missing:
+        raise ValueError(f"record config lacks {', '.join(missing)}")
     if command == "simulate":
         fresh = simulate_record(
             cfg["protocol"], cfg["strategy"], cfg["n"], cfg["t"], cfg["m"],
@@ -330,10 +333,8 @@ def replay(path: str) -> tuple[dict, bool]:
         fresh = scenario_record(
             cfg["name"], cfg["n"], cfg["t"], cfg["m"], cfg["side"], cfg["case"]
         )
-    elif command == "kemeny":
-        fresh = kemeny_record(cfg["profile"], cfg["ties"], cfg["verify"])
     else:
-        raise ValueError(f"record has unknown command {command!r}")
+        fresh = kemeny_record(cfg["profile"], cfg["ties"], cfg["verify"])
 
     def strip(rec: dict) -> dict:
         rec = json.loads(json.dumps(rec))

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 from .kemeny import kemeny_exact
 from .rankings import Pair, Profile, Ranking, is_ranking, validate_ranking
@@ -43,10 +43,6 @@ from .simnet import (
     sanitize_ranking,
 )
 from .tournament import weight_matrix
-
-
-class IntegrityError(RuntimeError):
-    """Raised in strict mode when threshold-fixed pairs contain a cycle."""
 
 
 @dataclass(frozen=True)
@@ -92,34 +88,14 @@ class ProtocolConfig:
         return replace(self, dictator_schedule=tuple(schedule) if schedule else None)
 
 
-@dataclass
-class NodeState:
-    """Mutable per-node view: evolving ranking plus last round's fixed pairs."""
-
-    id: int
-    current_ranking: Ranking
-    fixed_pairs: frozenset[Pair] = field(default_factory=frozenset)
-    round: int = 0
-
-
-RANKING_BROADCAST = "RankingBroadcast"
-PROPOSE_BATCH = "ProposeBatch"
-DICTATOR_RANKING = "DictatorRanking"
-
-_KIND_BY_PHASE = {
-    RANKING: RANKING_BROADCAST,
-    PROPOSE: PROPOSE_BATCH,
-    DICTATOR: DICTATOR_RANKING,
-}
-
-
 @dataclass(frozen=True)
 class Message:
     """One delivered message, as seen by its recipient.
 
-    ``payload`` is a ranking for RankingBroadcast and DictatorRanking, a
-    frozenset of pairs for ProposeBatch (antisymmetric within the batch),
-    or None for an omitted/garbled transmission.
+    ``kind`` is the phase: RANKING, PROPOSE or DICTATOR.  ``payload`` is a
+    ranking in the RANKING and DICTATOR phases, a frozenset of pairs in
+    PROPOSE (antisymmetric within the batch), or None for an omitted or
+    garbled transmission.
     """
 
     kind: str
@@ -134,89 +110,87 @@ def transcript_messages(result) -> list[Message]:
     if result.transcript is None:
         raise ValueError("run was made without record_transcript=True")
     return [
-        Message(_KIND_BY_PHASE[phase], sender, round_no, recipient, payload)
+        Message(phase, sender, round_no, recipient, payload)
         for (round_no, phase, sender, recipient, payload) in result.transcript
     ]
+
+
+# --- closed forms -------------------------------------------------------------
+
+
+def expected_rounds(protocol: str, t: int, m: int) -> int:
+    """Rounds a run of ``protocol`` takes: t+1, t+3 or (m-1)(t+1)."""
+    return {
+        "alg1": t + 1,
+        "alg2": t + 3,
+        "stv-baseline": (m - 1) * (t + 1),
+    }[protocol]
+
+
+def expected_messages(
+    protocol: str, n: int, t: int, m: int, byz_ids: frozenset[int], schedule: Sequence[int]
+) -> list[int]:
+    """Closed-form per-round correct-sender message counts."""
+    c = n - len(byz_ids)
+
+    def king(dictator: int) -> int:
+        return 2 * c * n + (n if dictator not in byz_ids else 0)
+
+    if protocol == "alg1":
+        return [king(schedule[r]) for r in range(t + 1)]
+    if protocol == "alg2":
+        return [c * n, 0] + [king(schedule[r]) for r in range(t + 1)]
+    return [king(schedule[r % (t + 1)]) for r in range((m - 1) * (t + 1))]
 
 
 # --- pure per-node steps ------------------------------------------------------
 
 
-def _proposals(received: Sequence[Ranking | None], n: int, t: int, m: int) -> frozenset[Pair]:
-    valid = [r for r in received if r is not None]
-    w = weight_matrix(valid, m)
+def compute_proposals(
+    received: Sequence[Ranking | None], n: int, t: int, m: int
+) -> frozenset[Pair]:
+    """Pairs supported by at least n-t of the received rankings.
+
+    ``received`` holds one sanitized slot per sender; a slot is None when
+    that sender's broadcast was missing or malformed, and contributes no
+    support.
+    """
+    w = weight_matrix([r for r in received if r is not None], m)
     need = n - t
     return frozenset(
         Pair(a, b) for a in range(m) for b in range(m) if a != b and w[a][b] >= need
     )
 
 
-def compute_proposals(received: Sequence[Ranking | None], cfg: ProtocolConfig) -> frozenset[Pair]:
-    """Pairs supported by at least n-t of the received rankings.
-
-    ``received`` has one slot per node; a slot is None when that node's
-    broadcast was missing or malformed, and contributes no support.
-    """
-    if len(received) != cfg.n:
-        raise ValueError(f"expected {cfg.n} slots, got {len(received)}")
-    for r in received:
-        if r is not None:
-            validate_ranking(r, cfg.m)
-    return _proposals(received, cfg.n, cfg.t, cfg.m)
-
-
-def _receipts(batches: Mapping[int, frozenset[Pair] | None]) -> Counter:
-    counts: Counter = Counter()
-    for batch in batches.values():
-        if batch:
-            counts.update(batch)
-    return counts
-
-
-def _topo_cycle_free(pairs) -> bool:
-    adj: dict[int, list[int]] = {}
-    indeg: Counter = Counter()
-    nodes = set()
-    for p in pairs:
-        adj.setdefault(p.above, []).append(p.below)
-        indeg[p.below] += 1
-        nodes.update((p.above, p.below))
-    queue = [c for c in nodes if indeg[c] == 0]
-    seen = 0
-    while queue:
-        c = queue.pop()
-        seen += 1
-        for d in adj.get(c, ()):
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    return seen == len(nodes)
-
-
 def collect_fixed_pairs(
-    batches: Sequence[frozenset[Pair] | None],
-    cfg: ProtocolConfig,
+    batches: Iterable[frozenset[Pair] | None],
+    n: int,
+    t: int,
     *,
-    strict: bool = True,
-) -> frozenset[Pair]:
-    """Pairs proposed by at least t+1 distinct senders.
+    round_no: int,
+    node: int,
+) -> tuple[frozenset[Pair], frozenset[Pair], list[IntegrityEvent]]:
+    """Fix, resolve and lock the pairs of one node's received batches.
 
-    Each slot is one sender's batch (None when absent).  In strict mode a
-    cyclic result raises IntegrityError; with strict=False the raw set is
-    returned for the caller to resolve.
+    Each slot is one sender's sanitized batch (None when absent).  A pair
+    proposed by at least t+1 senders is fixed; :func:`resolve_acyclic` makes
+    the fixed set acyclic.  Returns ``(kept, locks, events)``: the kept
+    fixed pairs, those of them with at least n-t receipts, and the
+    integrity events of the resolution.
     """
-    if len(batches) != cfg.n:
-        raise ValueError(f"expected {cfg.n} slots, got {len(batches)}")
-    counts = _receipts(dict(enumerate(batches)))
-    fixed = frozenset(p for p, c in counts.items() if c >= cfg.t + 1)
-    if strict and not _topo_cycle_free(fixed):
-        raise IntegrityError("threshold-fixed pairs contain a cycle")
-    return fixed
+    receipts: Counter = Counter()
+    for batch in batches:
+        if batch:
+            receipts.update(batch)
+    fixed = frozenset(p for p, c in receipts.items() if c >= t + 1)
+    kept, events = resolve_acyclic(fixed, receipts, n, t, round_no=round_no, node=node)
+    locks = frozenset(p for p in kept if receipts[p] >= n - t)
+    return kept, locks, events
 
 
 def resolve_acyclic(
     pairs: frozenset[Pair],
-    receipts: Mapping[Pair, int] | None,
+    receipts: Mapping[Pair, int],
     n: int,
     t: int,
     *,
@@ -270,16 +244,13 @@ def resolve_acyclic(
     for p in sorted(survivors):
         path = reachable(p.below, p.above)
         if path:
-            level = None
-            if receipts is not None:
-                level = "lock" if receipts.get(p, 0) >= lock_level else "fix"
             events.append(
                 IntegrityEvent(
                     kind="fixed-cycle",
                     round=round_no,
                     node=node,
                     pair=(p.above, p.below),
-                    level=level,
+                    level="lock" if receipts.get(p, 0) >= lock_level else "fix",
                     cycle_len=path + 1,
                 )
             )
@@ -349,7 +320,7 @@ def _king_rounds(
     n: int,
     t: int,
     m: int,
-    states: dict[int, NodeState],
+    rankings: dict[int, Ranking],
     byz_ids: frozenset[int],
     instance_inputs: Mapping[int, Ranking],
     schedule: Sequence[int],
@@ -357,10 +328,10 @@ def _king_rounds(
     rounds: int,
     events: list[IntegrityEvent],
 ) -> None:
-    """Run ``rounds`` king rounds in place.
+    """Run ``rounds`` king rounds, updating every node's ranking in place.
 
-    States are maintained for every node: corrupted nodes keep an honest
-    shadow state (fed by real inboxes) so the honest-behaviour callback can
+    Rankings are kept for every node: corrupted nodes keep an honest shadow
+    ranking (fed by real inboxes) so the honest-behaviour callback can
     answer exactly what they would have sent.
     """
     correct = [v for v in range(n) if v not in byz_ids]
@@ -373,10 +344,10 @@ def _king_rounds(
             ground,
             RANKING,
             m,
-            {v: states[v].current_ranking for v in correct},
+            {v: rankings[v] for v in correct},
             byz,
             instance_inputs,
-            honest=lambda s: states[s].current_ranking,
+            honest=lambda s: rankings[s],
             dictator=dict_id,
         )
         proposals: dict[int, frozenset[Pair]] = {}
@@ -388,7 +359,7 @@ def _king_rounds(
                 sanitize_ranking(box.get(u), m) if u in byz_ids else box.get(u)
                 for u in range(n)
             ]
-            proposals[v] = _proposals(received, n, t, m)
+            proposals[v] = compute_proposals(received, n, t, m)
 
         inboxes = net.exchange(
             ground,
@@ -403,39 +374,31 @@ def _king_rounds(
         locks: dict[int, frozenset[Pair]] = {}
         for v in range(n):
             box = inboxes[v]
-            batches = {
-                u: sanitize_batch(box.get(u), m) if u in byz_ids else box.get(u)
+            batches = [
+                sanitize_batch(box.get(u), m) if u in byz_ids else box.get(u)
                 for u in range(n)
-            }
-            receipts = _receipts(batches)
-            fixed_raw = frozenset(p for p, c in receipts.items() if c >= t + 1)
-            kept, evs = resolve_acyclic(
-                fixed_raw, receipts, n, t, round_no=ground, node=v
+            ]
+            kept, locks[v], evs = collect_fixed_pairs(
+                batches, n, t, round_no=ground, node=v
             )
             if v not in byz_ids:
                 events.extend(evs)
-            locks[v] = frozenset(p for p in kept if receipts[p] >= n - t)
-            st = states[v]
-            st.fixed_pairs = kept
-            st.current_ranking = adjust_ranking(st.current_ranking, kept)
-            st.round = ground
+            rankings[v] = adjust_ranking(rankings[v], kept)
 
         inboxes = net.exchange(
             ground,
             DICTATOR,
             m,
-            {dict_id: states[dict_id].current_ranking} if dict_id not in byz_ids else {},
+            {dict_id: rankings[dict_id]} if dict_id not in byz_ids else {},
             [dict_id] if dict_id in byz_ids else [],
             instance_inputs,
-            honest=lambda s: states[s].current_ranking,
+            honest=lambda s: rankings[s],
             dictator=dict_id,
         )
         for v in range(n):
             got = inboxes[v].get(dict_id)
             dr = sanitize_ranking(got, m) if dict_id in byz_ids else got
-            states[v].current_ranking = decide_dictator(
-                states[v].current_ranking, locks[v], dr
-            )
+            rankings[v] = decide_dictator(rankings[v], locks[v], dr)
         net.end_round()
 
 
@@ -450,15 +413,14 @@ def _setup(inputs: Sequence[Ranking], adversary: AdversaryStrategy, cfg: Protoco
     return byz
 
 
-def _finish(net, states, byz, inputs, cfg, rounds, events) -> RunResult:
+def _finish(net, rankings, byz, inputs, cfg, events) -> RunResult:
     total, per_round = net.finish()
     correct = [v for v in range(cfg.n) if v not in byz]
     return RunResult(
-        outputs={v: states[v].current_ranking for v in correct},
+        outputs={v: rankings[v] for v in correct},
         correct_inputs={v: inputs[v] for v in correct},
         byz_ids=byz,
         stats=RunStats(
-            rounds=rounds,
             messages_total=total,
             messages_per_round=per_round,
             integrity_errors=tuple(events),
@@ -477,14 +439,14 @@ def run_algorithm1(
     """t+1 king rounds straight over the input rankings."""
     byz = _setup(inputs, adversary, cfg, seed)
     net = SyncNetwork(cfg.n, cfg.t, byz, adversary, seed, record_transcript)
-    states = {v: NodeState(v, inputs[v]) for v in range(cfg.n)}
+    rankings = dict(enumerate(inputs))
     correct_inputs = {v: inputs[v] for v in range(cfg.n) if v not in byz}
     events: list[IntegrityEvent] = []
     _king_rounds(
-        net, cfg.n, cfg.t, cfg.m, states, byz, correct_inputs,
+        net, cfg.n, cfg.t, cfg.m, rankings, byz, correct_inputs,
         cfg.dictator_schedule, 1, cfg.t + 1, events,
     )
-    return _finish(net, states, byz, inputs, cfg, cfg.t + 1, events)
+    return _finish(net, rankings, byz, inputs, cfg, events)
 
 
 def run_algorithm2(
@@ -517,7 +479,7 @@ def run_algorithm2(
     )
     net.end_round()
 
-    states: dict[int, NodeState] = {}
+    rankings: dict[int, Ranking] = {}
     median_memo: dict[tuple, Ranking] = {}
     for v in range(cfg.n):
         box = inboxes[v]
@@ -529,16 +491,16 @@ def run_algorithm2(
         key = tuple(ballots)
         if key not in median_memo:
             median_memo[key] = kemeny_exact(Profile.of(ballots, cfg.m)).chosen
-        states[v] = NodeState(v, median_memo[key], frozenset(), 2)
+        rankings[v] = median_memo[key]
     net.end_round()  # round 2: local computation only
 
-    medians = {v: states[v].current_ranking for v in correct}
+    medians = {v: rankings[v] for v in correct}
     events: list[IntegrityEvent] = []
     _king_rounds(
-        net, cfg.n, cfg.t, cfg.m, states, byz, medians,
+        net, cfg.n, cfg.t, cfg.m, rankings, byz, medians,
         cfg.dictator_schedule, 3, cfg.t + 1, events,
     )
-    return _finish(net, states, byz, inputs, cfg, cfg.t + 3, events)
+    return _finish(net, rankings, byz, inputs, cfg, events)
 
 
 def run_baseline_stv(
@@ -571,18 +533,16 @@ def run_baseline_stv(
             old_ids[v] = olds
             to_new = {c: i for i, c in enumerate(olds)}
             stage_inputs[v] = tuple(to_new[c] for c in inputs[v] if c in to_new)
-        states = {v: NodeState(v, stage_inputs[v]) for v in range(cfg.n)}
+        rankings = dict(stage_inputs)
         _king_rounds(
-            net, cfg.n, cfg.t, m_cur, states, byz,
+            net, cfg.n, cfg.t, m_cur, rankings, byz,
             {v: stage_inputs[v] for v in correct},
             cfg.dictator_schedule, stage * (cfg.t + 1) + 1, cfg.t + 1, events,
         )
         for v in range(cfg.n):
-            winner = old_ids[v][states[v].current_ranking[0]]
+            winner = old_ids[v][rankings[v][0]]
             prefix[v].append(winner)
             remaining[v].remove(winner)
 
-    final_states = {
-        v: NodeState(v, tuple(prefix[v] + remaining[v])) for v in range(cfg.n)
-    }
-    return _finish(net, final_states, byz, inputs, cfg, (cfg.m - 1) * (cfg.t + 1), events)
+    final = {v: tuple(prefix[v] + remaining[v]) for v in range(cfg.n)}
+    return _finish(net, final, byz, inputs, cfg, events)

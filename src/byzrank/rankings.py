@@ -49,11 +49,14 @@ def validate_ranking(r: Sequence[int], m: int | None = None) -> Ranking:
 
 
 def is_ranking(r: object, m: int) -> bool:
-    """Cheap predicate form of :func:`validate_ranking` (no exception)."""
+    """Cheap predicate form of :func:`validate_ranking` (no exception).
+
+    Entries must be plain ints: ``True``/``False`` would alias 1 and 0.
+    """
     return (
         isinstance(r, tuple)
         and len(r) == m
-        and all(isinstance(c, int) for c in r)
+        and all(type(c) is int for c in r)
         and sorted(r) == list(range(m))
     )
 
@@ -142,11 +145,6 @@ def pairs_of(r: Sequence[int]) -> frozenset[Pair]:
     return frozenset(
         Pair(r[i], r[j]) for i in range(m) for j in range(i + 1, m)
     )
-
-
-def contains_pair(r: Sequence[int], pair: Pair) -> bool:
-    pos = _positions(tuple(r))
-    return pos[pair.above] < pos[pair.below]
 
 
 def unanimous_pairs(profile: Profile) -> frozenset[Pair]:

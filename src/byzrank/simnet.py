@@ -62,10 +62,14 @@ class IntegrityEvent:
 
 @dataclass(frozen=True)
 class RunStats:
-    rounds: int
     messages_total: int
     messages_per_round: tuple[int, ...]
     integrity_errors: tuple[IntegrityEvent, ...] = ()
+
+    @property
+    def rounds(self) -> int:
+        """Rounds the network closed, message-free ones included."""
+        return len(self.messages_per_round)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,6 @@ class AdversaryContext:
     correct_msgs: Mapping[int, Payload]
     correct_inputs: Mapping[int, Ranking]
     dictator: int | None
-    rng: random.Random
     honest: Callable[[int], Payload]
 
 
@@ -278,7 +281,6 @@ class SyncNetwork:
         self.byz_ids = byz_ids
         self.adversary = adversary
         self.seed = seed
-        self.rng = random.Random(f"{seed}/adversary")
         self.transcript: list | None = [] if record_transcript else None
         self.messages_per_round: list[int] = []
         self._current_round_messages = 0
@@ -315,7 +317,6 @@ class SyncNetwork:
             correct_msgs=dict(correct_payloads),
             correct_inputs=correct_inputs,
             dictator=dictator,
-            rng=self.rng,
             honest=honest,
         )
         for sender in sorted(byz_senders):
@@ -354,8 +355,9 @@ def sanitize_ranking(payload: object, m: int) -> Ranking | None:
 def sanitize_batch(payload: object, m: int) -> frozenset[Pair] | None:
     """Validate a proposal batch; enforce within-batch antisymmetry.
 
-    Bad containers count as no batch; individual bad entries are dropped; a
-    pair proposed in both orientations by one sender is dropped entirely.
+    Bad containers count as no batch; individual bad entries (bools
+    included) are dropped; a pair proposed in both orientations by one
+    sender is dropped entirely.
     """
     if payload is None or isinstance(payload, (str, bytes)):
         return None
@@ -368,7 +370,7 @@ def sanitize_batch(payload: object, m: int) -> frozenset[Pair] | None:
         if not isinstance(item, tuple) or len(item) != 2:
             continue
         a, b = item
-        if isinstance(a, int) and isinstance(b, int) and 0 <= a < m and 0 <= b < m and a != b:
+        if type(a) is int and type(b) is int and 0 <= a < m and 0 <= b < m and a != b:
             pairs.add(Pair(a, b))
     return frozenset(p for p in pairs if Pair(p.below, p.above) not in pairs)
 

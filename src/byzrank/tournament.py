@@ -1,79 +1,14 @@
-"""Weighted tournament graphs over candidates.
+"""Pairwise-preference weight matrices over candidates.
 
 ``w[i][j]`` counts the ballots that rank candidate ``i`` above candidate
-``j``; for any pair the two directions sum to the ballot count.  Graphs built
-from a profile always satisfy the directed triangle inequality; hand-built
-graphs may not and are flagged ``realized=False``.
+``j``; for any pair the two directions sum to the ballot count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
-from .rankings import Profile, Ranking, validate_ranking
-
-
-class EdgeClass(Enum):
-    MAJORITY = "majority"
-    MINORITY = "minority"
-    TIED = "tied"
-
-
-@dataclass(frozen=True)
-class TournamentGraph:
-    m: int
-    voters: int
-    w: tuple[tuple[int, ...], ...]
-    realized: bool = True
-
-    def __post_init__(self) -> None:
-        if len(self.w) != self.m or any(len(row) != self.m for row in self.w):
-            raise ValueError("weight matrix must be m x m")
-        for i in range(self.m):
-            if self.w[i][i] != 0:
-                raise ValueError("diagonal weights must be zero")
-            for j in range(self.m):
-                if i != j and self.w[i][j] + self.w[j][i] != self.voters:
-                    raise ValueError(
-                        f"w[{i}][{j}] + w[{j}][{i}] != voters "
-                        f"({self.w[i][j]} + {self.w[j][i]} != {self.voters})"
-                    )
-                if self.w[i][j] < 0:
-                    raise ValueError("weights must be non-negative")
-
-    def edge_class(self, i: int, j: int) -> EdgeClass:
-        """Classify the edge i->j relative to its reverse."""
-        if self.w[i][j] > self.w[j][i]:
-            return EdgeClass.MAJORITY
-        if self.w[i][j] < self.w[j][i]:
-            return EdgeClass.MINORITY
-        return EdgeClass.TIED
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "voters": self.voters,
-                "weights": [list(row) for row in self.w],
-                "realized": self.realized}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TournamentGraph":
-        return cls(
-            m=data["m"],
-            voters=data["voters"],
-            w=tuple(tuple(row) for row in data["weights"]),
-            realized=bool(data.get("realized", False)),
-        )
-
-    @classmethod
-    def from_matrix(cls, w: Sequence[Sequence[int]], voters: int) -> "TournamentGraph":
-        """Build a graph from an explicit matrix; flagged unrealized.
-
-        Not every tournament graph has an underlying profile, so graphs that
-        did not come from :func:`from_profile` carry ``realized=False``.
-        """
-        rows = tuple(tuple(row) for row in w)
-        return cls(m=len(rows), voters=voters, w=rows, realized=False)
+from .rankings import Ranking
 
 
 def weight_matrix(rankings: Sequence[Ranking], m: int) -> list[list[int]]:
@@ -86,63 +21,3 @@ def weight_matrix(rankings: Sequence[Ranking], m: int) -> list[list[int]]:
             for j in range(i + 1, m):
                 row[r[j]] += 1
     return w
-
-
-def from_profile(profile: Profile) -> TournamentGraph:
-    w = weight_matrix(profile.rankings, profile.m)
-    return TournamentGraph(
-        m=profile.m,
-        voters=len(profile),
-        w=tuple(tuple(row) for row in w),
-        realized=True,
-    )
-
-
-def backward_weight(g: TournamentGraph, r: Sequence[int]) -> int:
-    """Sum of reverse-edge weights under ranking ``r``.
-
-    Equals the total Kendall-tau distance from ``r`` to any profile
-    realizing ``g``.
-    """
-    r = validate_ranking(r, g.m)
-    total = 0
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            total += g.w[r[j]][r[i]]
-    return total
-
-
-def majority_cycles3(g: TournamentGraph) -> frozenset[tuple[int, int, int]]:
-    """All candidate triples whose majority edges form a directed 3-cycle.
-
-    Tied pairs never contribute.  Each cycle is reported once, rotated so the
-    smallest candidate comes first.
-    """
-    maj = [[g.w[i][j] > g.w[j][i] for j in range(g.m)] for i in range(g.m)]
-    found = set()
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            for k in range(j + 1, g.m):
-                if maj[i][j] and maj[j][k] and maj[k][i]:
-                    found.add((i, j, k))
-                elif maj[i][k] and maj[k][j] and maj[j][i]:
-                    found.add((i, k, j))
-    return frozenset(found)
-
-
-def check_triangle_inequality(g: TournamentGraph) -> list[tuple[int, int, int]]:
-    """Ordered triples (i, j, k) with w[i][j] + w[j][k] < w[i][k].
-
-    Empty for every profile-realized graph.
-    """
-    violations = []
-    for i in range(g.m):
-        for j in range(g.m):
-            if j == i:
-                continue
-            for k in range(g.m):
-                if k == i or k == j:
-                    continue
-                if g.w[i][j] + g.w[j][k] < g.w[i][k]:
-                    violations.append((i, j, k))
-    return violations

@@ -43,9 +43,8 @@ from math import comb
 
 import pytest
 
-from byzrank.cli import _expected_messages
 from byzrank.kemeny import approx_ratio, kemeny_brute, kemeny_exact
-from byzrank.protocol import ProtocolConfig
+from byzrank.protocol import ProtocolConfig, expected_messages, expected_rounds
 from byzrank.rankings import Profile, opposite, tau_profile
 from byzrank.scenarios import (
     ScenarioSpec,
@@ -145,11 +144,6 @@ def sweep():
         t = (n - 1) // 3
         for m in SWEEP_MS:
             cfg = ProtocolConfig(n, t, m)
-            expected_rounds = {
-                "alg1": t + 1,
-                "alg2": t + 3,
-                "stv-baseline": (m - 1) * (t + 1),
-            }
             for strategy_name in STRATEGY_NAMES:
                 for seed in SWEEP_SEEDS:
                     rng = random.Random(f"{n}/{t}/{m}/{strategy_name}/{seed}/inputs")
@@ -165,9 +159,9 @@ def sweep():
                             tally.pareto_scope_runs += 1
                         if not result.pareto:
                             tally.pareto_failures.append(rid)
-                        if result.stats.rounds != expected_rounds[protocol]:
+                        if result.stats.rounds != expected_rounds(protocol, t, m):
                             tally.round_mismatches.append(rid)
-                        closed = _expected_messages(
+                        closed = expected_messages(
                             protocol, n, t, m, result.byz_ids, cfg.dictator_schedule
                         )
                         if list(result.stats.messages_per_round) != closed:

@@ -253,6 +253,21 @@ def test_replay_unknown_command_exits_2(tmp_path, capsys):
     assert "unknown command" in err
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ({"command": "simulate", "config": {"protocol": "alg1"}}, "config lacks strategy"),
+        ([{"command": "simulate"}], "not a JSON object"),
+    ],
+)
+def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
+    dest = tmp_path / "rec.json"
+    dest.write_text(json.dumps(record))
+    code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
 # --- process-level ----------------------------------------------------------------
 
 

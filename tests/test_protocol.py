@@ -8,13 +8,13 @@ import pytest
 
 from byzrank.kemeny import approx_ratio
 from byzrank.protocol import (
-    IntegrityError,
     Message,
     ProtocolConfig,
     adjust_ranking,
     collect_fixed_pairs,
     compute_proposals,
     decide_dictator,
+    expected_rounds,
     resolve_acyclic,
     run_algorithm1,
     run_algorithm2,
@@ -23,9 +23,13 @@ from byzrank.protocol import (
 )
 from byzrank.rankings import Pair, Profile, pairs_of, unanimous_pairs
 from byzrank.simnet import (
+    DICTATOR,
+    PROPOSE,
+    RANKING,
     Equivocate,
     Honest,
     OppositeMedian,
+    ScriptedViews,
     Silent,
     cycle_lock_attack,
     make_strategy,
@@ -84,54 +88,60 @@ def test_config_resilience_override_for_stress_runs():
 
 
 def test_proposals_unanimous():
-    cfg = ProtocolConfig(4, 1, 3)
     r = (2, 0, 1)
-    assert compute_proposals([r] * 4, cfg) == pairs_of(r)
+    assert compute_proposals([r] * 4, 4, 1, 3) == pairs_of(r)
 
 
 def test_proposals_threshold_met():
-    cfg = ProtocolConfig(4, 1, 2)
-    got = compute_proposals([(0, 1), (0, 1), (0, 1), (1, 0)], cfg)
+    got = compute_proposals([(0, 1), (0, 1), (0, 1), (1, 0)], 4, 1, 2)
     assert got == {Pair(0, 1)}  # 3 of 4 is exactly n-t
 
 
 def test_proposals_split_vote():
-    cfg = ProtocolConfig(4, 1, 2)
-    assert compute_proposals([(0, 1), (0, 1), (1, 0), (1, 0)], cfg) == frozenset()
+    assert compute_proposals([(0, 1), (0, 1), (1, 0), (1, 0)], 4, 1, 2) == frozenset()
 
 
 def test_proposals_missing_slots_count_nothing():
-    cfg = ProtocolConfig(4, 1, 2)
-    assert compute_proposals([(0, 1), (0, 1), (0, 1), None], cfg) == {Pair(0, 1)}
-    assert compute_proposals([(0, 1), (0, 1), None, None], cfg) == frozenset()
-
-
-def test_proposals_validates_input():
-    cfg = ProtocolConfig(4, 1, 2)
-    with pytest.raises(ValueError):
-        compute_proposals([(0, 1)] * 3, cfg)  # one slot per node
-    with pytest.raises(ValueError):
-        compute_proposals([(0, 1), (0, 1), (0, 0), (0, 1)], cfg)
+    assert compute_proposals([(0, 1), (0, 1), (0, 1), None], 4, 1, 2) == {Pair(0, 1)}
+    assert compute_proposals([(0, 1), (0, 1), None, None], 4, 1, 2) == frozenset()
 
 
 # --- fixing pairs ---------------------------------------------------------------
 
 
+def collect(batches, n, t):
+    return collect_fixed_pairs(batches, n, t, round_no=1, node=0)
+
+
 def test_collect_fixed_pairs_threshold():
-    cfg = ProtocolConfig(4, 1, 3)
+    # t+1 = 2 receipts fix a pair; one receipt does not
     batch = frozenset({Pair(0, 1)})
-    assert collect_fixed_pairs([batch, batch, None, frozenset()], cfg) == {Pair(0, 1)}
-    assert collect_fixed_pairs([batch, frozenset(), None, frozenset()], cfg) == frozenset()
+    kept, locks, events = collect([batch, batch, None, frozenset()], 4, 1)
+    assert kept == {Pair(0, 1)} and events == []
+    kept, locks, events = collect([batch, frozenset(), None, frozenset()], 4, 1)
+    assert kept == locks == frozenset() and events == []
 
 
-def test_collect_fixed_pairs_strict_cycle():
-    cfg = ProtocolConfig(4, 1, 3)
+def test_collect_fixed_pairs_lock_threshold():
+    # n=7, t=2: 3 receipts fix a pair, only n-t = 5 lock it
+    fixed_only = [frozenset({Pair(0, 1)})] * 4 + [None] * 3
+    kept, locks, _ = collect(fixed_only, 7, 2)
+    assert kept == {Pair(0, 1)} and locks == frozenset()
+    locked = [frozenset({Pair(0, 1)})] * 5 + [None] * 2
+    kept, locks, _ = collect(locked, 7, 2)
+    assert kept == locks == {Pair(0, 1)}
+
+
+def test_collect_fixed_pairs_resolves_cycle():
     ab = frozenset({Pair(0, 1), Pair(1, 2)})
     ca = frozenset({Pair(2, 0)})
-    with pytest.raises(IntegrityError):
-        collect_fixed_pairs([ab, ab, ca, ca], cfg)
-    lenient = collect_fixed_pairs([ab, ab, ca, ca], cfg, strict=False)
-    assert lenient == {Pair(0, 1), Pair(1, 2), Pair(2, 0)}
+    kept, locks, events = collect_fixed_pairs([ab, ab, ca, ca], 4, 1, round_no=3, node=2)
+    assert kept == {Pair(0, 1), Pair(1, 2)}  # acyclic: the closing edge is dropped
+    assert locks == frozenset()  # two receipts each, below n-t = 3
+    assert [(e.kind, e.pair, e.level, e.round, e.node) for e in events] == [
+        ("fixed-cycle", (2, 0), "fix", 3, 2)
+    ]
+    assert adjust_ranking((2, 1, 0), kept) == (0, 1, 2)
 
 
 def test_resolve_acyclic_drops_both_orientations():
@@ -280,6 +290,17 @@ def test_round_exactness(n, t, m):
     assert run_baseline_stv(inputs, Honest(), cfg, seed=1).stats.rounds == (m - 1) * (t + 1)
 
 
+@pytest.mark.parametrize("protocol", ["alg1", "alg2", "stv-baseline"])
+def test_rounds_are_the_network_rounds(protocol):
+    # rounds are counted by the network, not restated by the runner
+    cfg = ProtocolConfig(7, 2, 4)
+    rng = random.Random("network-rounds")
+    inputs = [rand_ranking(rng, 4) for _ in range(7)]
+    stats = run_sync(protocol, inputs, Equivocate(), cfg, seed=2).stats
+    assert stats.rounds == len(stats.messages_per_round) == expected_rounds(protocol, 2, 4)
+    assert stats.messages_total == sum(stats.messages_per_round)
+
+
 def test_baseline_round_count_small_cell():
     cfg = ProtocolConfig(4, 1, 3)
     res = run_baseline_stv([(0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1)], Honest(), cfg, seed=0)
@@ -339,7 +360,7 @@ def test_stability_after_first_correct_dictator():
         states_r3 = [
             msg.payload
             for msg in msgs
-            if msg.kind == "RankingBroadcast"
+            if msg.kind == RANKING
             and msg.round == 3
             and msg.sender < 5
             and msg.recipient == msg.sender
@@ -359,7 +380,7 @@ def test_propose_batches_are_antisymmetric():
         seed=8,
         record_transcript=True,
     )
-    batches = [m for m in transcript_messages(res) if m.kind == "ProposeBatch"]
+    batches = [m for m in transcript_messages(res) if m.kind == PROPOSE]
     assert batches
     for msg in batches:
         if msg.payload is None:
@@ -375,7 +396,7 @@ def test_transcript_messages_requires_recording():
         transcript_messages(res)
     res = run_algorithm1([(0, 1, 2)] * 4, Honest(), cfg, seed=0, record_transcript=True)
     msgs = transcript_messages(res)
-    assert {m.kind for m in msgs} == {"RankingBroadcast", "ProposeBatch", "DictatorRanking"}
+    assert {m.kind for m in msgs} == {RANKING, PROPOSE, DICTATOR}
     assert all(isinstance(m, Message) for m in msgs)
 
 
@@ -418,6 +439,15 @@ def test_median_agreement_can_shed_a_unanimous_pair():
     correct = Profile.of(list(res.correct_inputs.values()))
     missing = unanimous_pairs(correct) - pairs_of(res.consensus)
     assert missing == {Pair(2, 1)}
+
+
+def test_bool_dictator_ranking_is_not_adopted():
+    # (True, False, 2) equals (1, 0, 2) element-wise but is not a ranking
+    cfg = ProtocolConfig(4, 1, 3, (3, 0))
+    strategy = ScriptedViews({(1, DICTATOR, 3): (True, False, 2)})
+    res = run_algorithm1([(1, 0, 2)] * 4, strategy, cfg, seed=0)
+    assert res.agreement and res.consensus == (1, 0, 2)
+    assert all(type(c) is int for out in res.outputs.values() for c in out)
 
 
 def test_events_attributed_to_correct_nodes_only():

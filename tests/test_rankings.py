@@ -221,6 +221,7 @@ def test_is_ranking_predicate():
     assert not is_ranking((1, 0), 3)
     assert not is_ranking((0, 0, 1), 3)
     assert not is_ranking("012", 3)
+    assert not is_ranking((True, False, 2), 3)  # bools would alias 1 and 0
 
 
 # --- text format ----------------------------------------------------------------

@@ -20,7 +20,8 @@ from byzrank.scenarios import (
     measure_scenario,
 )
 from byzrank.simnet import ScriptedViews
-from byzrank.tournament import check_triangle_inequality, from_profile
+from byzrank.tournament import weight_matrix
+from conftest import triangle_holds
 
 
 def completed(correct, byz):
@@ -71,19 +72,18 @@ def test_binary_completed_sides_are_indistinguishable():
 
 def test_binary_completed_graph_is_all_ties():
     correct, byz = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 3, "left"))
-    g = from_profile(Profile.of(list(correct) + list(byz), 3))
+    w = weight_matrix(list(correct) + list(byz), 3)
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert g.w[i][j] == 6
+                assert w[i][j] == 6
 
 
 def test_binary_triangle_inequality_before_and_after():
     for side in ("left", "right"):
         correct, byz = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 3, side))
-        assert check_triangle_inequality(from_profile(Profile.of(list(correct), 3))) == []
-        full = Profile.of(list(correct) + list(byz), 3)
-        assert check_triangle_inequality(from_profile(full)) == []
+        assert triangle_holds(weight_matrix(list(correct), 3))
+        assert triangle_holds(weight_matrix(list(correct) + list(byz), 3))
 
 
 def test_binary_reverse_ballot_costs_the_closed_form():
@@ -139,9 +139,8 @@ def test_cycle_completed_sides_are_indistinguishable():
 def test_cycle_triangle_inequality_before_and_after():
     for side in ("left", "right"):
         correct, byz = gen_cycle_worst(ScenarioSpec("cycle-worst", 90, 10, 3, side))
-        assert check_triangle_inequality(from_profile(Profile.of(list(correct), 3))) == []
-        full = Profile.of(list(correct) + list(byz), 3)
-        assert check_triangle_inequality(from_profile(full)) == []
+        assert triangle_holds(weight_matrix(list(correct), 3))
+        assert triangle_holds(weight_matrix(list(correct) + list(byz), 3))
 
 
 def test_cycle_measured_ratio_headline_cell():

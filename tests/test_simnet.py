@@ -7,6 +7,8 @@ import pytest
 from byzrank.protocol import ProtocolConfig, transcript_messages
 from byzrank.rankings import Pair
 from byzrank.simnet import (
+    PROPOSE,
+    RANKING,
     Equivocate,
     Honest,
     OppositeMedian,
@@ -123,7 +125,7 @@ def test_honest_byzantine_nodes_broadcast_their_inputs():
     sent = {
         m.recipient: m.payload
         for m in transcript_messages(res)
-        if m.kind == "RankingBroadcast" and m.round == 1 and m.sender == 3
+        if m.kind == RANKING and m.round == 1 and m.sender == 3
     }
     assert sent == {v: INPUTS4[3] for v in range(4)}
 
@@ -143,7 +145,7 @@ def test_equivocate_sends_per_recipient_payloads():
     r1 = {
         m.recipient: m.payload
         for m in transcript_messages(res)
-        if m.kind == "RankingBroadcast" and m.round == 1 and m.sender == 3
+        if m.kind == RANKING and m.round == 1 and m.sender == 3
     }
     assert len(set(r1.values())) == 4  # a different story for everyone
 
@@ -156,7 +158,7 @@ def test_equivocating_dictator_splits_then_heals():
     states_r2 = [
         m.payload
         for m in transcript_messages(res)
-        if m.kind == "RankingBroadcast" and m.round == 2
+        if m.kind == RANKING and m.round == 2
         and m.sender < 3 and m.recipient == m.sender
     ]
     assert len(set(states_r2)) > 1  # divergence after the corrupted round
@@ -168,7 +170,7 @@ def test_random_strategy_is_uniform_within_a_round():
     res = run_sync("alg1", INPUTS4, RandomRankings(), cfg, seed=11, record_transcript=True)
     per_round = {}
     for m in transcript_messages(res):
-        if m.kind == "RankingBroadcast" and m.sender == 3:
+        if m.kind == RANKING and m.sender == 3:
             per_round.setdefault(m.round, set()).add(m.payload)
     assert per_round and all(len(v) == 1 for v in per_round.values())
 
@@ -181,11 +183,11 @@ def test_scripted_views_follows_script_and_defaults_to_silence():
     cfg = ProtocolConfig(4, 1, 3)
     res = run_sync("alg1", INPUTS4, ScriptedViews(script), cfg, seed=0, record_transcript=True)
     byz = [m for m in transcript_messages(res) if m.sender == 3]
-    r1 = {m.recipient: m.payload for m in byz if m.round == 1 and m.kind == "RankingBroadcast"}
-    r2 = {m.recipient: m.payload for m in byz if m.round == 2 and m.kind == "RankingBroadcast"}
+    r1 = {m.recipient: m.payload for m in byz if m.round == 1 and m.kind == RANKING}
+    r2 = {m.recipient: m.payload for m in byz if m.round == 2 and m.kind == RANKING}
     assert set(r1.values()) == {(2, 1, 0)}
     assert r2[0] == (0, 1, 2) and r2[1] == (1, 0, 2) and 3 not in r2
-    assert not [m for m in byz if m.kind == "ProposeBatch"]  # unscripted: silent
+    assert not [m for m in byz if m.kind == PROPOSE]  # unscripted: silent
     assert res.agreement
 
 
@@ -217,6 +219,18 @@ def test_sanitize_batch_drops_garbage_keeps_valid():
     assert sanitize_batch([], 3) == frozenset()
     assert sanitize_batch(None, 3) is None
     assert sanitize_batch("junk", 3) is None
+
+
+def test_sanitizers_refuse_bool_candidates():
+    # True/False compare equal to 1/0, so a lax check adopts them as aliases
+    assert sanitize_ranking((True, False, 2), 3) is None
+    assert sanitize_batch([(True, 0), (0, False), (1, 0)], 2) == {Pair(1, 0)}
+    payloads = [(True, False, 2), (0, 1, 2), [(True, 0), (2, 1)], [(0, 2), (False, 1)]]
+    for payload in payloads:
+        ranking = sanitize_ranking(payload, 3)
+        batch = sanitize_batch(payload, 3) or frozenset()
+        assert all(type(c) is int for c in ranking or ())
+        assert all(type(c) is int for pair in batch for c in pair)
 
 
 def test_sanitize_batch_rejects_double_orientation():

@@ -1,20 +1,10 @@
-"""Weighted tournament graphs built from profiles."""
+"""Pairwise-preference weight matrices built from rankings."""
 
 import random
 
-import pytest
-
-from byzrank.rankings import Profile, tau_profile
-from byzrank.tournament import (
-    EdgeClass,
-    TournamentGraph,
-    backward_weight,
-    check_triangle_inequality,
-    from_profile,
-    majority_cycles3,
-    weight_matrix,
-)
-from conftest import rand_profile, rand_ranking
+from byzrank.rankings import Profile
+from byzrank.tournament import weight_matrix
+from conftest import rand_profile, rand_ranking, triangle_holds
 
 CYCLE = Profile.of([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
 
@@ -30,20 +20,15 @@ def test_weight_matrix_empty():
     assert weight_matrix([], 3) == [[0] * 3 for _ in range(3)]
 
 
-def test_from_profile_counts_voters():
-    g = from_profile(CYCLE)
-    assert g.m == 3 and g.voters == 3 and g.realized
-
-
 def test_weights_antisymmetric_sum():
     rng = random.Random(21)
     for _ in range(25):
         p = rand_profile(rng, rng.randint(1, 8), rng.randint(2, 5))
-        g = from_profile(p)
-        for i in range(g.m):
-            assert g.w[i][i] == 0
-            for j in range(i + 1, g.m):
-                assert g.w[i][j] + g.w[j][i] == g.voters
+        w = weight_matrix(p.rankings, p.m)
+        for i in range(p.m):
+            assert w[i][i] == 0
+            for j in range(i + 1, p.m):
+                assert w[i][j] + w[j][i] == len(p)
 
 
 def test_adding_a_ballot_increments_its_pairs():
@@ -63,82 +48,14 @@ def test_adding_a_ballot_increments_its_pairs():
                 assert after[i][j] == before[i][j] + bump
 
 
-def test_edge_classes():
-    g = from_profile(CYCLE)
-    assert g.edge_class(0, 1) is EdgeClass.MAJORITY
-    assert g.edge_class(1, 0) is EdgeClass.MINORITY
-    tied = from_profile(Profile.of([(0, 1), (1, 0)]))
-    assert tied.edge_class(0, 1) is EdgeClass.TIED
-
-
 def test_unanimous_profile_all_majority_forward():
-    g = from_profile(Profile.of([(1, 0, 2)] * 5))
-    assert g.edge_class(1, 0) is EdgeClass.MAJORITY
-    assert g.edge_class(1, 2) is EdgeClass.MAJORITY
-    assert g.edge_class(0, 2) is EdgeClass.MAJORITY
-
-
-def test_backward_weight_is_tau_profile():
-    # the graph carries enough to score any ranking against the profile
-    assert backward_weight(from_profile(CYCLE), (0, 1, 2)) == 4
-    rng = random.Random(23)
-    for _ in range(50):
-        m = rng.randint(2, 5)
-        p = rand_profile(rng, rng.randint(1, 7), m)
-        r = rand_ranking(rng, m)
-        assert backward_weight(from_profile(p), r) == tau_profile(r, p)
-
-
-def test_majority_cycles3_detects_condorcet_cycle():
-    assert majority_cycles3(from_profile(CYCLE)) == {(0, 1, 2)}
-
-
-def test_majority_cycles3_transitive_profile():
-    g = from_profile(Profile.of([(0, 1, 2), (0, 1, 2), (1, 0, 2)]))
-    assert majority_cycles3(g) == frozenset()
-
-
-def test_majority_cycles3_needs_strict_majorities():
-    g = from_profile(Profile.of([(0, 1, 2), (2, 1, 0)]))  # every pair tied
-    assert majority_cycles3(g) == frozenset()
+    w = weight_matrix([(1, 0, 2)] * 5, 3)
+    assert w[1][0] == w[1][2] == w[0][2] == 5
+    assert w[0][1] == w[2][1] == w[2][0] == 0
 
 
 def test_triangle_inequality_holds_for_real_profiles():
     rng = random.Random(24)
     for _ in range(40):
         p = rand_profile(rng, rng.randint(1, 9), rng.randint(2, 5))
-        assert check_triangle_inequality(from_profile(p)) == []
-
-
-def test_triangle_inequality_flags_unrealizable_matrix():
-    # w(c1,c2)=0, w(c2,c3)=0 but w(c1,c3)=4 cannot come from 4 ballots
-    w = ((0, 0, 4), (4, 0, 0), (0, 4, 0))
-    g = TournamentGraph.from_matrix(w, voters=4)
-    assert not g.realized
-    violations = check_triangle_inequality(g)
-    assert (0, 1, 2) in violations
-
-
-def test_from_matrix_is_conservative_about_realizability():
-    # consistent numbers, but nobody proved a profile exists -> not realized
-    g = TournamentGraph.from_matrix(((0, 2), (1, 0)), voters=3)
-    assert not g.realized
-    assert check_triangle_inequality(g) == []
-
-
-def test_from_matrix_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        TournamentGraph.from_matrix(((0, 1),), voters=1)
-    with pytest.raises(ValueError):
-        TournamentGraph.from_matrix(((0, 5), (1, 0)), voters=3)
-
-
-def test_json_roundtrip():
-    g = from_profile(CYCLE)
-    assert TournamentGraph.from_json(g.to_json()) == g
-
-
-def test_json_roundtrip_preserves_unrealized():
-    g = TournamentGraph.from_matrix(((0, 0, 4), (4, 0, 0), (0, 4, 0)), voters=4)
-    g2 = TournamentGraph.from_json(g.to_json())
-    assert g2 == g and not g2.realized
+        assert triangle_holds(weight_matrix(p.rankings, p.m))
