@@ -30,7 +30,9 @@ from .kemeny import (
 from .rankings import ParseError, Profile, format_ranking, parse_profile
 from .protocol import ProtocolConfig, expected_messages, expected_rounds
 from .scenarios import (
+    CASES,
     SCENARIO_NAMES,
+    SIDES,
     InfeasibleError,
     ScenarioSpec,
     appendix_c_search,
@@ -297,11 +299,30 @@ def _print_scenario(record: dict) -> None:
 # --- replay -------------------------------------------------------------------
 
 
-# config keys each replayable command needs
+def _exactly(kind: type):
+    # exact type: True/False would pass isinstance(..., int) as 1/0
+    return lambda value: type(value) is kind
+
+
+def _one_of(*choices):
+    return lambda value: value in choices
+
+
+# config keys each replayable command needs, each with the test its value must pass
 REPLAY_KEYS = {
-    "simulate": ("protocol", "strategy", "n", "t", "m", "seeds", "seed_start", "profile"),
-    "scenario": ("name", "n", "t", "m", "side", "case"),
-    "kemeny": ("profile", "ties", "verify"),
+    "simulate": {
+        "protocol": _one_of(*PROTOCOLS),
+        "strategy": _one_of(*STRATEGY_NAMES),
+        **dict.fromkeys(("n", "t", "m", "seeds", "seed_start"), _exactly(int)),
+        "profile": lambda v: v is None or type(v) is list and all(type(r) is list for r in v),
+    },
+    "scenario": {
+        "name": _one_of(*SCENARIO_NAMES),
+        **dict.fromkeys(("n", "t", "m"), _exactly(int)),
+        "side": _one_of(*SIDES),
+        "case": _one_of(*CASES, None),
+    },
+    "kemeny": {"profile": _exactly(str), **dict.fromkeys(("ties", "verify"), _exactly(bool))},
 }
 
 
@@ -309,7 +330,7 @@ def replay(path: str) -> tuple[dict, bool]:
     """Re-run a stored record from its own config; True iff bit-identical.
 
     Raises ValueError when the record is not an object with a known command
-    and every config key that command needs.
+    and every config key that command needs, each with a valid value.
     """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
@@ -324,6 +345,9 @@ def replay(path: str) -> tuple[dict, bool]:
     missing = [k for k in REPLAY_KEYS[command] if k not in cfg]
     if missing:
         raise ValueError(f"record config lacks {', '.join(missing)}")
+    bad = [f"{k}={cfg[k]!r}" for k, valid in REPLAY_KEYS[command].items() if not valid(cfg[k])]
+    if bad:
+        raise ValueError(f"record config has bad values: {', '.join(bad)}")
     if command == "simulate":
         fresh = simulate_record(
             cfg["protocol"], cfg["strategy"], cfg["n"], cfg["t"], cfg["m"],
@@ -377,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=False)
     c.add_argument("--t", type=int, required=False)
     c.add_argument("--m", type=int)
-    c.add_argument("--side", choices=("left", "right", "both"), default="both")
-    c.add_argument("--case", choices=("C231", "C312"), default="C231")
+    c.add_argument("--side", choices=SIDES, default="both")
+    c.add_argument("--case", choices=CASES, default="C231")
     c.add_argument("--json", metavar="PATH", help="write the JSON record to PATH (- for stdout)")
     c.add_argument("--replay", metavar="RECORD", help="re-run a stored record and compare")
     return parser

@@ -39,8 +39,6 @@ from .simnet import (
     RunResult,
     RunStats,
     SyncNetwork,
-    sanitize_batch,
-    sanitize_ranking,
 )
 from .tournament import weight_matrix
 
@@ -52,24 +50,19 @@ class ProtocolConfig:
     Requires 3t < n.  ``dictator_schedule`` lists the dictator of each king
     round; it must hold t+1 distinct ids so at least one scheduled dictator
     is correct.  Default schedule: nodes 0..t.
-
-    ``enforce_resilience=False`` drops only the 3t < n check, for stress
-    harnesses that deliberately run past the bound to watch the protocols
-    fail; no guarantee survives out there.
     """
 
     n: int
     t: int
     m: int
     dictator_schedule: tuple[int, ...] | None = None
-    enforce_resilience: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.t, int) and isinstance(self.m, int)):
+        if not all(type(x) is int for x in (self.n, self.t, self.m)):
             raise TypeError("n, t, m must be ints")
         if self.t < 0 or self.n < 1:
             raise ValueError("need n >= 1 and t >= 0")
-        if self.enforce_resilience and 3 * self.t >= self.n:
+        if 3 * self.t >= self.n:
             raise ValueError(f"resilience requires 3t < n, got n={self.n}, t={self.t}")
         if self.m < 2:
             raise ValueError("protocols need at least two candidates")
@@ -303,7 +296,7 @@ def decide_dictator(
     dictator_ranking: object,
 ) -> Ranking:
     """Adopt the dictator's ranking unless it is malformed or misses a pair."""
-    if not (isinstance(dictator_ranking, tuple) and is_ranking(dictator_ranking, len(own))):
+    if not is_ranking(dictator_ranking, len(own)):
         return own
     dpos = {c: i for i, c in enumerate(dictator_ranking)}
     for p in fixed_pairs:
@@ -348,18 +341,11 @@ def _king_rounds(
             byz,
             instance_inputs,
             honest=lambda s: rankings[s],
-            dictator=dict_id,
         )
         proposals: dict[int, frozenset[Pair]] = {}
         for v in range(n):
             box = inboxes[v]
-            # correct-sender payloads were built by this engine; only
-            # adversary-supplied ones need recipient-side validation
-            received = [
-                sanitize_ranking(box.get(u), m) if u in byz_ids else box.get(u)
-                for u in range(n)
-            ]
-            proposals[v] = compute_proposals(received, n, t, m)
+            proposals[v] = compute_proposals([box.get(u) for u in range(n)], n, t, m)
 
         inboxes = net.exchange(
             ground,
@@ -369,17 +355,12 @@ def _king_rounds(
             byz,
             instance_inputs,
             honest=lambda s: proposals[s],
-            dictator=dict_id,
         )
         locks: dict[int, frozenset[Pair]] = {}
         for v in range(n):
             box = inboxes[v]
-            batches = [
-                sanitize_batch(box.get(u), m) if u in byz_ids else box.get(u)
-                for u in range(n)
-            ]
             kept, locks[v], evs = collect_fixed_pairs(
-                batches, n, t, round_no=ground, node=v
+                [box.get(u) for u in range(n)], n, t, round_no=ground, node=v
             )
             if v not in byz_ids:
                 events.extend(evs)
@@ -393,12 +374,9 @@ def _king_rounds(
             [dict_id] if dict_id in byz_ids else [],
             instance_inputs,
             honest=lambda s: rankings[s],
-            dictator=dict_id,
         )
         for v in range(n):
-            got = inboxes[v].get(dict_id)
-            dr = sanitize_ranking(got, m) if dict_id in byz_ids else got
-            rankings[v] = decide_dictator(rankings[v], locks[v], dr)
+            rankings[v] = decide_dictator(rankings[v], locks[v], inboxes[v].get(dict_id))
         net.end_round()
 
 
@@ -414,17 +392,12 @@ def _setup(inputs: Sequence[Ranking], adversary: AdversaryStrategy, cfg: Protoco
 
 
 def _finish(net, rankings, byz, inputs, cfg, events) -> RunResult:
-    total, per_round = net.finish()
     correct = [v for v in range(cfg.n) if v not in byz]
     return RunResult(
         outputs={v: rankings[v] for v in correct},
         correct_inputs={v: inputs[v] for v in correct},
         byz_ids=byz,
-        stats=RunStats(
-            messages_total=total,
-            messages_per_round=per_round,
-            integrity_errors=tuple(events),
-        ),
+        stats=RunStats(tuple(net.messages_per_round), tuple(events)),
         transcript=tuple(net.transcript) if net.transcript is not None else None,
     )
 
@@ -438,7 +411,7 @@ def run_algorithm1(
 ) -> RunResult:
     """t+1 king rounds straight over the input rankings."""
     byz = _setup(inputs, adversary, cfg, seed)
-    net = SyncNetwork(cfg.n, cfg.t, byz, adversary, seed, record_transcript)
+    net = SyncNetwork(cfg.n, adversary, seed, record_transcript)
     rankings = dict(enumerate(inputs))
     correct_inputs = {v: inputs[v] for v in range(cfg.n) if v not in byz}
     events: list[IntegrityEvent] = []
@@ -463,7 +436,7 @@ def run_algorithm2(
     t+3 rounds.
     """
     byz = _setup(inputs, adversary, cfg, seed)
-    net = SyncNetwork(cfg.n, cfg.t, byz, adversary, seed, record_transcript)
+    net = SyncNetwork(cfg.n, adversary, seed, record_transcript)
     correct = [v for v in range(cfg.n) if v not in byz]
     correct_inputs = {v: inputs[v] for v in correct}
 
@@ -475,7 +448,6 @@ def run_algorithm2(
         sorted(byz),
         correct_inputs,
         honest=lambda s: inputs[s],
-        dictator=None,
     )
     net.end_round()
 
@@ -483,14 +455,9 @@ def run_algorithm2(
     median_memo: dict[tuple, Ranking] = {}
     for v in range(cfg.n):
         box = inboxes[v]
-        ballots = []
-        for u in range(cfg.n):
-            r = sanitize_ranking(box.get(u), cfg.m) if u in byz else box.get(u)
-            if r is not None:
-                ballots.append(r)
-        key = tuple(ballots)
+        key = tuple(box[u] for u in range(cfg.n) if u in box)
         if key not in median_memo:
-            median_memo[key] = kemeny_exact(Profile.of(ballots, cfg.m)).chosen
+            median_memo[key] = kemeny_exact(Profile.of(key, cfg.m)).chosen
         rankings[v] = median_memo[key]
     net.end_round()  # round 2: local computation only
 
@@ -518,7 +485,7 @@ def run_baseline_stv(
     t+1 king rounds, so the total is (m-1)(t+1) rounds.
     """
     byz = _setup(inputs, adversary, cfg, seed)
-    net = SyncNetwork(cfg.n, cfg.t, byz, adversary, seed, record_transcript)
+    net = SyncNetwork(cfg.n, adversary, seed, record_transcript)
     correct = [v for v in range(cfg.n) if v not in byz]
     remaining: dict[int, list[int]] = {v: list(range(cfg.m)) for v in range(cfg.n)}
     prefix: dict[int, list[int]] = {v: [] for v in range(cfg.n)}

@@ -34,22 +34,8 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def validate_ranking(r: Sequence[int], m: int | None = None) -> Ranking:
-    """Return ``r`` as a tuple after checking it permutes ``range(m)``.
-
-    With ``m=None`` the length of ``r`` is used.  Raises ``ValueError`` on
-    duplicates, gaps, or wrong length.
-    """
-    t = tuple(r)
-    if m is None:
-        m = len(t)
-    if len(t) != m or sorted(t) != list(range(m)):
-        raise ValueError(f"not a permutation of 0..{m - 1}: {t!r}")
-    return t
-
-
 def is_ranking(r: object, m: int) -> bool:
-    """Cheap predicate form of :func:`validate_ranking` (no exception).
+    """True iff ``r`` is a tuple permuting ``range(m)``: the one ranking test.
 
     Entries must be plain ints: ``True``/``False`` would alias 1 and 0.
     """
@@ -59,6 +45,20 @@ def is_ranking(r: object, m: int) -> bool:
         and all(type(c) is int for c in r)
         and sorted(r) == list(range(m))
     )
+
+
+def validate_ranking(r: Sequence[int], m: int | None = None) -> Ranking:
+    """Return ``r`` as a tuple after checking it with :func:`is_ranking`.
+
+    With ``m=None`` the length of ``r`` is used.  Raises ``ValueError`` on
+    duplicates, gaps, wrong length or non-int entries.
+    """
+    t = tuple(r)
+    if m is None:
+        m = len(t)
+    if not is_ranking(t, m):
+        raise ValueError(f"not a permutation of 0..{m - 1}: {t!r}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,7 @@ class Profile:
         if not self.rankings:
             raise ValueError("profile must contain at least one ranking")
         for r in self.rankings:
-            if len(r) != self.m or sorted(r) != list(range(self.m)):
-                raise ValueError(
-                    f"ballot {r!r} is not a permutation of 0..{self.m - 1}"
-                )
+            validate_ranking(r, self.m)
 
     @classmethod
     def of(cls, rankings: Iterable[Sequence[int]], m: int | None = None) -> "Profile":

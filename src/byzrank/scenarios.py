@@ -25,6 +25,8 @@ from .simnet import RANKING, ScriptedViews, run_sync
 from .protocol import ProtocolConfig
 
 SCENARIO_NAMES = ("binary-worst", "cycle-worst", "appendix-c")
+SIDES = ("left", "right", "both")
+CASES = ("C231", "C312")
 
 
 class InfeasibleError(ValueError):
@@ -42,7 +44,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.kind!r}")
-        if self.side not in ("left", "right", "both"):
+        if self.side not in SIDES:
             raise ValueError("side must be left, right, or both")
 
 
@@ -204,7 +206,7 @@ def appendix_c_search(n: int, t: int, case: str) -> tuple[Fraction, tuple[int, i
     Returns the exact maximum ratio and one argmax (x, y, z) — on ties, the
     lexicographically smallest triple.
     """
-    if case not in ("C231", "C312"):
+    if case not in CASES:
         raise ValueError("case must be C231 or C312")
     if t < 1 or n < 4 * t:
         raise InfeasibleError("appendix-c grid is infeasible below n/t = 4")

@@ -62,7 +62,6 @@ class IntegrityEvent:
 
 @dataclass(frozen=True)
 class RunStats:
-    messages_total: int
     messages_per_round: tuple[int, ...]
     integrity_errors: tuple[IntegrityEvent, ...] = ()
 
@@ -70,6 +69,10 @@ class RunStats:
     def rounds(self) -> int:
         """Rounds the network closed, message-free ones included."""
         return len(self.messages_per_round)
+
+    @property
+    def messages_total(self) -> int:
+        return sum(self.messages_per_round)
 
 
 @dataclass(frozen=True)
@@ -101,18 +104,18 @@ class RunResult:
 
 @dataclass
 class AdversaryContext:
-    """Everything a strategy may look at when choosing one sender's messages."""
+    """Everything a strategy may look at when choosing one sender's messages.
+
+    ``correct_msgs`` (this phase's correct payloads) makes the adversary rushing.
+    """
 
     seed: int | str
     round: int
     phase: str
     n: int
-    t: int
     m: int
-    byz_ids: frozenset[int]
     correct_msgs: Mapping[int, Payload]
     correct_inputs: Mapping[int, Ranking]
-    dictator: int | None
     honest: Callable[[int], Payload]
 
 
@@ -264,21 +267,19 @@ class SyncNetwork:
 
     Correct-sender messages are counted (a broadcast is n point-to-point
     copies, self included); Byzantine messages are delivered and logged but
-    never counted.
+    never counted.  Byzantine payloads are sanitized at delivery: the
+    transcript logs them raw, the inbox gets the clean value, and a
+    malformed one is left out, exactly as if it were never sent.
     """
 
     def __init__(
         self,
         n: int,
-        t: int,
-        byz_ids: frozenset[int],
         adversary: AdversaryStrategy,
         seed: int | str,
         record_transcript: bool = False,
     ):
         self.n = n
-        self.t = t
-        self.byz_ids = byz_ids
         self.adversary = adversary
         self.seed = seed
         self.transcript: list | None = [] if record_transcript else None
@@ -294,52 +295,57 @@ class SyncNetwork:
         byz_senders: Sequence[int],
         correct_inputs: Mapping[int, Ranking],
         honest: Callable[[int], Payload],
-        dictator: int | None = None,
     ) -> list[dict[int, Payload]]:
-        """Deliver one phase; returns per-recipient inboxes (sender->payload)."""
-        inboxes: list[dict[int, Payload]] = [{} for _ in range(self.n)]
+        """Deliver one phase; returns per-recipient inboxes (sender->payload).
+
+        A Byzantine payload is sanitized once per transmission: once for a
+        uniform broadcast, once per recipient for an equivocation.
+        """
+        n = self.n
+        transcript = self.transcript
+        inboxes: list[dict[int, Payload]] = [{} for _ in range(n)]
         for sender in sorted(correct_payloads):
             payload = correct_payloads[sender]
-            self._current_round_messages += self.n
-            for v in range(self.n):
+            self._current_round_messages += n
+            for v in range(n):
                 inboxes[v][sender] = payload
-                if self.transcript is not None:
-                    self.transcript.append((round_no, phase, sender, v, payload))
+                if transcript is not None:
+                    transcript.append((round_no, phase, sender, v, payload))
         # the adversary moves last (rushing)
         ctx = AdversaryContext(
             seed=self.seed,
             round=round_no,
             phase=phase,
-            n=self.n,
-            t=self.t,
+            n=n,
             m=m,
-            byz_ids=self.byz_ids,
-            correct_msgs=dict(correct_payloads),
+            correct_msgs=correct_payloads,
             correct_inputs=correct_inputs,
-            dictator=dictator,
             honest=honest,
         )
+        sanitize = sanitize_batch if phase == PROPOSE else sanitize_ranking
         for sender in sorted(byz_senders):
             out = self.adversary.send(ctx, sender)
             if out is None:
                 continue
-            per_recipient = out if isinstance(out, dict) else {v: out for v in range(self.n)}
-            for v in sorted(per_recipient):
-                payload = per_recipient[v]
-                if payload is None or not (0 <= v < self.n):
-                    continue
-                inboxes[v][sender] = payload
-                if self.transcript is not None:
-                    self.transcript.append((round_no, phase, sender, v, payload))
+            if isinstance(out, dict):
+                sends = [
+                    (v, out[v], sanitize(out[v], m))
+                    for v in sorted(out)
+                    if out[v] is not None and 0 <= v < n
+                ]
+            else:
+                clean = sanitize(out, m)
+                sends = [(v, out, clean) for v in range(n)]
+            for v, raw, clean in sends:
+                if transcript is not None:
+                    transcript.append((round_no, phase, sender, v, raw))
+                if clean is not None:
+                    inboxes[v][sender] = clean
         return inboxes
 
     def end_round(self) -> None:
         self.messages_per_round.append(self._current_round_messages)
         self._current_round_messages = 0
-
-    def finish(self) -> tuple[int, tuple[int, ...]]:
-        per_round = tuple(self.messages_per_round)
-        return sum(per_round), per_round
 
 
 # --- payload sanitization (recipient side) ----------------------------------
@@ -347,9 +353,7 @@ class SyncNetwork:
 
 def sanitize_ranking(payload: object, m: int) -> Ranking | None:
     """A malformed or absent ranking counts as nothing received."""
-    if isinstance(payload, tuple) and is_ranking(payload, m):
-        return payload
-    return None
+    return payload if is_ranking(payload, m) else None
 
 
 def sanitize_batch(payload: object, m: int) -> frozenset[Pair] | None:

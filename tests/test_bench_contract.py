@@ -8,6 +8,7 @@ names are checked here.
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,3 +30,18 @@ def test_traced_function_resolves(span, module, attr):
 def test_traced_exchange_resolves():
     simnet = importlib.import_module("byzrank.simnet")
     assert callable(simnet.SyncNetwork.exchange)
+
+
+def test_tracer_counts_sanitization():
+    # sanitization runs inside the network; the per-layer metrics must still see it
+    tracer_module = load_tracer()
+    modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
+    prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
+    original = prog.simnet.sanitize_batch
+    tracer = tracer_module.Tracer(prog)
+    with tracer.installed(0):
+        prog.cli.simulate_record("alg1", "random", 4, 1, 3, 1, 0)
+    assert prog.simnet.sanitize_batch is original
+    # one uniform Byzantine broadcast per round: a RANKING and a PROPOSE
+    assert tracer.calls["simnet.sanitize_batch"] == 2
+    assert tracer.calls["simnet.sanitize_ranking"] == 2

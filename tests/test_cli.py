@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from byzrank.cli import main
+from byzrank.cli import main, simulate_record
+from byzrank.rankings import Profile, validate_ranking
 
 CYCLE_PROFILE = "a > b > c\nb > c > a\nc > a > b\n"
 TIE_PROFILE = "x > y\ny > x\n"
@@ -253,11 +254,38 @@ def test_replay_unknown_command_exits_2(tmp_path, capsys):
     assert "unknown command" in err
 
 
+SIM_CONFIG = {
+    "protocol": "alg1", "strategy": "honest", "n": 4, "t": 1, "m": 2,
+    "seeds": 1, "seed_start": 0, "profile": None,
+}
+SCENARIO_CONFIG = {"name": "binary-worst", "n": 12, "t": 3, "m": 2, "side": "both", "case": None}
+
+
+def sim(**changes):
+    return {"command": "simulate", "config": {**SIM_CONFIG, **changes}}
+
+
+def scenario(**changes):
+    return {"command": "scenario", "config": {**SCENARIO_CONFIG, **changes}}
+
+
 @pytest.mark.parametrize(
     "record,message",
     [
         ({"command": "simulate", "config": {"protocol": "alg1"}}, "config lacks strategy"),
         ([{"command": "simulate"}], "not a JSON object"),
+        (sim(n="x"), "bad values: n='x'"),
+        (sim(t=True), "bad values: t=True"),
+        (sim(seeds=1.0), "bad values: seeds=1.0"),
+        (sim(protocol="nope", strategy=None), "bad values: protocol='nope', strategy=None"),
+        (sim(profile=5), "bad values: profile=5"),
+        (sim(profile=[[True, False]] * 4), "not a permutation"),
+        (scenario(name="nope"), "bad values: name='nope'"),
+        (scenario(side="top"), "bad values: side='top'"),
+        (scenario(case="C999"), "bad values: case='C999'"),
+        (scenario(m="2"), "bad values: m='2'"),
+        ({"command": "kemeny", "config": {"profile": "a > b", "ties": 1, "verify": False}},
+         "bad values: ties=1"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
@@ -266,6 +294,16 @@ def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
     code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_bool_profile_is_refused():
+    # True/False compare equal to 1/0; accepted, they came back as the consensus
+    with pytest.raises(ValueError):
+        Profile.of([[True, False]] * 4)
+    with pytest.raises(ValueError):
+        validate_ranking((True, False))
+    with pytest.raises(ValueError):
+        simulate_record("alg1", "honest", 4, 1, 2, 1, 0, [[True, False]] * 4)
 
 
 # --- process-level ----------------------------------------------------------------

@@ -71,17 +71,12 @@ def test_config_with_schedule():
 def test_config_rejects_non_ints_and_small_m():
     with pytest.raises(TypeError):
         ProtocolConfig(4.0, 1, 3)
+    with pytest.raises(TypeError):
+        ProtocolConfig(True, 0, 2)  # a bool would alias 1
     with pytest.raises(ValueError):
         ProtocolConfig(4, 1, 1)
     with pytest.raises(ValueError):
         ProtocolConfig(0, 0, 2)
-
-
-def test_config_resilience_override_for_stress_runs():
-    cfg = ProtocolConfig(3, 1, 2, enforce_resilience=False)
-    assert cfg.n == 3 and cfg.t == 1
-    res = run_algorithm1([(0, 1)] * 3, Honest(), cfg, seed=0)
-    assert res.stats.rounds == 2  # still runs; guarantees are void out here
 
 
 # --- proposals ------------------------------------------------------------------
