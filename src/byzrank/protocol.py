@@ -23,6 +23,7 @@ and continues, so runs remain comparable instead of aborting.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -261,8 +262,6 @@ def adjust_ranking(ranking: Ranking, fixed_pairs: frozenset[Pair]) -> Ranking:
     position in the node's own ranking; everyone else follows below in the
     node's own order.  Cyclic input raises ValueError.
     """
-    import heapq
-
     validate_ranking(ranking)
     pos = {c: i for i, c in enumerate(ranking)}
     constrained: set[int] = set()
@@ -308,6 +307,21 @@ def decide_dictator(
 # --- round engine -------------------------------------------------------------
 
 
+def _views(inboxes: Sequence[Mapping[int, object]], n: int) -> list[tuple]:
+    """One slot tuple per recipient (sender order, None where nothing came).
+
+    Recipients that share an inbox object share one tuple, built once.
+    """
+    slots: dict[int, tuple] = {}
+    views = []
+    for box in inboxes:
+        view = slots.get(id(box))
+        if view is None:
+            view = slots[id(box)] = tuple(box.get(u) for u in range(n))
+        views.append(view)
+    return views
+
+
 def _king_rounds(
     net: SyncNetwork,
     n: int,
@@ -325,7 +339,8 @@ def _king_rounds(
 
     Rankings are kept for every node: corrupted nodes keep an honest shadow
     ranking (fed by real inboxes) so the honest-behaviour callback can
-    answer exactly what they would have sent.
+    answer exactly what they would have sent.  A node's steps depend only
+    on its view, so each step runs once per distinct view and is shared.
     """
     correct = [v for v in range(n) if v not in byz_ids]
     byz = sorted(byz_ids)
@@ -342,10 +357,12 @@ def _king_rounds(
             instance_inputs,
             honest=lambda s: rankings[s],
         )
+        tally: dict[tuple, frozenset[Pair]] = {}
         proposals: dict[int, frozenset[Pair]] = {}
-        for v in range(n):
-            box = inboxes[v]
-            proposals[v] = compute_proposals([box.get(u) for u in range(n)], n, t, m)
+        for v, view in enumerate(_views(inboxes, n)):
+            if view not in tally:
+                tally[view] = compute_proposals(view, n, t, m)
+            proposals[v] = tally[view]
 
         inboxes = net.exchange(
             ground,
@@ -356,15 +373,19 @@ def _king_rounds(
             instance_inputs,
             honest=lambda s: proposals[s],
         )
+        fixed: dict[tuple, tuple] = {}
+        adjusted: dict[tuple, Ranking] = {}
         locks: dict[int, frozenset[Pair]] = {}
-        for v in range(n):
-            box = inboxes[v]
-            kept, locks[v], evs = collect_fixed_pairs(
-                [box.get(u) for u in range(n)], n, t, round_no=ground, node=v
-            )
+        for v, view in enumerate(_views(inboxes, n)):
+            if view not in fixed:
+                fixed[view] = collect_fixed_pairs(view, n, t, round_no=ground, node=v)
+            kept, locks[v], evs = fixed[view]
             if v not in byz_ids:
-                events.extend(evs)
-            rankings[v] = adjust_ranking(rankings[v], kept)
+                events.extend(replace(e, node=v) for e in evs)
+            key = (rankings[v], kept)
+            if key not in adjusted:
+                adjusted[key] = adjust_ranking(*key)
+            rankings[v] = adjusted[key]
 
         inboxes = net.exchange(
             ground,
@@ -453,12 +474,11 @@ def run_algorithm2(
 
     rankings: dict[int, Ranking] = {}
     median_memo: dict[tuple, Ranking] = {}
-    for v in range(cfg.n):
-        box = inboxes[v]
-        key = tuple(box[u] for u in range(cfg.n) if u in box)
-        if key not in median_memo:
-            median_memo[key] = kemeny_exact(Profile.of(key, cfg.m)).chosen
-        rankings[v] = median_memo[key]
+    for v, view in enumerate(_views(inboxes, cfg.n)):
+        if view not in median_memo:
+            ballots = [r for r in view if r is not None]
+            median_memo[view] = kemeny_exact(Profile.of(ballots, cfg.m)).chosen
+        rankings[v] = median_memo[view]
     net.end_round()  # round 2: local computation only
 
     medians = {v: rankings[v] for v in correct}

@@ -16,7 +16,7 @@ reproduce bit-identical transcripts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -300,17 +300,18 @@ class SyncNetwork:
 
         A Byzantine payload is sanitized once per transmission: once for a
         uniform broadcast, once per recipient for an equivocation.
+        Recipients with equal deliveries share one inbox object (every one
+        of them when nobody equivocates), so callers must not mutate it.
         """
         n = self.n
         transcript = self.transcript
-        inboxes: list[dict[int, Payload]] = [{} for _ in range(n)]
+        shared: dict[int, Payload] = {}
         for sender in sorted(correct_payloads):
             payload = correct_payloads[sender]
-            self._current_round_messages += n
-            for v in range(n):
-                inboxes[v][sender] = payload
-                if transcript is not None:
-                    transcript.append((round_no, phase, sender, v, payload))
+            shared[sender] = payload
+            if transcript is not None:
+                transcript.extend((round_no, phase, sender, v, payload) for v in range(n))
+        self._current_round_messages += n * len(correct_payloads)
         # the adversary moves last (rushing)
         ctx = AdversaryContext(
             seed=self.seed,
@@ -323,25 +324,28 @@ class SyncNetwork:
             honest=honest,
         )
         sanitize = sanitize_batch if phase == PROPOSE else sanitize_ranking
+        own: dict[int, dict[int, Payload]] = {}  # equivocated deliveries
         for sender in sorted(byz_senders):
             out = self.adversary.send(ctx, sender)
             if out is None:
                 continue
             if isinstance(out, dict):
-                sends = [
-                    (v, out[v], sanitize(out[v], m))
-                    for v in sorted(out)
-                    if out[v] is not None and 0 <= v < n
-                ]
+                for v in sorted(out):
+                    raw = out[v]
+                    if raw is None or not 0 <= v < n:
+                        continue
+                    if transcript is not None:
+                        transcript.append((round_no, phase, sender, v, raw))
+                    clean = sanitize(raw, m)
+                    if clean is not None:
+                        own.setdefault(v, {})[sender] = clean
             else:
-                clean = sanitize(out, m)
-                sends = [(v, out, clean) for v in range(n)]
-            for v, raw, clean in sends:
                 if transcript is not None:
-                    transcript.append((round_no, phase, sender, v, raw))
+                    transcript.extend((round_no, phase, sender, v, out) for v in range(n))
+                clean = sanitize(out, m)
                 if clean is not None:
-                    inboxes[v][sender] = clean
-        return inboxes
+                    shared[sender] = clean
+        return [shared | own[v] if v in own else shared for v in range(n)]
 
     def end_round(self) -> None:
         self.messages_per_round.append(self._current_round_messages)
@@ -375,8 +379,8 @@ def sanitize_batch(payload: object, m: int) -> frozenset[Pair] | None:
             continue
         a, b = item
         if type(a) is int and type(b) is int and 0 <= a < m and 0 <= b < m and a != b:
-            pairs.add(Pair(a, b))
-    return frozenset(p for p in pairs if Pair(p.below, p.above) not in pairs)
+            pairs.add(item if type(item) is Pair else Pair(a, b))
+    return frozenset(p for p in pairs if (p[1], p[0]) not in pairs)
 
 
 # --- targeted attack constructions -------------------------------------------

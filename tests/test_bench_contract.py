@@ -45,3 +45,27 @@ def test_tracer_counts_sanitization():
     # one uniform Byzantine broadcast per round: a RANKING and a PROPOSE
     assert tracer.calls["simnet.sanitize_batch"] == 2
     assert tracer.calls["simnet.sanitize_ranking"] == 2
+
+
+def test_tracer_counts_shared_inboxes():
+    # recipients of one phase may share an inbox object; the tracer must
+    # still count n inboxes per exchange, and one distinct inbox when no
+    # one equivocates
+    tracer_module = load_tracer()
+    modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
+    prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
+    tracer = tracer_module.Tracer(prog)
+    with tracer.installed(0):
+        prog.cli.simulate_record("alg1", "honest", 7, 2, 3, 1, 0)
+    exchanges = tracer.calls["simnet.exchange"]
+    assert tracer.counts["inboxes"] == 7 * exchanges
+    assert tracer.counts["distinct_inboxes"] == exchanges
+    # one ranking tally per king round, shared by all seven nodes (the
+    # record's ratio makes its own tallies, outside the run)
+    names = {span_id: name for _op, span_id, _parent, name, _start, _end in tracer.spans}
+    in_run = [
+        names[parent] == "protocol.run"
+        for _op, _id, parent, name, _start, _end in tracer.spans
+        if name == "tournament.weight_matrix"
+    ]
+    assert sum(in_run) == 3

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from byzrank import protocol
 from byzrank.kemeny import approx_ratio
 from byzrank.protocol import (
     Message,
@@ -449,3 +450,40 @@ def test_events_attributed_to_correct_nodes_only():
     inputs, strategy, _ = cycle_lock_attack(4, 1, 3)
     res = run_algorithm1(inputs, strategy, ProtocolConfig(4, 1, 3), seed=0)
     assert all(e.node not in res.byz_ids for e in res.stats.integrity_errors)
+
+
+def test_shared_fixed_pairs_events_are_stamped_per_node():
+    # round 1's PROPOSE phase is a uniform broadcast, so all five correct
+    # nodes share one collect_fixed_pairs result; each event names its node
+    inputs, strategy, _ = cycle_lock_attack(7, 2, 4)
+    for name in ("alg1", "stv-baseline"):
+        res = run_sync(name, inputs, strategy, ProtocolConfig(7, 2, 4), seed=0)
+        got = [(e.kind, e.round, e.node, e.pair, e.level) for e in res.stats.integrity_errors]
+        assert got == [("fixed-cycle", 1, v, (2, 0), "lock") for v in range(5)], name
+
+
+# --- one step call per distinct view ----------------------------------------------
+
+
+@pytest.mark.parametrize("strategy_name", ["honest", "silent", "random", "equivocate"])
+def test_steps_run_once_per_distinct_view(monkeypatch, strategy_name):
+    calls = Counter()
+    for name in ("compute_proposals", "collect_fixed_pairs"):
+        real = getattr(protocol, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, counted)
+    n, t, m = 7, 2, 3
+    rng = random.Random(0)
+    inputs = [rand_ranking(rng, m) for _ in range(n)]
+    strategy = make_strategy(strategy_name, n=n, t=t, m=m)
+    run_algorithm1(inputs, strategy, ProtocolConfig(n, t, m), seed=0)
+    if strategy_name == "equivocate":
+        # every inbox may differ, but never more than one call per node
+        assert max(calls.values()) <= n * (t + 1)
+    else:
+        # all n nodes hold one view per phase: one call per round
+        assert calls == {"compute_proposals": t + 1, "collect_fixed_pairs": t + 1}

@@ -321,6 +321,30 @@ def test_malformed_byzantine_payload_is_logged_raw_and_ignored():
     assert boxes == [{0: (0, 1, 2)}] * 4
 
 
+def test_uniform_phase_shares_one_inbox():
+    net = simnet.SyncNetwork(4, RandomRankings(), seed=0)
+    correct = {v: (0, 1, 2) for v in range(3)}
+    boxes = net.exchange(1, RANKING, 3, correct, [3], correct, honest=None)
+    assert len({id(b) for b in boxes}) == 1
+    assert boxes[0] == {**correct, 3: boxes[0][3]}
+
+
+def test_equivocated_deliveries_stay_per_recipient():
+    # sender 5 equivocates to recipients 0 and 2 only; sender 6 broadcasts
+    n = 7
+    to_some = {0: (2, 1, 0), 2: (1, 2, 0)}
+    script = {(1, RANKING, 5): to_some, (1, RANKING, 6): (0, 2, 1)}
+    net = simnet.SyncNetwork(n, ScriptedViews(script), seed=0)
+    correct = {v: (0, 1, 2) for v in range(5)}
+    boxes = net.exchange(1, RANKING, 3, correct, [5, 6], correct, honest=None)
+    for v in range(n):
+        expected = {**correct, 6: (0, 2, 1)}
+        if v in to_some:
+            expected[5] = to_some[v]
+        assert boxes[v] == expected
+    assert boxes[1] is boxes[3] and boxes[0] is not boxes[2]
+
+
 # --- scripted cycle attack ---------------------------------------------------------
 
 
