@@ -35,7 +35,6 @@ from .kemeny import (
     profile_cost,
 )
 from .protocol import (
-    Message,
     ProtocolConfig,
     adjust_ranking,
     collect_fixed_pairs,
@@ -45,7 +44,6 @@ from .protocol import (
     run_algorithm1,
     run_algorithm2,
     run_baseline_stv,
-    transcript_messages,
 )
 from .simnet import (
     AdversaryContext,
@@ -87,10 +85,10 @@ __all__ = [
     "BRUTE_MAX_M", "EXACT_MAX_M", "INFINITE", "ApproxReport", "CapacityError",
     "MedianResult", "approx_ratio", "kemeny_brute", "kemeny_exact",
     "profile_cost",
-    "Message", "ProtocolConfig",
+    "ProtocolConfig",
     "adjust_ranking", "collect_fixed_pairs", "compute_proposals",
     "decide_dictator", "resolve_acyclic", "run_algorithm1", "run_algorithm2",
-    "run_baseline_stv", "transcript_messages",
+    "run_baseline_stv",
     "AdversaryContext", "AdversaryStrategy", "Equivocate", "Honest",
     "IntegrityEvent", "OppositeMedian", "RandomRankings", "RunResult",
     "RunStats", "ScriptedViews", "SearchReport", "Silent", "adversary_search",

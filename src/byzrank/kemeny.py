@@ -8,17 +8,17 @@ candidate-index order, so equal inputs yield equal outputs everywhere in the
 simulator.
 
 Ratios are exact :class:`fractions.Fraction` values; a positive-cost ranking
-measured against a zero-cost optimum reports the distinguished
-:data:`INFINITE` value instead of raising.
+measured against a zero-cost optimum reports :data:`INFINITE`
+(``math.inf``) instead of raising.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .rankings import Profile, Ranking, validate_ranking
 from .tournament import weight_matrix
@@ -31,31 +31,7 @@ class CapacityError(ValueError):
     """Candidate count exceeds what the requested solver enumerates."""
 
 
-@total_ordering
-class _Infinite:
-    """Distinguished 'infinite ratio' value: greater than every number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __hash__(self) -> int:
-        return hash("byzrank-infinite-ratio")
-
-    def __repr__(self) -> str:
-        return "infinite"
-
-
-INFINITE = _Infinite()
+INFINITE = math.inf  # ratio of a positive cost against a zero-cost optimum
 
 
 @dataclass(frozen=True)
@@ -71,7 +47,7 @@ class MedianResult:
 class ApproxReport:
     candidate_cost: int
     optimal_cost: int
-    ratio: Fraction | _Infinite
+    ratio: Fraction | float
 
 
 def _backward(w: Sequence[Sequence[int]], perm: Sequence[int]) -> int:
@@ -105,19 +81,17 @@ def kemeny_brute(profile: Profile) -> MedianResult:
     return MedianResult(medians=tuple(medians), cost=best, chosen=medians[0])
 
 
-def kemeny_exact(profile: Profile) -> MedianResult:
-    """Subset dynamic program over candidate prefixes (m <= 16).
+def _prefix_dp(w: Sequence[Sequence[int]]) -> tuple[list[int], Callable[[int, int], int]]:
+    """Subset dynamic program over candidate prefixes of the weights ``w``.
 
     ``h[S]`` is the cheapest way to order the candidates outside ``S`` below
     a fixed prefix that contains exactly ``S``; appending candidate ``c``
     costs the yet-unplaced ballots' preferences for the remaining candidates
-    over ``c``.  Reconstruction walks greedily by candidate index, which
-    yields the lexicographically smallest optimum first.
+    over ``c``.  Returns ``(h, append_cost)``; ``h[0]`` is the optimum.
     """
-    m = profile.m
+    m = len(w)
     if m > EXACT_MAX_M:
         raise CapacityError(f"exact solver handles m <= {EXACT_MAX_M}, got {m}")
-    w = weight_matrix(profile.rankings, m)
     colsum = [sum(w[d][c] for d in range(m)) for c in range(m)]
     full = (1 << m) - 1
 
@@ -144,7 +118,18 @@ def kemeny_exact(profile: Profile) -> MedianResult:
             if best is None or cand < best:
                 best = cand
         h[s] = best  # type: ignore[assignment]
+    return h, append_cost
 
+
+def kemeny_exact(profile: Profile) -> MedianResult:
+    """Exact medians by the subset dynamic program (m <= 16).
+
+    Reconstruction walks greedily by candidate index, which yields the
+    lexicographically smallest optimum first.
+    """
+    m = profile.m
+    h, append_cost = _prefix_dp(weight_matrix(profile.rankings, m))
+    full = (1 << m) - 1
     cost = h[0]
 
     # Enumerate every optimal ranking by following all zero-slack branches in
@@ -177,10 +162,12 @@ def profile_cost(r: Sequence[int], profile: Profile) -> int:
 def approx_ratio(candidate: Sequence[int], profile: Profile) -> ApproxReport:
     """Exact cost ratio of ``candidate`` against the profile's true median."""
     candidate = validate_ranking(candidate, profile.m)
-    cand_cost = profile_cost(candidate, profile)
-    opt = kemeny_exact(profile).cost
+    w = weight_matrix(profile.rankings, profile.m)
+    cand_cost = _backward(w, candidate)
+    h, _append_cost = _prefix_dp(w)
+    opt = h[0]
     if opt == 0:
-        ratio: Fraction | _Infinite = Fraction(1) if cand_cost == 0 else INFINITE
+        ratio = Fraction(1) if cand_cost == 0 else INFINITE
     else:
         ratio = Fraction(cand_cost, opt)
     return ApproxReport(candidate_cost=cand_cost, optimal_cost=opt, ratio=ratio)

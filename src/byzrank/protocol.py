@@ -82,33 +82,6 @@ class ProtocolConfig:
         return replace(self, dictator_schedule=tuple(schedule) if schedule else None)
 
 
-@dataclass(frozen=True)
-class Message:
-    """One delivered message, as seen by its recipient.
-
-    ``kind`` is the phase: RANKING, PROPOSE or DICTATOR.  ``payload`` is a
-    ranking in the RANKING and DICTATOR phases, a frozenset of pairs in
-    PROPOSE (antisymmetric within the batch), or None for an omitted or
-    garbled transmission.
-    """
-
-    kind: str
-    sender: int
-    round: int
-    recipient: int
-    payload: object
-
-
-def transcript_messages(result) -> list[Message]:
-    """Typed view of a recorded run transcript, in delivery order."""
-    if result.transcript is None:
-        raise ValueError("run was made without record_transcript=True")
-    return [
-        Message(phase, sender, round_no, recipient, payload)
-        for (round_no, phase, sender, recipient, payload) in result.transcript
-    ]
-
-
 # --- closed forms -------------------------------------------------------------
 
 
@@ -323,40 +296,21 @@ def _views(inboxes: Sequence[Mapping[int, object]], n: int) -> list[tuple]:
 
 
 def _king_rounds(
-    net: SyncNetwork,
-    n: int,
-    t: int,
-    m: int,
-    rankings: dict[int, Ranking],
-    byz_ids: frozenset[int],
-    instance_inputs: Mapping[int, Ranking],
-    schedule: Sequence[int],
-    start_round: int,
-    rounds: int,
-    events: list[IntegrityEvent],
-) -> None:
-    """Run ``rounds`` king rounds, updating every node's ranking in place.
+    net: SyncNetwork, cfg: ProtocolConfig, m: int, rankings: dict[int, Ranking], start_round: int
+) -> list[IntegrityEvent]:
+    """Run one king round per scheduled dictator, updating rankings in place.
 
-    Rankings are kept for every node: corrupted nodes keep an honest shadow
-    ranking (fed by real inboxes) so the honest-behaviour callback can
-    answer exactly what they would have sent.  A node's steps depend only
-    on its view, so each step runs once per distinct view and is shared.
+    The instance inputs the adversary sees are the correct nodes' rankings
+    on entry.  Rankings are kept for every node: corrupted nodes keep an
+    honest shadow ranking (fed by real inboxes) so the network can answer
+    exactly what they would have sent.  A node's steps depend only on its
+    view, so each step runs once per distinct view and is shared.
     """
-    correct = [v for v in range(n) if v not in byz_ids]
-    byz = sorted(byz_ids)
-    for local in range(rounds):
-        ground = start_round + local
-        dict_id = schedule[local]
-
-        inboxes = net.exchange(
-            ground,
-            RANKING,
-            m,
-            {v: rankings[v] for v in correct},
-            byz,
-            instance_inputs,
-            honest=lambda s: rankings[s],
-        )
+    n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
+    instance_inputs = {v: r for v, r in rankings.items() if v not in byz_ids}
+    events: list[IntegrityEvent] = []
+    for ground, dict_id in enumerate(cfg.dictator_schedule, start_round):
+        inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs)
         tally: dict[tuple, frozenset[Pair]] = {}
         proposals: dict[int, frozenset[Pair]] = {}
         for v, view in enumerate(_views(inboxes, n)):
@@ -364,15 +318,7 @@ def _king_rounds(
                 tally[view] = compute_proposals(view, n, t, m)
             proposals[v] = tally[view]
 
-        inboxes = net.exchange(
-            ground,
-            PROPOSE,
-            m,
-            {v: proposals[v] for v in correct},
-            byz,
-            instance_inputs,
-            honest=lambda s: proposals[s],
-        )
+        inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs)
         fixed: dict[tuple, tuple] = {}
         adjusted: dict[tuple, Ranking] = {}
         locks: dict[int, frozenset[Pair]] = {}
@@ -387,21 +333,20 @@ def _king_rounds(
                 adjusted[key] = adjust_ranking(*key)
             rankings[v] = adjusted[key]
 
-        inboxes = net.exchange(
-            ground,
-            DICTATOR,
-            m,
-            {dict_id: rankings[dict_id]} if dict_id not in byz_ids else {},
-            [dict_id] if dict_id in byz_ids else [],
-            instance_inputs,
-            honest=lambda s: rankings[s],
-        )
+        inboxes = net.exchange(ground, DICTATOR, m, {dict_id: rankings[dict_id]}, instance_inputs)
         for v in range(n):
             rankings[v] = decide_dictator(rankings[v], locks[v], inboxes[v].get(dict_id))
         net.end_round()
+    return events
 
 
-def _setup(inputs: Sequence[Ranking], adversary: AdversaryStrategy, cfg: ProtocolConfig, seed):
+def _setup(
+    inputs: Sequence[Ranking],
+    adversary: AdversaryStrategy,
+    cfg: ProtocolConfig,
+    seed: int | str,
+    record_transcript: bool,
+) -> SyncNetwork:
     if len(inputs) != cfg.n:
         raise ValueError(f"need {cfg.n} inputs, got {len(inputs)}")
     for r in inputs:
@@ -409,15 +354,15 @@ def _setup(inputs: Sequence[Ranking], adversary: AdversaryStrategy, cfg: Protoco
     byz = frozenset(adversary.pick_byzantine(cfg.n, cfg.t, random.Random(f"{seed}/corrupt")))
     if len(byz) > cfg.t or any(not (0 <= v < cfg.n) for v in byz):
         raise ValueError("corruption set exceeds t or names unknown nodes")
-    return byz
+    return SyncNetwork(cfg.n, adversary, seed, byz, record_transcript)
 
 
-def _finish(net, rankings, byz, inputs, cfg, events) -> RunResult:
-    correct = [v for v in range(cfg.n) if v not in byz]
+def _finish(net: SyncNetwork, outputs, inputs, events) -> RunResult:
+    correct = [v for v in range(net.n) if v not in net.byz_ids]
     return RunResult(
-        outputs={v: rankings[v] for v in correct},
+        outputs={v: outputs[v] for v in correct},
         correct_inputs={v: inputs[v] for v in correct},
-        byz_ids=byz,
+        byz_ids=net.byz_ids,
         stats=RunStats(tuple(net.messages_per_round), tuple(events)),
         transcript=tuple(net.transcript) if net.transcript is not None else None,
     )
@@ -431,16 +376,10 @@ def run_algorithm1(
     record_transcript: bool = False,
 ) -> RunResult:
     """t+1 king rounds straight over the input rankings."""
-    byz = _setup(inputs, adversary, cfg, seed)
-    net = SyncNetwork(cfg.n, adversary, seed, record_transcript)
+    net = _setup(inputs, adversary, cfg, seed, record_transcript)
     rankings = dict(enumerate(inputs))
-    correct_inputs = {v: inputs[v] for v in range(cfg.n) if v not in byz}
-    events: list[IntegrityEvent] = []
-    _king_rounds(
-        net, cfg.n, cfg.t, cfg.m, rankings, byz, correct_inputs,
-        cfg.dictator_schedule, 1, cfg.t + 1, events,
-    )
-    return _finish(net, rankings, byz, inputs, cfg, events)
+    events = _king_rounds(net, cfg, cfg.m, rankings, 1)
+    return _finish(net, rankings, inputs, events)
 
 
 def run_algorithm2(
@@ -456,23 +395,12 @@ def run_algorithm2(
     computation; rounds 3..t+3 run the king engine over the medians.  Total:
     t+3 rounds.
     """
-    byz = _setup(inputs, adversary, cfg, seed)
-    net = SyncNetwork(cfg.n, adversary, seed, record_transcript)
-    correct = [v for v in range(cfg.n) if v not in byz]
-    correct_inputs = {v: inputs[v] for v in correct}
-
-    inboxes = net.exchange(
-        1,
-        RANKING,
-        cfg.m,
-        {v: inputs[v] for v in correct},
-        sorted(byz),
-        correct_inputs,
-        honest=lambda s: inputs[s],
-    )
+    net = _setup(inputs, adversary, cfg, seed, record_transcript)
+    rankings = dict(enumerate(inputs))
+    correct_inputs = {v: r for v, r in rankings.items() if v not in net.byz_ids}
+    inboxes = net.exchange(1, RANKING, cfg.m, rankings, correct_inputs)
     net.end_round()
 
-    rankings: dict[int, Ranking] = {}
     median_memo: dict[tuple, Ranking] = {}
     for v, view in enumerate(_views(inboxes, cfg.n)):
         if view not in median_memo:
@@ -481,13 +409,8 @@ def run_algorithm2(
         rankings[v] = median_memo[view]
     net.end_round()  # round 2: local computation only
 
-    medians = {v: rankings[v] for v in correct}
-    events: list[IntegrityEvent] = []
-    _king_rounds(
-        net, cfg.n, cfg.t, cfg.m, rankings, byz, medians,
-        cfg.dictator_schedule, 3, cfg.t + 1, events,
-    )
-    return _finish(net, rankings, byz, inputs, cfg, events)
+    events = _king_rounds(net, cfg, cfg.m, rankings, 3)
+    return _finish(net, rankings, inputs, events)
 
 
 def run_baseline_stv(
@@ -504,32 +427,24 @@ def run_baseline_stv(
     ranking as the stage winner, and removes it.  Every stage runs the full
     t+1 king rounds, so the total is (m-1)(t+1) rounds.
     """
-    byz = _setup(inputs, adversary, cfg, seed)
-    net = SyncNetwork(cfg.n, adversary, seed, record_transcript)
-    correct = [v for v in range(cfg.n) if v not in byz]
+    net = _setup(inputs, adversary, cfg, seed, record_transcript)
     remaining: dict[int, list[int]] = {v: list(range(cfg.m)) for v in range(cfg.n)}
     prefix: dict[int, list[int]] = {v: [] for v in range(cfg.n)}
     events: list[IntegrityEvent] = []
 
     for stage in range(cfg.m - 1):
-        m_cur = cfg.m - stage
-        stage_inputs: dict[int, Ranking] = {}
+        rankings: dict[int, Ranking] = {}
         old_ids: dict[int, list[int]] = {}
         for v in range(cfg.n):
             olds = sorted(remaining[v])
             old_ids[v] = olds
             to_new = {c: i for i, c in enumerate(olds)}
-            stage_inputs[v] = tuple(to_new[c] for c in inputs[v] if c in to_new)
-        rankings = dict(stage_inputs)
-        _king_rounds(
-            net, cfg.n, cfg.t, m_cur, rankings, byz,
-            {v: stage_inputs[v] for v in correct},
-            cfg.dictator_schedule, stage * (cfg.t + 1) + 1, cfg.t + 1, events,
-        )
+            rankings[v] = tuple(to_new[c] for c in inputs[v] if c in to_new)
+        events += _king_rounds(net, cfg, cfg.m - stage, rankings, stage * (cfg.t + 1) + 1)
         for v in range(cfg.n):
             winner = old_ids[v][rankings[v][0]]
             prefix[v].append(winner)
             remaining[v].remove(winner)
 
     final = {v: tuple(prefix[v] + remaining[v]) for v in range(cfg.n)}
-    return _finish(net, final, byz, inputs, cfg, events)
+    return _finish(net, final, inputs, events)

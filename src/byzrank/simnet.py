@@ -265,11 +265,12 @@ def make_strategy(name: str, *, n: int, t: int, m: int, script=None) -> Adversar
 class SyncNetwork:
     """Round/phase message fabric: delivery, counting, transcript, adversary.
 
-    Correct-sender messages are counted (a broadcast is n point-to-point
-    copies, self included); Byzantine messages are delivered and logged but
-    never counted.  Byzantine payloads are sanitized at delivery: the
-    transcript logs them raw, the inbox gets the clean value, and a
-    malformed one is left out, exactly as if it were never sent.
+    The network holds the corruption set ``byz_ids``.  Correct-sender
+    messages are counted (a broadcast is n point-to-point copies, self
+    included); Byzantine messages are delivered and logged but never
+    counted.  Byzantine payloads are sanitized at delivery: the transcript
+    logs them raw, the inbox gets the clean value, and a malformed one is
+    left out, exactly as if it were never sent.
     """
 
     def __init__(
@@ -277,11 +278,13 @@ class SyncNetwork:
         n: int,
         adversary: AdversaryStrategy,
         seed: int | str,
+        byz_ids: frozenset[int],
         record_transcript: bool = False,
     ):
         self.n = n
         self.adversary = adversary
         self.seed = seed
+        self.byz_ids = byz_ids
         self.transcript: list | None = [] if record_transcript else None
         self.messages_per_round: list[int] = []
         self._current_round_messages = 0
@@ -291,13 +294,14 @@ class SyncNetwork:
         round_no: int,
         phase: str,
         m: int,
-        correct_payloads: Mapping[int, Payload],
-        byz_senders: Sequence[int],
+        payloads: Mapping[int, Payload],
         correct_inputs: Mapping[int, Ranking],
-        honest: Callable[[int], Payload],
     ) -> list[dict[int, Payload]]:
         """Deliver one phase; returns per-recipient inboxes (sender->payload).
 
+        ``payloads`` maps each sender of the phase to what it sends when
+        correct: correct senders' entries are delivered, and the adversary
+        chooses for the Byzantine ones (``ctx.honest`` looks them up here).
         A Byzantine payload is sanitized once per transmission: once for a
         uniform broadcast, once per recipient for an equivocation.
         Recipients with equal deliveries share one inbox object (every one
@@ -306,12 +310,15 @@ class SyncNetwork:
         n = self.n
         transcript = self.transcript
         shared: dict[int, Payload] = {}
-        for sender in sorted(correct_payloads):
-            payload = correct_payloads[sender]
-            shared[sender] = payload
+        byz_senders = []
+        for sender in sorted(payloads):
+            if sender in self.byz_ids:
+                byz_senders.append(sender)
+                continue
+            payload = shared[sender] = payloads[sender]
             if transcript is not None:
                 transcript.extend((round_no, phase, sender, v, payload) for v in range(n))
-        self._current_round_messages += n * len(correct_payloads)
+        self._current_round_messages += n * len(shared)
         # the adversary moves last (rushing)
         ctx = AdversaryContext(
             seed=self.seed,
@@ -319,13 +326,13 @@ class SyncNetwork:
             phase=phase,
             n=n,
             m=m,
-            correct_msgs=correct_payloads,
+            correct_msgs=dict(shared),
             correct_inputs=correct_inputs,
-            honest=honest,
+            honest=payloads.__getitem__,
         )
         sanitize = sanitize_batch if phase == PROPOSE else sanitize_ranking
         own: dict[int, dict[int, Payload]] = {}  # equivocated deliveries
-        for sender in sorted(byz_senders):
+        for sender in byz_senders:
             out = self.adversary.send(ctx, sender)
             if out is None:
                 continue

