@@ -21,6 +21,7 @@ import time
 from fractions import Fraction
 
 from .kemeny import (
+    MEDIANS_MAX,
     CapacityError,
     approx_ratio,
     kemeny_brute,
@@ -75,7 +76,7 @@ def kemeny_record(profile_text: str, ties: bool, verify: bool) -> dict:
         "result": {
             "chosen": [names[c] for c in result.chosen],
             "cost": result.cost,
-            "median_count": len(result.medians),
+            "median_count": result.count,
         },
     }
     if ties:
@@ -85,6 +86,7 @@ def kemeny_record(profile_text: str, ties: bool, verify: bool) -> dict:
         agreed = (
             brute.cost == result.cost
             and brute.chosen == result.chosen
+            and brute.count == result.count
             and set(brute.medians) == set(result.medians)
         )
         record["result"]["verified"] = agreed
@@ -376,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("kemeny", help="exact Kemeny median of a ranking profile")
     k.add_argument("--profile", required=True, help="profile file, or - for stdin")
-    k.add_argument("--ties", action="store_true", help="list every optimal ranking")
+    k.add_argument(
+        "--ties", action="store_true",
+        help=f"list every optimal ranking (refused above {MEDIANS_MAX:,})",
+    )
     k.add_argument("--verify", action="store_true", help="cross-check against brute force")
     k.add_argument("--json", metavar="PATH", help="write the JSON record to PATH (- for stdout)")
 

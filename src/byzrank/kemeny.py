@@ -2,10 +2,12 @@
 
 Two independent solvers: :func:`kemeny_brute` enumerates all m! rankings
 (m <= 8, the test oracle) and :func:`kemeny_exact` runs a dynamic program
-over candidate subsets (m <= 16).  Both return every minimizer and break
-ties identically: ``chosen`` is the lexicographically smallest median under
-candidate-index order, so equal inputs yield equal outputs everywhere in the
-simulator.
+over candidate subsets (m <= 16).  Both report the optimal cost, the number
+of optimal rankings and the same deterministic representative: ``chosen`` is
+the lexicographically smallest median under candidate-index order, so equal
+inputs yield equal outputs everywhere in the simulator.  The medians
+themselves are listed, in lexicographic order, only when a caller reads
+``MedianResult.medians``, and only up to :data:`MEDIANS_MAX` of them.
 
 Ratios are exact :class:`fractions.Fraction` values; a positive-cost ranking
 measured against a zero-cost optimum reports :data:`INFINITE`
@@ -16,19 +18,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rankings import Profile, Ranking, validate_ranking
 from .tournament import weight_matrix
 
 BRUTE_MAX_M = 8
 EXACT_MAX_M = 16
+# the most optimal rankings MedianResult.medians lists: all of them at m = 9
+MEDIANS_MAX = math.factorial(9)
 
 
 class CapacityError(ValueError):
-    """Candidate count exceeds what the requested solver enumerates."""
+    """The input exceeds what the requested solver or listing handles."""
 
 
 INFINITE = math.inf  # ratio of a positive cost against a zero-cost optimum
@@ -36,11 +41,26 @@ INFINITE = math.inf  # ratio of a positive cost against a zero-cost optimum
 
 @dataclass(frozen=True)
 class MedianResult:
-    """All Kemeny medians of a profile plus the deterministic representative."""
+    """Kemeny optimum of a profile: its cost, how many rankings reach it and
+    the deterministic representative (the lexicographically smallest)."""
 
-    medians: tuple[Ranking, ...]
     cost: int
     chosen: Ranking
+    count: int
+    _listing: Callable[[], Iterable[Ranking]] = field(repr=False, compare=False)
+
+    @cached_property
+    def medians(self) -> tuple[Ranking, ...]:
+        """Every optimal ranking in lexicographic order, listed on first read.
+
+        Raises :class:`CapacityError` when there are more than
+        :data:`MEDIANS_MAX` of them.
+        """
+        if self.count > MEDIANS_MAX:
+            raise CapacityError(
+                f"{self.count} optimal rankings; listing them stops at {MEDIANS_MAX}"
+            )
+        return tuple(self._listing())
 
 
 @dataclass(frozen=True)
@@ -78,68 +98,83 @@ def kemeny_brute(profile: Profile) -> MedianResult:
     assert best is not None
     # itertools.permutations enumerates in lexicographic order, so the first
     # minimizer found is the lexicographically smallest.
-    return MedianResult(medians=tuple(medians), cost=best, chosen=medians[0])
+    return MedianResult(
+        cost=best, chosen=medians[0], count=len(medians), _listing=lambda: medians
+    )
 
 
-def _prefix_dp(w: Sequence[Sequence[int]]) -> tuple[list[int], Callable[[int, int], int]]:
+def _subset_sums(col: Sequence[int]) -> list[int]:
+    """``sums[x]`` is the sum of ``col[d]`` over the set bits ``d`` of ``x``."""
+    sums = [0] * (1 << len(col))
+    for x in range(1, len(sums)):
+        low = x & -x
+        sums[x] = sums[x ^ low] + col[low.bit_length() - 1]
+    return sums
+
+
+def _prefix_dp(
+    w: Sequence[Sequence[int]],
+) -> tuple[list[int], list[int], Callable[[int, int], int]]:
     """Subset dynamic program over candidate prefixes of the weights ``w``.
 
     ``h[S]`` is the cheapest way to order the candidates outside ``S`` below
-    a fixed prefix that contains exactly ``S``; appending candidate ``c``
-    costs the yet-unplaced ballots' preferences for the remaining candidates
-    over ``c``.  Returns ``(h, append_cost)``; ``h[0]`` is the optimum.
+    a fixed prefix that contains exactly ``S``, and ``cnt[S]`` the number of
+    orders that reach it; appending candidate ``c`` costs the yet-unplaced
+    candidates' weight over ``c``.  That cost is read in O(1) from two
+    prefix-sum tables per candidate, one over the low and one over the high
+    half of the candidates, so the program costs O(2^m * m).  Returns
+    ``(h, cnt, append_cost)``; ``h[0]`` is the optimum, ``cnt[0]`` the number
+    of optimal rankings.
     """
     m = len(w)
     if m > EXACT_MAX_M:
         raise CapacityError(f"exact solver handles m <= {EXACT_MAX_M}, got {m}")
+    k = m // 2
+    mask = (1 << k) - 1
     colsum = [sum(w[d][c] for d in range(m)) for c in range(m)]
-    full = (1 << m) - 1
+    lo = [[colsum[c] - v for v in _subset_sums([w[d][c] for d in range(k)])] for c in range(m)]
+    hi = [_subset_sums([w[d][c] for d in range(k, m)]) for c in range(m)]
 
     def append_cost(s: int, c: int) -> int:
-        # sum of w[d][c] over candidates d not yet placed (d != c)
-        cost = colsum[c]
-        d = 0
-        rest = s
-        while rest:
-            if rest & 1:
-                cost -= w[d][c]
-            rest >>= 1
-            d += 1
-        return cost
+        return lo[c][s & mask] - hi[c][s >> k]
 
+    full = (1 << m) - 1
     h = [0] * (full + 1)
-    for s in sorted(range(full), key=lambda x: x.bit_count(), reverse=True):
-        best = None
-        for c in range(m):
-            bit = 1 << c
+    cnt = [0] * (full + 1)
+    cnt[full] = 1
+    tables = [(1 << c, lo[c], hi[c]) for c in range(m)]
+    above = sum(colsum) + 1  # exceeds every cost
+    # every successor s | bit is larger than s, so it is already solved
+    for s in range(full - 1, -1, -1):
+        a, b = s & mask, s >> k
+        best, ways = above, 0
+        for bit, lo_c, hi_c in tables:
             if s & bit:
                 continue
-            cand = append_cost(s, c) + h[s | bit]
-            if best is None or cand < best:
-                best = cand
-        h[s] = best  # type: ignore[assignment]
-    return h, append_cost
+            nxt = s | bit
+            cand = lo_c[a] - hi_c[b] + h[nxt]
+            if cand < best:
+                best, ways = cand, cnt[nxt]
+            elif cand == best:
+                ways += cnt[nxt]
+        h[s] = best
+        cnt[s] = ways
+    return h, cnt, append_cost
 
 
-def kemeny_exact(profile: Profile) -> MedianResult:
-    """Exact medians by the subset dynamic program (m <= 16).
+def _optima(h: list[int], append_cost: Callable[[int, int], int], m: int) -> Iterator[Ranking]:
+    """Every optimal ranking in lexicographic order.
 
-    Reconstruction walks greedily by candidate index, which yields the
-    lexicographically smallest optimum first.
+    Depth-first along the zero-slack branches in candidate-index order, so
+    the first ranking is the greedy walk that takes the lowest-index
+    candidate which keeps the prefix optimal.
     """
-    m = profile.m
-    h, append_cost = _prefix_dp(weight_matrix(profile.rankings, m))
     full = (1 << m) - 1
-    cost = h[0]
-
-    # Enumerate every optimal ranking by following all zero-slack branches in
-    # candidate-index order; the first leaf is the lexicographic minimum.
-    medians: list[Ranking] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    stack: list[tuple[int, Ranking]] = [(0, ())]
     while stack:
         s, prefix = stack.pop()
         if s == full:
-            medians.append(prefix)
+            yield prefix
             continue
         branches = []
         for c in range(m):
@@ -149,7 +184,19 @@ def kemeny_exact(profile: Profile) -> MedianResult:
             if append_cost(s, c) + h[s | bit] == h[s]:
                 branches.append((s | bit, prefix + (c,)))
         stack.extend(reversed(branches))
-    return MedianResult(medians=tuple(medians), cost=cost, chosen=medians[0])
+
+
+def kemeny_exact(profile: Profile) -> MedianResult:
+    """Exact optimum by the subset dynamic program (m <= 16).
+
+    The DP counts the optimal rankings; ``chosen`` is the first of them in
+    lexicographic order, and the rest are listed only when ``medians`` is
+    read.
+    """
+    m = profile.m
+    h, cnt, append_cost = _prefix_dp(weight_matrix(profile.rankings, m))
+    optima = partial(_optima, h, append_cost, m)
+    return MedianResult(cost=h[0], chosen=next(optima()), count=cnt[0], _listing=optima)
 
 
 def profile_cost(r: Sequence[int], profile: Profile) -> int:
@@ -164,7 +211,7 @@ def approx_ratio(candidate: Sequence[int], profile: Profile) -> ApproxReport:
     candidate = validate_ranking(candidate, profile.m)
     w = weight_matrix(profile.rankings, profile.m)
     cand_cost = _backward(w, candidate)
-    h, _append_cost = _prefix_dp(w)
+    h, _cnt, _append_cost = _prefix_dp(w)
     opt = h[0]
     if opt == 0:
         ratio = Fraction(1) if cand_cost == 0 else INFINITE

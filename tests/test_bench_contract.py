@@ -7,6 +7,7 @@ names are checked here.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -69,3 +70,17 @@ def test_tracer_counts_shared_inboxes():
         if name == "tournament.weight_matrix"
     ]
     assert sum(in_run) == 3
+
+
+def test_tracer_reads_medians_as_a_sized_tuple():
+    # the tracer counts medians with len(result.medians)
+    after = load_tracer()._AFTER["kemeny.kemeny_exact"]
+    kemeny = importlib.import_module("byzrank.kemeny")
+    rankings = importlib.import_module("byzrank.rankings")
+    for ballots in ([(0, 1, 2), (1, 2, 0), (2, 0, 1)], [(0, 1, 2, 3), (3, 2, 1, 0)] * 2):
+        result = kemeny.kemeny_exact(rankings.Profile.of(ballots))
+        assert type(result.medians) is tuple
+        assert len(result.medians) == result.count
+        counts = Counter()
+        after(counts, result)
+        assert counts["medians"] == result.count

@@ -1,17 +1,20 @@
 """End-to-end checks for the byzrank command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from byzrank.cli import main, simulate_record
+from byzrank.cli import main, scenario_record, simulate_record
 from byzrank.rankings import Profile, validate_ranking
 
 CYCLE_PROFILE = "a > b > c\nb > c > a\nc > a > b\n"
 TIE_PROFILE = "x > y\ny > x\n"
+# twelve candidates, one ballot and its reverse: all 12! rankings are optimal
+ALL_TIE_12 = " > ".join("abcdefghijkl") + "\n" + " > ".join("lkjihgfedcba") + "\n"
 
 
 def run_cli(argv, capsys):
@@ -53,6 +56,20 @@ def test_kemeny_stdin_json_stdout(tmp_path, capsys, monkeypatch):
     assert record["result"]["median_count"] == 3
     assert record["ok"] is True
     assert isinstance(record["wall_ms"], int)
+
+
+def test_kemeny_all_tie_counts_but_refuses_to_list(tmp_path, capsys):
+    p = tmp_path / "ties.txt"
+    p.write_text(ALL_TIE_12)
+    code, out, err = run_cli(["kemeny", "--profile", str(p), "--ties"], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(math.factorial(12)) in err
+    code, out, _ = run_cli(["kemeny", "--profile", str(p), "--json", "-"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["median_count"] == math.factorial(12)
+    assert result["chosen"] == list("abcdefghijkl") and result["cost"] == 66
 
 
 def test_kemeny_parse_error_exits_2(tmp_path, capsys):
@@ -151,6 +168,14 @@ def test_scenario_binary(capsys):
     assert code == 0
     assert "measured 2/1, closed form 2/1" in out
     assert "witness: [0, 1]" in out
+
+
+def test_scenario_binary_worst_at_capacity():
+    # every completed view is all-tie, so m = 16 has 16! medians: the
+    # protocol run and the ratio read only the chosen one and the cost
+    record = scenario_record("binary-worst", 12, 3, 16, "both", "C231")
+    assert record["report"]["ratio_measured"] == "2/1"
+    assert record["ok"] is True
 
 
 def test_scenario_cycle_json(tmp_path, capsys):

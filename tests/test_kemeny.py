@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,15 @@ from byzrank.tournament import weight_matrix
 from conftest import rand_profile, rand_ranking
 
 CYCLE = Profile.of([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+
+
+def tie_heavy_profiles(rng):
+    """All-tie profiles (each ballot next to its reverse, m! optima) and
+    two-bloc profiles (a ranking against its reverse, balanced or not)."""
+    for m in (2, 3, 5, 8):
+        r = rand_ranking(rng, m)
+        yield Profile.of([r, opposite(r)] * rng.randint(1, 3))
+        yield Profile.of([r] * rng.randint(1, 4) + [opposite(r)] * rng.randint(1, 4))
 
 
 def test_condorcet_cycle_medians():
@@ -65,11 +75,12 @@ def test_profile_cost_matches_tau_profile():
 
 def test_medians_are_lex_sorted_and_chosen_is_first():
     rng = random.Random(32)
-    for _ in range(25):
-        p = rand_profile(rng, rng.randint(1, 7), rng.randint(2, 5))
+    randoms = [rand_profile(rng, rng.randint(1, 7), rng.randint(2, 5)) for _ in range(25)]
+    for p in randoms + list(tie_heavy_profiles(rng)):
         res = kemeny_exact(p)
         assert list(res.medians) == sorted(res.medians)
         assert res.chosen == res.medians[0]
+        assert res.count == len(res.medians)
 
 
 def test_brute_capacity():
@@ -86,12 +97,25 @@ def test_exact_capacity():
 
 def test_exact_matches_brute_on_random_profiles():
     rng = random.Random(33)
-    for _ in range(60):
-        p = rand_profile(rng, rng.randint(1, 7), rng.randint(2, 5))
+    randoms = [rand_profile(rng, rng.randint(1, 7), rng.randint(2, 5)) for _ in range(60)]
+    for p in randoms + list(tie_heavy_profiles(rng)):
         b, e = kemeny_brute(p), kemeny_exact(p)
         assert b.cost == e.cost
         assert b.chosen == e.chosen
         assert set(b.medians) == set(e.medians)
+        assert e.count == b.count == len(e.medians)
+
+
+def test_all_tie_solve_at_capacity_counts_without_listing():
+    # [id, rev] * 3 at m = 16: every ranking is optimal, 3 * C(16, 2) = 360
+    m = EXACT_MAX_M
+    ident = tuple(range(m))
+    started = time.monotonic()
+    res = kemeny_exact(Profile.of([ident, opposite(ident)] * 3))
+    assert time.monotonic() - started < 5.0
+    assert res.count == math.factorial(m)
+    assert res.chosen == ident
+    assert res.cost == 3 * math.comb(m, 2) == 360
 
 
 def test_median_cost_is_global_minimum():
