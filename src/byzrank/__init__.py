@@ -59,6 +59,7 @@ from .simnet import (
     SearchReport,
     Silent,
     adversary_search,
+    completion_script,
     cycle_lock_attack,
     default_script,
     make_strategy,
@@ -69,7 +70,6 @@ from .scenarios import (
     LowerBoundReport,
     ScenarioSpec,
     appendix_c_search,
-    completion_script,
     gen_binary_worst,
     gen_cycle_worst,
     measure_scenario,
@@ -92,9 +92,10 @@ __all__ = [
     "AdversaryContext", "AdversaryStrategy", "Equivocate", "Honest",
     "IntegrityEvent", "OppositeMedian", "RandomRankings", "RunResult",
     "RunStats", "ScriptedViews", "SearchReport", "Silent", "adversary_search",
-    "cycle_lock_attack", "default_script", "make_strategy", "run_sync",
+    "completion_script", "cycle_lock_attack", "default_script", "make_strategy",
+    "run_sync",
     "InfeasibleError", "LowerBoundReport", "ScenarioSpec", "appendix_c_search",
-    "completion_script", "gen_binary_worst", "gen_cycle_worst",
+    "gen_binary_worst", "gen_cycle_worst",
     "measure_scenario",
     "__version__",
 ]

@@ -27,7 +27,7 @@ from .kemeny import (
     kemeny_brute,
     kemeny_exact,
 )
-from .rankings import ParseError, Profile, format_ranking, parse_profile
+from .rankings import ParseError, Profile, parse_profile
 from .protocol import ProtocolConfig, expected_messages, expected_rounds
 from .scenarios import (
     CASES,
@@ -129,6 +129,8 @@ def simulate_record(
     seed_start: int,
     profile_rankings: list | None = None,
 ) -> dict:
+    if seeds < 1:
+        raise ValueError(f"need at least one seed, got {seeds}")
     cfg = ProtocolConfig(n, t, m)
     rounds = expected_rounds(protocol, t, m)
     budget = 2 * n * n + n  # per round

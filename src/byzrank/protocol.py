@@ -24,7 +24,6 @@ and continues, so runs remain comparable instead of aborting.
 from __future__ import annotations
 
 import heapq
-import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -351,7 +350,7 @@ def _setup(
         raise ValueError(f"need {cfg.n} inputs, got {len(inputs)}")
     for r in inputs:
         validate_ranking(r, cfg.m)
-    byz = frozenset(adversary.pick_byzantine(cfg.n, cfg.t, random.Random(f"{seed}/corrupt")))
+    byz = frozenset(adversary.pick_byzantine(cfg.n, cfg.t))
     if len(byz) > cfg.t or any(not (0 <= v < cfg.n) for v in byz):
         raise ValueError("corruption set exceeds t or names unknown nodes")
     return SyncNetwork(cfg.n, adversary, seed, byz, record_transcript)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .kemeny import approx_ratio
 from .rankings import Profile, Ranking
-from .simnet import RANKING, ScriptedViews, run_sync
+from .simnet import completion_script, run_sync
 from .protocol import ProtocolConfig
 
 SCENARIO_NAMES = ("binary-worst", "cycle-worst", "appendix-c")
@@ -55,17 +55,6 @@ class LowerBoundReport:
     ratio_measured: Fraction
     ratio_closed_form: Fraction
     witness: Ranking
-
-
-def completion_script(byz_ballots: tuple[Ranking, ...], n: int) -> ScriptedViews:
-    """Round-1 broadcast of one fixed ballot per corrupted node, silent after.
-
-    Corrupted nodes are the last ``len(byz_ballots)`` ids, matching the
-    default static-corruption choice.
-    """
-    t = len(byz_ballots)
-    script = {(1, RANKING, n - t + i): b for i, b in enumerate(byz_ballots)}
-    return ScriptedViews(script)
 
 
 def binary_closed_form(n: int, t: int) -> Fraction:

@@ -15,12 +15,13 @@ reproduce bit-identical transcripts.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .kemeny import kemeny_exact
+from .kemeny import approx_ratio, kemeny_exact
 from .rankings import Pair, Profile, Ranking, is_ranking, pairs_of, unanimous_pairs
 
 # message phases
@@ -106,7 +107,8 @@ class RunResult:
 class AdversaryContext:
     """Everything a strategy may look at when choosing one sender's messages.
 
-    ``correct_msgs`` (this phase's correct payloads) makes the adversary rushing.
+    ``honest`` returns what any sender of this phase sends when correct, the
+    correct senders' payloads included, which makes the adversary rushing.
     """
 
     seed: int | str
@@ -114,7 +116,6 @@ class AdversaryContext:
     phase: str
     n: int
     m: int
-    correct_msgs: Mapping[int, Payload]
     correct_inputs: Mapping[int, Ranking]
     honest: Callable[[int], Payload]
 
@@ -124,13 +125,18 @@ class AdversaryStrategy:
 
     name = "abstract"
 
-    def pick_byzantine(self, n: int, t: int, rng: random.Random) -> frozenset[int]:
+    def pick_byzantine(self, n: int, t: int) -> frozenset[int]:
         return frozenset(range(n - t, n))
 
     def send(self, ctx: AdversaryContext, sender: int):
         """Return None (silence), a payload (uniform broadcast), or a
         recipient->payload dict (equivocation)."""
         raise NotImplementedError
+
+
+def _phase_payload(ranking: Ranking, phase: str) -> Payload:
+    """What sending ``ranking`` means in ``phase``: its pairs as a proposal batch."""
+    return pairs_of(ranking) if phase == PROPOSE else ranking
 
 
 class Honest(AdversaryStrategy):
@@ -172,10 +178,7 @@ class OppositeMedian(AdversaryStrategy):
         return self._memo[key]
 
     def send(self, ctx, sender):
-        target = self._target(ctx)
-        if ctx.phase == PROPOSE:
-            return pairs_of(target)
-        return target
+        return _phase_payload(self._target(ctx), ctx.phase)
 
 
 class Equivocate(AdversaryStrategy):
@@ -185,11 +188,10 @@ class Equivocate(AdversaryStrategy):
 
     def send(self, ctx, sender):
         rnd = random.Random(f"{ctx.seed}/equivocate/{ctx.round}/{ctx.phase}/{sender}")
-        out = {}
-        for v in range(ctx.n):
-            r = tuple(rnd.sample(range(ctx.m), ctx.m))
-            out[v] = pairs_of(r) if ctx.phase == PROPOSE else r
-        return out
+        return {
+            v: _phase_payload(tuple(rnd.sample(range(ctx.m), ctx.m)), ctx.phase)
+            for v in range(ctx.n)
+        }
 
 
 class RandomRankings(AdversaryStrategy):
@@ -199,10 +201,7 @@ class RandomRankings(AdversaryStrategy):
 
     def send(self, ctx, sender):
         rnd = random.Random(f"{ctx.seed}/random/{ctx.round}/{sender}")
-        r = tuple(rnd.sample(range(ctx.m), ctx.m))
-        if ctx.phase == PROPOSE:
-            return pairs_of(r)
-        return r
+        return _phase_payload(tuple(rnd.sample(range(ctx.m), ctx.m)), ctx.phase)
 
 
 class ScriptedViews(AdversaryStrategy):
@@ -223,6 +222,16 @@ class ScriptedViews(AdversaryStrategy):
         return self.script.get((ctx.round, ctx.phase, sender))
 
 
+def completion_script(byz_ballots: Sequence[Ranking], n: int) -> ScriptedViews:
+    """Round-1 broadcast of one fixed ballot per corrupted node, silent after.
+
+    Corrupted nodes are the last ``len(byz_ballots)`` ids, matching the
+    default static-corruption choice.
+    """
+    t = len(byz_ballots)
+    return ScriptedViews({(1, RANKING, n - t + i): b for i, b in enumerate(byz_ballots)})
+
+
 def default_script(n: int, t: int, m: int) -> dict:
     """Round-1 ballot script used when `scripted` is selected with no scenario.
 
@@ -230,36 +239,28 @@ def default_script(n: int, t: int, m: int) -> dict:
     ranking (the classic indistinguishable-view completion).  Odd n:
     corrupted node j broadcasts the j-th cyclic rotation of the identity.
     """
-    script: dict = {}
     base = tuple(range(m))
-    for idx, sender in enumerate(range(n - t, n)):
-        if n % 2 == 0:
-            ballot = tuple(reversed(base))
-        else:
-            k = idx % m
-            ballot = base[k:] + base[:k]
-        script[(1, RANKING, sender)] = ballot
-    return script
+    if n % 2 == 0:
+        ballots = [base[::-1]] * t
+    else:
+        ballots = [base[j % m:] + base[:j % m] for j in range(t)]
+    return completion_script(ballots, n).script
 
 
-STRATEGY_NAMES = ("honest", "silent", "opposite-median", "equivocate", "scripted", "random")
+# built-in strategies by CLI name
+_STRATEGIES = {
+    cls.name: cls
+    for cls in (Honest, Silent, OppositeMedian, Equivocate, ScriptedViews, RandomRankings)
+}
+STRATEGY_NAMES = tuple(_STRATEGIES)
 
 
-def make_strategy(name: str, *, n: int, t: int, m: int, script=None) -> AdversaryStrategy:
+def make_strategy(name: str, *, n: int, t: int, m: int) -> AdversaryStrategy:
     """Instantiate a built-in strategy by CLI name."""
-    if name == "honest":
-        return Honest()
-    if name == "silent":
-        return Silent()
-    if name == "opposite-median":
-        return OppositeMedian()
-    if name == "equivocate":
-        return Equivocate()
-    if name == "random":
-        return RandomRankings()
-    if name == "scripted":
-        return ScriptedViews(script if script is not None else default_script(n, t, m))
-    raise ValueError(f"unknown strategy {name!r} (choose from {', '.join(STRATEGY_NAMES)})")
+    cls = _STRATEGIES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown strategy {name!r} (choose from {', '.join(STRATEGY_NAMES)})")
+    return cls(default_script(n, t, m)) if cls is ScriptedViews else cls()
 
 
 class SyncNetwork:
@@ -303,7 +304,8 @@ class SyncNetwork:
         correct: correct senders' entries are delivered, and the adversary
         chooses for the Byzantine ones (``ctx.honest`` looks them up here).
         A Byzantine payload is sanitized once per transmission: once for a
-        uniform broadcast, once per recipient for an equivocation.
+        uniform broadcast, once per recipient for an equivocation, whose keys
+        other than plain-int node ids are skipped.
         Recipients with equal deliveries share one inbox object (every one
         of them when nobody equivocates), so callers must not mutate it.
         """
@@ -326,7 +328,6 @@ class SyncNetwork:
             phase=phase,
             n=n,
             m=m,
-            correct_msgs=dict(shared),
             correct_inputs=correct_inputs,
             honest=payloads.__getitem__,
         )
@@ -337,9 +338,10 @@ class SyncNetwork:
             if out is None:
                 continue
             if isinstance(out, dict):
-                for v in sorted(out):
+                # True or 1.0 would alias node 1, and mixed keys would not sort
+                for v in sorted(v for v in out if type(v) is int and 0 <= v < n):
                     raw = out[v]
-                    if raw is None or not 0 <= v < n:
+                    if raw is None:
                         continue
                     if transcript is not None:
                         transcript.append((round_no, phase, sender, v, raw))
@@ -452,8 +454,7 @@ def split_lock_script(n: int, t: int, m: int, rng: random.Random) -> ScriptedVie
         script[(1, PROPOSE, sender)] = {
             v: frozenset({planted}) if v in favored else None for v in range(n)
         }
-        ranking_rounds = [r for r in range(2, t + 2)]
-        for r in ranking_rounds:
+        for r in range(2, t + 2):
             if rng.random() < 0.5:
                 script[(r, DICTATOR, sender)] = {
                     v: tuple(rng.sample(range(m), m)) for v in range(n)
@@ -471,6 +472,17 @@ class SearchReport:
     max_ratio: Fraction | None = None
 
 
+# protocol name -> its runner in byzrank.protocol
+_RUNNERS = {"alg1": "run_algorithm1", "alg2": "run_algorithm2", "stv-baseline": "run_baseline_stv"}
+# search objective -> the test that makes a run a hit; max-ratio has none and
+# keeps the worst ratio instead
+_HITS = {
+    "trigger-integrity": lambda r: any(e.kind == "fixed-cycle" for e in r.stats.integrity_errors),
+    "break-validity": lambda r: not (r.agreement and r.pareto),
+    "max-ratio": None,
+}
+
+
 def run_sync(
     protocol: str,
     inputs: Sequence[Ranking],
@@ -482,14 +494,50 @@ def run_sync(
     """Dispatch a named protocol ('alg1', 'alg2', 'stv-baseline') onto one run."""
     from . import protocol as proto
 
-    runner = {
-        "alg1": proto.run_algorithm1,
-        "alg2": proto.run_algorithm2,
-        "stv-baseline": proto.run_baseline_stv,
-    }.get(protocol)
-    if runner is None:
+    if protocol not in _RUNNERS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    runner = getattr(proto, _RUNNERS[protocol])
     return runner(inputs, adversary, cfg, seed=seed, record_transcript=record_transcript)
+
+
+def _trials(protocol: str, cfg, seed: int | str, inputs: tuple[Ranking, ...] | None):
+    """The search's runs in order, each ``(inputs, strategy, schedule, seed, config)``.
+
+    Without fixed inputs, the cycle-lock construction comes first where one
+    exists (alg1 and stv-baseline only), straight and with a corrupted
+    dictator scheduled first.  With fixed inputs, every corrupted node first
+    echoes each ballot already on the table, then the opposite-median
+    strategy plays.  Random trials follow without end.
+    """
+    n, t, m = cfg.n, cfg.t, cfg.m
+    if inputs is None:
+        attack = cycle_lock_attack(n, t, m) if protocol in ("alg1", "stv-baseline") else None
+        if attack is not None:
+            attack_inputs, strategy, info = attack
+            info = {k: v for k, v in info.items() if k != "cycle_pairs"}
+            for schedule in (cfg.dictator_schedule, (n - 1,) + tuple(range(t))):
+                config = {"kind": "cycle-lock", "schedule": schedule, **info}
+                yield attack_inputs, strategy, schedule, f"{seed}/scripted", config
+    else:
+        arms = [completion_script((ballot,) * t, n) for ballot in dict.fromkeys(inputs)]
+        arms.append(OppositeMedian())
+        for j, strategy in enumerate(arms):
+            config = {"kind": "echo", "arm": j}
+            yield inputs, strategy, cfg.dictator_schedule, f"{seed}/echo/{j}", config
+    for i in itertools.count(1):
+        rng = random.Random(f"{seed}/search/{i - 1}")
+        run_inputs = inputs
+        if inputs is None:
+            run_inputs = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+        strategy = Equivocate() if rng.random() < 0.5 else split_lock_script(n, t, m, rng)
+        if rng.random() < 0.5:
+            schedule = cfg.dictator_schedule
+        else:
+            ids = list(range(n))
+            rng.shuffle(ids)
+            schedule = tuple(sorted(ids[: t + 1]))
+        config = {"kind": "random", "iteration": i, "schedule": schedule}
+        yield run_inputs, strategy, schedule, f"{seed}/search/{i}", config
 
 
 def adversary_search(
@@ -510,99 +558,28 @@ def adversary_search(
     varies the adversary (completion scripts over the ballots present, the
     opposite-median strategy, then randomized behaviours); otherwise inputs
     are resampled per run and a scripted fixed-pair cycle attack is tried
-    first where one exists.
+    first where one exists.  The first hit ends the search, except under
+    ``max-ratio``, which spends the whole budget.
     """
-    from .kemeny import approx_ratio
-
+    if protocol not in _RUNNERS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if objective not in _HITS:
+        raise ValueError(f"unknown objective {objective!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+    hit = _HITS[objective]
     report = SearchReport(objective=objective, runs=0, found=False)
-
-    def evaluate(result: RunResult, config: dict) -> bool:
-        if objective == "trigger-integrity":
-            hit = any(e.kind == "fixed-cycle" for e in result.stats.integrity_errors)
-        elif objective == "break-validity":
-            hit = not (result.agreement and result.pareto)
-        elif objective == "max-ratio":
-            hit = False
-            if result.agreement:
-                rep = approx_ratio(
-                    result.consensus, Profile.of(list(result.correct_inputs.values()))
-                )
-                if rep.optimal_cost > 0 and (
-                    report.max_ratio is None or rep.ratio > report.max_ratio
-                ):
-                    report.max_ratio = rep.ratio
-                    report.witness = result
-                    report.witness_config = config
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
-        if hit and not report.found:
-            report.found = True
-            report.witness = result
-            report.witness_config = config
-        return hit
-
-    n, t, m = cfg.n, cfg.t, cfg.m
-    if inputs is None:
-        # deterministic scripted arm: the cycle-lock construction, straight
-        # and with a corrupted dictator scheduled first
-        attack = cycle_lock_attack(n, t, m)
-        if attack is not None and protocol in ("alg1", "stv-baseline"):
-            attack_inputs, strategy, info = attack
-            schedules = [cfg.dictator_schedule]
-            if t >= 1:
-                byz_first = (n - 1,) + tuple(range(t))
-                schedules.append(byz_first)
-            for schedule in schedules:
-                if report.runs >= budget:
-                    break
-                scfg = cfg.with_schedule(schedule)
-                result = run_sync(protocol, attack_inputs, strategy, scfg, seed=f"{seed}/scripted")
-                report.runs += 1
-                if evaluate(result, {"kind": "cycle-lock", "schedule": schedule, **{k: v for k, v in info.items() if k != "cycle_pairs"}}):
-                    if objective != "max-ratio":
-                        return report
-    else:
-        # fixed inputs: try completing the view with each ballot already on
-        # the table (uniform echo), then the opposite-median strategy
-        inputs = tuple(inputs)
-        echoes = list(dict.fromkeys(inputs))
-        arms: list[AdversaryStrategy] = [
-            ScriptedViews({(1, RANKING, s): ballot for s in range(n - t, n)})
-            for ballot in echoes
-        ]
-        arms.append(OppositeMedian())
-        for j, strategy in enumerate(arms):
-            if report.runs >= budget:
-                break
-            result = run_sync(protocol, inputs, strategy, cfg, seed=f"{seed}/echo/{j}")
-            report.runs += 1
-            if evaluate(result, {"kind": "echo", "arm": j}):
-                if objective != "max-ratio":
-                    return report
-    # randomized arm
-    i = 0
-    while report.runs < budget:
-        rng = random.Random(f"{seed}/search/{i}")
-        i += 1
-        run_inputs = (
-            inputs
-            if inputs is not None
-            else [tuple(rng.sample(range(m), m)) for _ in range(n)]
-        )
-        if rng.random() < 0.5:
-            strategy = Equivocate()
-        else:
-            strategy = split_lock_script(n, t, m, rng)
-        if rng.random() < 0.5:
-            schedule = cfg.dictator_schedule
-        else:
-            ids = list(range(n))
-            rng.shuffle(ids)
-            schedule = tuple(sorted(ids[: t + 1]))
+    trials = _trials(protocol, cfg, seed, None if inputs is None else tuple(inputs))
+    for run_inputs, strategy, schedule, run_seed, config in itertools.islice(trials, budget):
         scfg = cfg.with_schedule(schedule)
-        result = run_sync(protocol, run_inputs, strategy, scfg, seed=f"{seed}/search/{i}")
+        result = run_sync(protocol, run_inputs, strategy, scfg, seed=run_seed)
         report.runs += 1
-        if evaluate(result, {"kind": "random", "iteration": i, "schedule": schedule}):
-            if objective != "max-ratio":
-                return report
+        if hit is not None:
+            if hit(result):
+                report.found, report.witness, report.witness_config = True, result, config
+                break
+        elif result.agreement:
+            rep = approx_ratio(result.consensus, Profile.of(list(result.correct_inputs.values())))
+            if rep.optimal_cost > 0 and (report.max_ratio is None or rep.ratio > report.max_ratio):
+                report.max_ratio, report.witness, report.witness_config = rep.ratio, result, config
     return report

@@ -227,7 +227,7 @@ class HonestGroup(Honest):
     def __init__(self, group):
         self.group = frozenset(group)
 
-    def pick_byzantine(self, n, t, rng):
+    def pick_byzantine(self, n, t):
         return self.group
 
 

@@ -48,6 +48,24 @@ def test_tracer_counts_sanitization():
     assert tracer.calls["simnet.sanitize_ranking"] == 2
 
 
+def test_tracer_times_every_strategy_send():
+    # each built-in strategy's own send is timed as simnet.adversary_send; a
+    # send inherited from the base class would drop out of that metric
+    tracer_module = load_tracer()
+    modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
+    prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
+    simnet = prog.simnet
+    tracer = tracer_module.Tracer(prog)
+    ctx = simnet.AdversaryContext(
+        seed=0, round=1, phase=simnet.RANKING, n=4, m=3,
+        correct_inputs={v: (0, 1, 2) for v in range(3)}, honest=lambda v: (0, 1, 2),
+    )
+    with tracer.installed(0):
+        for calls, name in enumerate(simnet.STRATEGY_NAMES, 1):
+            simnet.make_strategy(name, n=4, t=1, m=3).send(ctx, 3)
+            assert tracer.calls["simnet.adversary_send"] == calls, name
+
+
 def test_tracer_counts_shared_inboxes():
     # recipients of one phase may share an inbox object; the tracer must
     # still count n inboxes per exchange, and one distinct inbox when no

@@ -311,6 +311,7 @@ def scenario(**changes):
         (scenario(m="2"), "bad values: m='2'"),
         ({"command": "kemeny", "config": {"profile": "a > b", "ties": 1, "verify": False}},
          "bad values: ties=1"),
+        (sim(seeds=0), "need at least one seed, got 0"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
@@ -319,6 +320,16 @@ def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
     code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_simulate_without_seeds_exits_2(capsys, seeds):
+    # zero runs would print "0 run(s)" and "ok" and exit 0
+    code, out, err = run_cli(
+        ["simulate", "--n", "4", "--t", "1", "--m", "3", "--seeds", seeds], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: need at least one seed, got {seeds}\n"
 
 
 def test_bool_profile_is_refused():

@@ -13,13 +13,12 @@ from byzrank.scenarios import (
     ScenarioSpec,
     appendix_c_search,
     binary_closed_form,
-    completion_script,
     cycle_closed_form,
     gen_binary_worst,
     gen_cycle_worst,
     measure_scenario,
 )
-from byzrank.simnet import ScriptedViews
+from byzrank.simnet import ScriptedViews, completion_script
 from byzrank.tournament import weight_matrix
 from conftest import triangle_holds
 

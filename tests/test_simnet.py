@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from byzrank import simnet
 from byzrank.protocol import ProtocolConfig
-from byzrank.rankings import Pair, is_ranking, validate_ranking
+from byzrank.rankings import Pair, is_ranking, pairs_of, validate_ranking
 from byzrank.simnet import (
     DICTATOR,
     PROPOSE,
@@ -345,6 +345,25 @@ def test_equivocated_deliveries_stay_per_recipient():
     assert boxes[1] is boxes[3] and boxes[0] is not boxes[2]
 
 
+def test_equivocation_reaches_only_plain_int_node_ids():
+    # True and 1.0 would alias node 1; "x" and None would not sort with ints
+    r = (2, 1, 0)
+    script = {
+        (1, RANKING, 3): {0: r, True: r, "x": r, None: r, 4: r, -1: r},
+        (1, PROPOSE, 3): {1.0: pairs_of(r), 0: pairs_of(r), "x": pairs_of(r)},
+    }
+    res = run_sync(
+        "alg1", INPUTS4, ScriptedViews(script), ProtocolConfig(4, 1, 3), seed=0,
+        record_transcript=True,
+    )
+    sent = [(rnd, phase, to) for rnd, phase, sender, to, _payload in res.transcript if sender == 3]
+    assert sent == [(1, RANKING, 0), (1, PROPOSE, 0)]
+    assert all(type(to) is int for to in (msg[3] for msg in res.transcript))
+    net = simnet.SyncNetwork(4, ScriptedViews(script), seed=0, byz_ids=frozenset({3}))
+    boxes = net.exchange(1, RANKING, 3, {v: (0, 1, 2) for v in range(4)}, {})
+    assert [3 in box for box in boxes] == [True, False, False, False]
+
+
 # --- scripted cycle attack ---------------------------------------------------------
 
 
@@ -403,5 +422,14 @@ def test_search_max_ratio_on_two_bloc_inputs():
 
 
 def test_search_rejects_unknown_objective():
-    with pytest.raises(ValueError, match="objective"):
-        adversary_search("alg1", ProtocolConfig(4, 1, 3), "who-knows", budget=1)
+    # before any run: a zero budget used to return an empty report
+    for budget in (1, 0):
+        with pytest.raises(ValueError, match="objective"):
+            adversary_search("alg1", ProtocolConfig(4, 1, 3), "who-knows", budget=budget)
+
+
+def test_search_rejects_unknown_protocol_and_negative_budget():
+    with pytest.raises(ValueError, match="protocol"):
+        adversary_search("nope", ProtocolConfig(4, 1, 3), "break-validity", budget=0)
+    with pytest.raises(ValueError, match="budget"):
+        adversary_search("alg1", ProtocolConfig(4, 1, 3), "break-validity", budget=-1)
