@@ -5,16 +5,12 @@ and scenario can replay a stored record (--replay FILE) and verify that the
 regenerated record is bit-identical apart from wall-clock time.  Exit status:
 0 when every asserted property holds (or a replay matches), 1 on property
 failure or replay mismatch, 2 on usage errors.
-
-Set BYZRANK_LOG=debug|info|warning|error to control diagnostics on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import random
 import sys
 import time
@@ -28,7 +24,7 @@ from .kemeny import (
     kemeny_exact,
 )
 from .rankings import ParseError, Profile, parse_profile
-from .protocol import ProtocolConfig, expected_messages, expected_rounds
+from .protocol import ProtocolConfig, expected_messages
 from .scenarios import (
     CASES,
     SCENARIO_NAMES,
@@ -38,23 +34,9 @@ from .scenarios import (
     appendix_c_search,
     measure_scenario,
 )
-from .simnet import STRATEGY_NAMES, make_strategy, run_sync
+from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, run_sync
 
 SCHEMA = "byzrank-run/1"
-PROTOCOLS = ("alg1", "alg2", "stv-baseline")
-
-log = logging.getLogger("byzrank")
-
-
-def _configure_logging() -> None:
-    level = os.environ.get("BYZRANK_LOG", "warning").lower()
-    numeric = {
-        "debug": logging.DEBUG,
-        "info": logging.INFO,
-        "warning": logging.WARNING,
-        "error": logging.ERROR,
-    }.get(level, logging.WARNING)
-    logging.basicConfig(level=numeric, format="%(name)s %(levelname)s %(message)s")
 
 
 def _ratio_str(ratio) -> str:
@@ -132,7 +114,6 @@ def simulate_record(
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
     cfg = ProtocolConfig(n, t, m)
-    rounds = expected_rounds(protocol, t, m)
     budget = 2 * n * n + n  # per round
     runs = []
     all_ok = True
@@ -146,15 +127,12 @@ def simulate_record(
             inputs = [tuple(rng.sample(range(m), m)) for _ in range(n)]
         result = run_sync(protocol, inputs, strategy, cfg, seed=seed)
         per_round = list(result.stats.messages_per_round)
+        expected = expected_messages(protocol, n, t, m, result.byz_ids, cfg.dictator_schedule)
         props = {
             "agreement": result.agreement,
             "pareto": result.pareto,
-            "rounds": result.stats.rounds == rounds,
-            "messages": (
-                per_round
-                == expected_messages(protocol, n, t, m, result.byz_ids, cfg.dictator_schedule)
-                and max(per_round) <= budget
-            ),
+            "rounds": len(per_round) == len(expected),
+            "messages": per_round == expected and max(per_round) <= budget,
         }
         ratio = None
         if result.agreement and m <= 16:
@@ -166,14 +144,13 @@ def simulate_record(
                 props["ratio_bound"] = ratio <= Fraction(n, n - 2 * t)
         ok = all(props.values())
         all_ok = all_ok and ok
-        log.debug("seed %d: props=%s ratio=%s", seed, props, ratio)
         runs.append(
             {
                 "seed": seed,
                 "consensus": list(result.consensus) if result.agreement else None,
                 "rounds": result.stats.rounds,
                 "messages_total": result.stats.messages_total,
-                "messages_per_round": list(result.stats.messages_per_round),
+                "messages_per_round": per_round,
                 "integrity_errors": [e.to_json() for e in result.stats.integrity_errors],
                 "ratio": _ratio_str(ratio) if ratio is not None else None,
                 "properties": props,
@@ -275,6 +252,10 @@ def scenario_record(name: str, n: int, t: int, m: int, side: str, case: str) -> 
 
 
 def cmd_scenario(args) -> dict:
+    if args.name is None:
+        raise ValueError("need a scenario name (or --replay)")
+    if args.n is None or args.t is None:
+        raise ValueError("need --n and --t")
     if args.name != "appendix-c" and args.m is None:
         raise ValueError("need --m for this scenario")
     return scenario_record(
@@ -308,7 +289,8 @@ def _one_of(*choices):
     return lambda value: value in choices
 
 
-# config keys each replayable command needs, each with the test its value must pass
+# config keys each replayable command needs, in its record function's argument
+# order, each with the test its value must pass
 REPLAY_KEYS = {
     "simulate": {
         "protocol": _one_of(*PROTOCOLS),
@@ -324,13 +306,15 @@ REPLAY_KEYS = {
     },
     "kemeny": {"profile": _exactly(str), **dict.fromkeys(("ties", "verify"), _exactly(bool))},
 }
+RECORDS = {"simulate": simulate_record, "scenario": scenario_record, "kemeny": kemeny_record}
 
 
 def replay(path: str) -> tuple[dict, bool]:
     """Re-run a stored record from its own config; True iff bit-identical.
 
     Raises ValueError when the record is not an object with a known command
-    and every config key that command needs, each with a valid value.
+    and every config key that command needs, each with a valid value, or
+    when a simulate record asks for more seeds than it holds runs.
     """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
@@ -349,16 +333,12 @@ def replay(path: str) -> tuple[dict, bool]:
     if bad:
         raise ValueError(f"record config has bad values: {', '.join(bad)}")
     if command == "simulate":
-        fresh = simulate_record(
-            cfg["protocol"], cfg["strategy"], cfg["n"], cfg["t"], cfg["m"],
-            cfg["seeds"], cfg["seed_start"], cfg["profile"],
-        )
-    elif command == "scenario":
-        fresh = scenario_record(
-            cfg["name"], cfg["n"], cfg["t"], cfg["m"], cfg["side"], cfg["case"]
-        )
-    else:
-        fresh = kemeny_record(cfg["profile"], cfg["ties"], cfg["verify"])
+        # a simulate record holds one run per seed, so one that asks for more
+        # seeds than it holds runs can never replay identical: refuse it unrun
+        held = len(stored["runs"]) if isinstance(stored.get("runs"), list) else 0
+        if cfg["seeds"] > held:
+            raise ValueError(f"record asks for {cfg['seeds']} seeds but holds {held} run(s)")
+    fresh = RECORDS[command](*(cfg[k] for k in REPLAY_KEYS[command]))
 
     def strip(rec: dict) -> dict:
         rec = json.loads(json.dumps(rec))
@@ -386,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     k.add_argument("--verify", action="store_true", help="cross-check against brute force")
     k.add_argument("--json", metavar="PATH", help="write the JSON record to PATH (- for stdout)")
+    k.set_defaults(run=cmd_kemeny, show=_print_kemeny)
 
     s = sub.add_parser("simulate", help="run a protocol against an adversary strategy")
     s.add_argument("--protocol", choices=PROTOCOLS, default="alg1")
@@ -398,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--profile", help="use this profile as the input rankings")
     s.add_argument("--json", metavar="PATH", help="write the JSON record to PATH (- for stdout)")
     s.add_argument("--replay", metavar="RECORD", help="re-run a stored record and compare")
+    s.set_defaults(run=cmd_simulate, show=_print_simulate)
 
     c = sub.add_parser("scenario", help="worst-case lower-bound constructions")
     c.add_argument("name", choices=SCENARIO_NAMES, nargs="?", default=None)
@@ -408,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--case", choices=CASES, default="C231")
     c.add_argument("--json", metavar="PATH", help="write the JSON record to PATH (- for stdout)")
     c.add_argument("--replay", metavar="RECORD", help="re-run a stored record and compare")
+    c.set_defaults(run=cmd_scenario, show=_print_scenario)
     return parser
 
 
@@ -421,9 +404,7 @@ def _emit_json(record: dict, dest: str) -> None:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         if getattr(args, "replay", None):
@@ -434,19 +415,7 @@ def main(argv=None) -> int:
             status = "replay: identical" if identical else "replay: MISMATCH"
             print(status, file=sys.stderr if args.json == "-" else sys.stdout)
             return 0 if identical else 1
-        if args.command == "kemeny":
-            record = cmd_kemeny(args)
-            printer = _print_kemeny
-        elif args.command == "simulate":
-            record = cmd_simulate(args)
-            printer = _print_simulate
-        else:
-            if args.name is None:
-                raise ValueError("need a scenario name (or --replay)")
-            if args.n is None or args.t is None:
-                raise ValueError("need --n and --t")
-            record = cmd_scenario(args)
-            printer = _print_scenario
+        record = args.run(args)
     except (ParseError, CapacityError, InfeasibleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -454,7 +423,7 @@ def main(argv=None) -> int:
     if args.json:
         _emit_json(record, args.json)
     if args.json != "-":
-        printer(record)
+        args.show(record)
     return 0 if record["ok"] else 1
 
 

@@ -84,19 +84,14 @@ class ProtocolConfig:
 # --- closed forms -------------------------------------------------------------
 
 
-def expected_rounds(protocol: str, t: int, m: int) -> int:
-    """Rounds a run of ``protocol`` takes: t+1, t+3 or (m-1)(t+1)."""
-    return {
-        "alg1": t + 1,
-        "alg2": t + 3,
-        "stv-baseline": (m - 1) * (t + 1),
-    }[protocol]
-
-
 def expected_messages(
     protocol: str, n: int, t: int, m: int, byz_ids: frozenset[int], schedule: Sequence[int]
 ) -> list[int]:
-    """Closed-form per-round correct-sender message counts."""
+    """Closed-form per-round correct-sender message counts.
+
+    One count per round, so the list's length is the run's round count:
+    t+1 for alg1, t+3 for alg2 and (m-1)(t+1) for stv-baseline.
+    """
     c = n - len(byz_ids)
 
     def king(dictator: int) -> int:

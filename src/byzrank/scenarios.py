@@ -145,9 +145,7 @@ _CLOSED_FORMS = {
 }
 
 
-def measure_scenario(
-    protocol: str, spec: ScenarioSpec, seed: int | str = 0
-) -> LowerBoundReport:
+def measure_scenario(protocol: str, spec: ScenarioSpec) -> LowerBoundReport:
     """Run the scenario through a protocol; report the worst-side ratio.
 
     The report's ratio is measured against the correct-node profile of the
@@ -165,7 +163,7 @@ def measure_scenario(
         correct, byz_ballots = _GENERATORS[spec.kind](replace(spec, side=side))
         inputs = correct + byz_ballots
         strategy = completion_script(byz_ballots, spec.n)
-        result = run_sync(protocol, inputs, strategy, cfg, seed=f"{seed}/{side}")
+        result = run_sync(protocol, inputs, strategy, cfg, seed=f"0/{side}")
         if not result.agreement:
             raise RuntimeError(f"scenario run lost agreement on side {side}")
         consensus = result.consensus

@@ -254,6 +254,10 @@ _STRATEGIES = {
 }
 STRATEGY_NAMES = tuple(_STRATEGIES)
 
+# protocol name -> its runner in byzrank.protocol
+_RUNNERS = {"alg1": "run_algorithm1", "alg2": "run_algorithm2", "stv-baseline": "run_baseline_stv"}
+PROTOCOLS = tuple(_RUNNERS)
+
 
 def make_strategy(name: str, *, n: int, t: int, m: int) -> AdversaryStrategy:
     """Instantiate a built-in strategy by CLI name."""
@@ -472,8 +476,6 @@ class SearchReport:
     max_ratio: Fraction | None = None
 
 
-# protocol name -> its runner in byzrank.protocol
-_RUNNERS = {"alg1": "run_algorithm1", "alg2": "run_algorithm2", "stv-baseline": "run_baseline_stv"}
 # search objective -> the test that makes a run a hit; max-ratio has none and
 # keeps the worst ratio instead
 _HITS = {

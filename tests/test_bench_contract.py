@@ -1,31 +1,43 @@
 """The benchmark's tracer wraps byzrank functions by module path.
 
 ``bench/tracer.py`` names every function it times as ``(module, attribute)``
-on ``byzrank``; a rename there would break ``bench/run.py --trace 1``, so the
-names are checked here.
+on ``byzrank``, and ``bench/workloads.py`` names protocols and strategies; a
+rename in ``src/`` would break ``bench/run.py``, so the names are checked here.
 """
 
 import importlib
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("span,module,attr", load_tracer().FUNCTIONS)
+@pytest.mark.parametrize("span,module,attr", load_bench("tracer").FUNCTIONS)
 def test_traced_function_resolves(span, module, attr):
     assert callable(getattr(importlib.import_module(f"byzrank.{module}"), attr)), span
+
+
+def test_workload_names_are_known():
+    # a protocol or strategy renamed in src/ would make every op that names
+    # the old one fail in the benchmark; fail here first
+    simnet = importlib.import_module("byzrank.simnet")
+    workloads = load_bench("workloads")
+    assert set(workloads.PROTOCOLS) <= set(simnet.PROTOCOLS)
+    assert set(workloads.SEARCH_PROTOCOLS) <= set(simnet.PROTOCOLS)
+    assert set(workloads.STRATEGIES) <= set(simnet.STRATEGY_NAMES)
 
 
 def test_traced_exchange_resolves():
@@ -35,7 +47,7 @@ def test_traced_exchange_resolves():
 
 def test_tracer_counts_sanitization():
     # sanitization runs inside the network; the per-layer metrics must still see it
-    tracer_module = load_tracer()
+    tracer_module = load_bench("tracer")
     modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
     prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
     original = prog.simnet.sanitize_batch
@@ -51,7 +63,7 @@ def test_tracer_counts_sanitization():
 def test_tracer_times_every_strategy_send():
     # each built-in strategy's own send is timed as simnet.adversary_send; a
     # send inherited from the base class would drop out of that metric
-    tracer_module = load_tracer()
+    tracer_module = load_bench("tracer")
     modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
     prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
     simnet = prog.simnet
@@ -70,7 +82,7 @@ def test_tracer_counts_shared_inboxes():
     # recipients of one phase may share an inbox object; the tracer must
     # still count n inboxes per exchange, and one distinct inbox when no
     # one equivocates
-    tracer_module = load_tracer()
+    tracer_module = load_bench("tracer")
     modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
     prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
     tracer = tracer_module.Tracer(prog)
@@ -92,7 +104,7 @@ def test_tracer_counts_shared_inboxes():
 
 def test_tracer_reads_medians_as_a_sized_tuple():
     # the tracer counts medians with len(result.medians)
-    after = load_tracer()._AFTER["kemeny.kemeny_exact"]
+    after = load_bench("tracer")._AFTER["kemeny.kemeny_exact"]
     kemeny = importlib.import_module("byzrank.kemeny")
     rankings = importlib.import_module("byzrank.rankings")
     for ballots in ([(0, 1, 2), (1, 2, 0), (2, 0, 1)], [(0, 1, 2, 3), (3, 2, 1, 0)] * 2):

@@ -14,7 +14,7 @@ from byzrank.protocol import (
     collect_fixed_pairs,
     compute_proposals,
     decide_dictator,
-    expected_rounds,
+    expected_messages,
     resolve_acyclic,
     run_algorithm1,
     run_algorithm2,
@@ -291,9 +291,23 @@ def test_rounds_are_the_network_rounds(protocol):
     cfg = ProtocolConfig(7, 2, 4)
     rng = random.Random("network-rounds")
     inputs = [rand_ranking(rng, 4) for _ in range(7)]
-    stats = run_sync(protocol, inputs, Equivocate(), cfg, seed=2).stats
-    assert stats.rounds == len(stats.messages_per_round) == expected_rounds(protocol, 2, 4)
+    res = run_sync(protocol, inputs, Equivocate(), cfg, seed=2)
+    stats = res.stats
+    expected = expected_messages(protocol, 7, 2, 4, res.byz_ids, cfg.dictator_schedule)
+    assert stats.rounds == len(stats.messages_per_round) == len(expected)
     assert stats.messages_total == sum(stats.messages_per_round)
+
+
+def test_message_closed_form_lists_one_count_per_round():
+    # the closed form is also the round reference; pin its length to the
+    # paper's round counts, whoever is corrupted and whatever the schedule
+    for n, t, m in [(1, 0, 2), (4, 1, 2), (4, 1, 3), (7, 2, 3), (10, 3, 4), (13, 4, 5)]:
+        rounds = {"alg1": t + 1, "alg2": t + 3, "stv-baseline": (m - 1) * (t + 1)}
+        for byz in (frozenset(), frozenset(range(t)), frozenset(range(n - t, n))):
+            for schedule in (tuple(range(t + 1)), tuple(range(n - t - 1, n))):
+                for protocol, count in rounds.items():
+                    closed = expected_messages(protocol, n, t, m, byz, schedule)
+                    assert len(closed) == count, (protocol, n, t, m, byz, schedule)
 
 
 def test_baseline_round_count_small_cell():
