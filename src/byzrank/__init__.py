@@ -32,7 +32,6 @@ from .kemeny import (
     approx_ratio,
     kemeny_brute,
     kemeny_exact,
-    profile_cost,
 )
 from .protocol import (
     ProtocolConfig,
@@ -84,7 +83,6 @@ __all__ = [
     "weight_matrix",
     "BRUTE_MAX_M", "EXACT_MAX_M", "INFINITE", "ApproxReport", "CapacityError",
     "MedianResult", "approx_ratio", "kemeny_brute", "kemeny_exact",
-    "profile_cost",
     "ProtocolConfig",
     "adjust_ranking", "collect_fixed_pairs", "compute_proposals",
     "decide_dictator", "resolve_acyclic", "run_algorithm1", "run_algorithm2",

@@ -199,13 +199,6 @@ def kemeny_exact(profile: Profile) -> MedianResult:
     return MedianResult(cost=h[0], chosen=next(optima()), count=cnt[0], _listing=optima)
 
 
-def profile_cost(r: Sequence[int], profile: Profile) -> int:
-    """Kendall-tau distance from ``r`` to the whole profile via edge weights."""
-    r = validate_ranking(r, profile.m)
-    w = weight_matrix(profile.rankings, profile.m)
-    return _backward(w, r)
-
-
 def approx_ratio(candidate: Sequence[int], profile: Profile) -> ApproxReport:
     """Exact cost ratio of ``candidate`` against the profile's true median."""
     candidate = validate_ranking(candidate, profile.m)

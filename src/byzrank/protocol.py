@@ -66,9 +66,8 @@ class ProtocolConfig:
             raise ValueError(f"resilience requires 3t < n, got n={self.n}, t={self.t}")
         if self.m < 2:
             raise ValueError("protocols need at least two candidates")
-        if self.dictator_schedule is None:
-            object.__setattr__(self, "dictator_schedule", tuple(range(self.t + 1)))
-        sched = tuple(self.dictator_schedule)
+        sched = self.dictator_schedule
+        sched = tuple(range(self.t + 1)) if sched is None else tuple(sched)
         object.__setattr__(self, "dictator_schedule", sched)
         if len(sched) != self.t + 1:
             raise ValueError(f"dictator schedule must have t+1={self.t + 1} entries")
@@ -76,9 +75,6 @@ class ProtocolConfig:
             raise ValueError("dictator schedule entries must be distinct")
         if any(not (0 <= d < self.n) for d in sched):
             raise ValueError("dictator schedule entries must be node ids")
-
-    def with_schedule(self, schedule: Sequence[int] | None) -> "ProtocolConfig":
-        return replace(self, dictator_schedule=tuple(schedule) if schedule else None)
 
 
 # --- closed forms -------------------------------------------------------------

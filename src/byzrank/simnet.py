@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -437,7 +437,7 @@ def cycle_lock_attack(n: int, t: int, m: int):
     for sender in byz_ids:
         script[(1, RANKING, sender)] = {v: inputs[v] for v in range(n)}
         script[(1, PROPOSE, sender)] = cycle_pairs
-    info = {"cycle_len": L, "groups": tuple(g), "cycle_pairs": cycle_pairs}
+    info = {"cycle_len": L, "groups": tuple(g)}
     return inputs, ScriptedViews(script), info
 
 
@@ -516,7 +516,6 @@ def _trials(protocol: str, cfg, seed: int | str, inputs: tuple[Ranking, ...] | N
         attack = cycle_lock_attack(n, t, m) if protocol in ("alg1", "stv-baseline") else None
         if attack is not None:
             attack_inputs, strategy, info = attack
-            info = {k: v for k, v in info.items() if k != "cycle_pairs"}
             for schedule in (cfg.dictator_schedule, (n - 1,) + tuple(range(t))):
                 config = {"kind": "cycle-lock", "schedule": schedule, **info}
                 yield attack_inputs, strategy, schedule, f"{seed}/scripted", config
@@ -573,7 +572,7 @@ def adversary_search(
     report = SearchReport(objective=objective, runs=0, found=False)
     trials = _trials(protocol, cfg, seed, None if inputs is None else tuple(inputs))
     for run_inputs, strategy, schedule, run_seed, config in itertools.islice(trials, budget):
-        scfg = cfg.with_schedule(schedule)
+        scfg = replace(cfg, dictator_schedule=schedule)
         result = run_sync(protocol, run_inputs, strategy, scfg, seed=run_seed)
         report.runs += 1
         if hit is not None:

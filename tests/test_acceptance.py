@@ -322,8 +322,8 @@ def test_criterion_5_reversal_identity(capfd):
 
 def test_criterion_6_binary_worst_reproduction(capfd):
     report = measure_scenario("alg2", ScenarioSpec("binary-worst", 12, 3, 2))
-    left = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 2, "left"))
-    right = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 2, "right"))
+    sides = gen_binary_worst(12, 3, 2)
+    left, right = sides["left"], sides["right"]
     same_completed = sorted(left[0] + left[1]) == sorted(right[0] + right[1])
     ok = (
         report.ratio_measured == Fraction(2)

@@ -5,9 +5,11 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
+from byzrank import scenarios
 from byzrank.cli import main, scenario_record, simulate_record
 from byzrank.rankings import Profile, validate_ranking
 
@@ -219,6 +221,38 @@ def test_scenario_infeasible_exits_2(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+@pytest.mark.parametrize("name,n,t,m", [("binary-worst", 12, 3, 2), ("cycle-worst", 90, 10, 3)])
+def test_scenario_each_side_passes(name, n, t, m, side, capsys):
+    # the left side is the cheap one (ratio 1): one side only has to stay
+    # under the closed form, both sides together have to reach it
+    code, out, _ = run_cli(
+        ["scenario", name, "--n", str(n), "--t", str(t), "--m", str(m), "--side", side],
+        capsys,
+    )
+    assert code == 0
+    assert out.endswith("ok\n")
+
+
+def test_scenario_breach_is_reported_not_raised(tmp_path, capsys, monkeypatch):
+    construct, _ = scenarios._FAMILIES["binary-worst"]
+    monkeypatch.setitem(
+        scenarios._FAMILIES, "binary-worst", (construct, lambda n, t, m: Fraction(3, 2))
+    )
+    dest = tmp_path / "breach.json"
+    code, out, _ = run_cli(
+        ["scenario", "binary-worst", "--n", "12", "--t", "3", "--m", "2",
+         "--json", str(dest)],
+        capsys,
+    )
+    assert code == 1
+    assert "FAILED" in out
+    record = json.loads(dest.read_text())
+    assert record["report"]["ratio_measured"] == "2/1"
+    assert record["report"]["ratio_closed_form"] == "3/2"
+    assert record["ok"] is False
 
 
 # --- replay ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -63,9 +64,11 @@ def test_config_schedule_validation():
 
 
 def test_config_with_schedule():
-    cfg = ProtocolConfig(7, 2, 4).with_schedule((6, 0, 1))
+    cfg = replace(ProtocolConfig(7, 2, 4), dictator_schedule=[6, 0, 1])
     assert cfg.dictator_schedule == (6, 0, 1)
-    assert cfg.with_schedule(None).dictator_schedule == (0, 1, 2)
+    assert replace(cfg, dictator_schedule=None).dictator_schedule == (0, 1, 2)
+    with pytest.raises(ValueError):
+        replace(cfg, dictator_schedule=(6, 0))
 
 
 def test_config_rejects_non_ints_and_small_m():

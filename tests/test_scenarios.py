@@ -37,40 +37,27 @@ def test_spec_rejects_unknown_kind_and_side():
         ScenarioSpec("binary-worst", 12, 3, 2, side="middle")
 
 
-def test_generators_check_their_kind():
-    with pytest.raises(ValueError):
-        gen_binary_worst(ScenarioSpec("cycle-worst", 12, 3, 3, "left"))
-    with pytest.raises(ValueError):
-        gen_cycle_worst(ScenarioSpec("binary-worst", 12, 3, 3, "left"))
-
-
-def test_generators_need_one_side():
-    with pytest.raises(ValueError):
-        gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 2, "both"))
-
-
 # --- two-bloc family --------------------------------------------------------------
 
 
 def test_binary_shapes():
-    spec = ScenarioSpec("binary-worst", 12, 3, 2, "left")
-    correct, byz = gen_binary_worst(spec)
+    sides = gen_binary_worst(12, 3, 2)
+    correct, byz = sides["left"]
     r, opp = (0, 1), (1, 0)
     assert Counter(correct) == Counter({r: 6, opp: 3})
     assert byz == (opp,) * 3
-    correct_r, byz_r = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 2, "right"))
+    correct_r, byz_r = sides["right"]
     assert Counter(correct_r) == Counter({r: 3, opp: 6})
     assert byz_r == (r,) * 3
 
 
 def test_binary_completed_sides_are_indistinguishable():
-    left = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 3, "left"))
-    right = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 3, "right"))
-    assert completed(*left) == completed(*right)
+    sides = gen_binary_worst(12, 3, 3)
+    assert completed(*sides["left"]) == completed(*sides["right"])
 
 
 def test_binary_completed_graph_is_all_ties():
-    correct, byz = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 3, "left"))
+    correct, byz = gen_binary_worst(12, 3, 3)["left"]
     w = weight_matrix(list(correct) + list(byz), 3)
     for i in range(3):
         for j in range(3):
@@ -80,22 +67,22 @@ def test_binary_completed_graph_is_all_ties():
 
 def test_binary_triangle_inequality_before_and_after():
     for side in ("left", "right"):
-        correct, byz = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 3, side))
+        correct, byz = gen_binary_worst(12, 3, 3)[side]
         assert triangle_holds(weight_matrix(list(correct), 3))
         assert triangle_holds(weight_matrix(list(correct) + list(byz), 3))
 
 
 def test_binary_reverse_ballot_costs_the_closed_form():
-    correct, _ = gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 2, "left"))
+    correct, _ = gen_binary_worst(12, 3, 2)["left"]
     rep = approx_ratio(opposite((0, 1)), Profile.of(list(correct), 2))
     assert rep.ratio == Fraction(2) == binary_closed_form(12, 3)
 
 
 def test_binary_infeasible_parameters():
     with pytest.raises(InfeasibleError):
-        gen_binary_worst(ScenarioSpec("binary-worst", 13, 3, 2, "left"))
+        gen_binary_worst(13, 3, 2)
     with pytest.raises(InfeasibleError):
-        gen_binary_worst(ScenarioSpec("binary-worst", 12, 3, 1, "left"))
+        gen_binary_worst(12, 3, 1)
 
 
 def test_binary_measured_ratio():
@@ -116,28 +103,27 @@ def test_binary_sides_measured_separately():
 
 
 def test_cycle_ballot_shapes():
-    spec = ScenarioSpec("cycle-worst", 18, 2, 5, "left")
-    correct, byz = gen_cycle_worst(spec)
+    sides = gen_cycle_worst(18, 2, 5)
+    correct, byz = sides["left"]
     a = (0, 1, 4, 3, 2)
     b = (4, 3, 2, 0, 1)
     c = (1, 4, 3, 2, 0)
     assert Counter(correct) == Counter({a: 7, b: 5, c: 4})
     assert byz == (b,) * 2
-    correct_r, byz_r = gen_cycle_worst(ScenarioSpec("cycle-worst", 18, 2, 5, "right"))
+    correct_r, byz_r = sides["right"]
     assert Counter(correct_r) == Counter({a: 5, b: 7, c: 4})
     assert byz_r == (a,) * 2
 
 
 def test_cycle_completed_sides_are_indistinguishable():
     for m in (3, 4, 5):
-        left = gen_cycle_worst(ScenarioSpec("cycle-worst", 90, 10, m, "left"))
-        right = gen_cycle_worst(ScenarioSpec("cycle-worst", 90, 10, m, "right"))
-        assert completed(*left) == completed(*right)
+        sides = gen_cycle_worst(90, 10, m)
+        assert completed(*sides["left"]) == completed(*sides["right"])
 
 
 def test_cycle_triangle_inequality_before_and_after():
     for side in ("left", "right"):
-        correct, byz = gen_cycle_worst(ScenarioSpec("cycle-worst", 90, 10, 3, side))
+        correct, byz = gen_cycle_worst(90, 10, 3)[side]
         assert triangle_holds(weight_matrix(list(correct), 3))
         assert triangle_holds(weight_matrix(list(correct) + list(byz), 3))
 
@@ -168,14 +154,14 @@ def test_cycle_more_candidates():
 
 
 def test_cycle_infeasible_parameters():
-    for spec in [
-        ScenarioSpec("cycle-worst", 13, 3, 3, "left"),  # odd n
-        ScenarioSpec("cycle-worst", 10, 3, 3, "left"),  # n < 4t
-        ScenarioSpec("cycle-worst", 12, 0, 3, "left"),  # no corruption
-        ScenarioSpec("cycle-worst", 12, 3, 2, "left"),  # needs a cycle
+    for n, t, m in [
+        (13, 3, 3),  # odd n
+        (10, 3, 3),  # n < 4t
+        (12, 0, 3),  # no corruption
+        (12, 3, 2),  # needs a cycle
     ]:
         with pytest.raises(InfeasibleError):
-            gen_cycle_worst(spec)
+            gen_cycle_worst(n, t, m)
 
 
 # --- measurement plumbing ----------------------------------------------------------
