@@ -10,14 +10,9 @@ from .rankings import (
     ParseError,
     Profile,
     Ranking,
-    UniverseMismatch,
-    format_ranking,
     is_ranking,
-    kendall_tau,
-    opposite,
     pairs_of,
     parse_profile,
-    tau_profile,
     unanimous_pairs,
     validate_ranking,
 )
@@ -77,9 +72,8 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Pair", "ParseError", "Profile", "Ranking", "UniverseMismatch",
-    "format_ranking", "is_ranking", "kendall_tau", "opposite", "pairs_of",
-    "parse_profile", "tau_profile", "unanimous_pairs", "validate_ranking",
+    "Pair", "ParseError", "Profile", "Ranking", "is_ranking", "pairs_of",
+    "parse_profile", "unanimous_pairs", "validate_ranking",
     "weight_matrix",
     "BRUTE_MAX_M", "EXACT_MAX_M", "INFINITE", "ApproxReport", "CapacityError",
     "MedianResult", "approx_ratio", "kemeny_brute", "kemeny_exact",

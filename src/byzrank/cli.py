@@ -37,6 +37,10 @@ from .scenarios import (
 from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, run_sync
 
 SCHEMA = "byzrank-run/1"
+# the most correct-sender messages a replayed simulate record may ask for,
+# summed over its seeds: over five times the largest record the tests and the
+# benchmark write (43,989 for one seed at n=31, t=10, m=4, stv-baseline)
+REPLAY_MESSAGES_MAX = 250_000
 
 
 def _ratio_str(ratio) -> str:
@@ -316,7 +320,8 @@ def replay(path: str) -> tuple[dict, bool]:
 
     Raises ValueError when the record is not an object with a known command
     and every config key that command needs, each with a valid value, or
-    when a simulate record asks for more seeds than it holds runs.
+    when a simulate record asks for more seeds than it holds runs or for
+    more than :data:`REPLAY_MESSAGES_MAX` messages in all.
     """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
@@ -340,6 +345,16 @@ def replay(path: str) -> tuple[dict, bool]:
         held = len(stored["runs"]) if isinstance(stored.get("runs"), list) else 0
         if cfg["seeds"] > held:
             raise ValueError(f"record asks for {cfg['seeds']} seeds but holds {held} run(s)")
+        # price the run by its closed-form message count before any of it
+        # runs; every built-in strategy corrupts the last t ids
+        n, t, m = cfg["n"], cfg["t"], cfg["m"]
+        schedule = ProtocolConfig(n, t, m).dictator_schedule
+        byz = frozenset(range(n - t, n))
+        total = cfg["seeds"] * sum(expected_messages(cfg["protocol"], n, t, m, byz, schedule))
+        if total > REPLAY_MESSAGES_MAX:
+            raise ValueError(
+                f"record asks for {total:,} messages; replay stops at {REPLAY_MESSAGES_MAX:,}"
+            )
     fresh = RECORDS[command](*(cfg[k] for k in REPLAY_KEYS[command]))
 
     def strip(rec: dict) -> dict:

@@ -156,28 +156,13 @@ def resolve_acyclic(
 ) -> tuple[frozenset[Pair], list[IntegrityEvent]]:
     """Extract an acyclic subset of ``pairs``, logging every dropped edge.
 
-    Pairs present in both orientations are removed outright (that needs a
-    correct equivocator, so it is flagged as a bug-level event).  The rest
-    are added greedily in lexicographic order; an edge that would close a
-    directed cycle is dropped with an event recording the cycle length and
-    whether the edge had lock-level (>= n-t) receipts.
+    Pairs are added greedily in lexicographic order; an edge that would close
+    a directed cycle is dropped with a ``fixed-cycle`` event recording the
+    cycle length and whether the edge had lock-level (>= n-t) receipts.  A
+    pair given in both orientations is the 2-cycle case: the
+    lexicographically first edge is kept and the other dropped.
     """
     events: list[IntegrityEvent] = []
-    survivors = set(pairs)
-    for p in sorted(pairs):
-        rev = Pair(p.below, p.above)
-        if rev in pairs and p.above < p.below:
-            events.append(
-                IntegrityEvent(
-                    kind="both-orientations",
-                    round=round_no,
-                    node=node,
-                    pair=(p.above, p.below),
-                    cycle_len=2,
-                )
-            )
-            survivors.discard(p)
-            survivors.discard(rev)
     kept: set[Pair] = set()
     adj: dict[int, set[int]] = {}
 
@@ -198,7 +183,7 @@ def resolve_acyclic(
         return 0
 
     lock_level = n - t
-    for p in sorted(survivors):
+    for p in sorted(pairs):
         path = reachable(p.below, p.above)
         if path:
             events.append(

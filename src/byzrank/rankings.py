@@ -1,10 +1,12 @@
-"""Rankings, preference profiles, and Kendall-tau metrics.
+"""Rankings, preference profiles, and their candidate pairs.
 
 A ranking is a plain tuple of candidate indices, most-preferred first, and is
 always a permutation of ``range(m)``.  Candidates are dense integers; human
-names exist only at the text-format boundary (:func:`parse_profile` /
-:func:`format_ranking`).  Everything here is an immutable value and every
-function is pure.
+names exist only at the text-format boundary (:func:`parse_profile`).  A
+ranking's content, for the protocols, is its set of preference pairs
+(:func:`pairs_of`); the Kendall cost of a ranking against a profile lives with
+the weight matrix in :mod:`byzrank.kemeny`.  Everything here is an immutable
+value and every function is pure.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ class Pair(NamedTuple):
 
     above: int
     below: int
-
-
-class UniverseMismatch(ValueError):
-    """Operands do not range over the same candidate set."""
 
 
 class ParseError(ValueError):
@@ -94,47 +92,6 @@ class Profile:
         return iter(self.rankings)
 
 
-def _positions(r: Ranking) -> list[int]:
-    pos = [0] * len(r)
-    for i, c in enumerate(r):
-        pos[c] = i
-    return pos
-
-
-def kendall_tau(r: Sequence[int], p: Sequence[int]) -> int:
-    """Number of candidate pairs on which the two rankings disagree.
-
-    Symmetric; ranges from 0 (equal) to m(m-1)/2 (exact reversal).
-    """
-    r = validate_ranking(r)
-    p = validate_ranking(p)
-    if len(r) != len(p):
-        raise UniverseMismatch(f"rankings over {len(r)} vs {len(p)} candidates")
-    pos_p = _positions(p)
-    m = len(r)
-    d = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pos_p[r[i]] > pos_p[r[j]]:
-                d += 1
-    return d
-
-
-def tau_profile(r: Sequence[int], profile: Profile) -> int:
-    """Sum of :func:`kendall_tau` distances from ``r`` to every ballot."""
-    r = validate_ranking(r)
-    if len(r) != profile.m:
-        raise UniverseMismatch(
-            f"ranking over {len(r)} candidates vs profile over {profile.m}"
-        )
-    return sum(kendall_tau(r, p) for p in profile)
-
-
-def opposite(r: Sequence[int]) -> Ranking:
-    """The exact reversal of ``r``; an involution."""
-    return tuple(reversed(validate_ranking(r)))
-
-
 def pairs_of(r: Sequence[int]) -> frozenset[Pair]:
     """All m(m-1)/2 ordered preference pairs implied by a ranking."""
     r = tuple(r)
@@ -197,10 +154,3 @@ def parse_profile(text: str) -> tuple[Profile, list[str]]:
             )
         rankings.append(tuple(index[p] for p in parts))
     return Profile.of(rankings, m), names
-
-
-def format_ranking(r: Sequence[int], names: Sequence[str] | None = None) -> str:
-    """Render a ranking in the text format (``a > b > c``)."""
-    if names is None:
-        return " > ".join(f"c{c + 1}" for c in r)
-    return " > ".join(names[c] for c in r)

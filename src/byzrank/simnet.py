@@ -36,11 +36,10 @@ Payload = object  # Ranking in ranking/dictator phases, frozenset[Pair] in propo
 class IntegrityEvent:
     """A protocol-integrity violation observed by one correct node.
 
-    kind is ``fixed-cycle`` (the node's threshold-fixed pairs contained a
-    directed cycle; ``pair`` is the dropped edge, ``level`` records whether
-    that edge had lock-level receipts) or ``both-orientations`` (both
-    directions of one pair crossed the fix threshold — provably impossible
-    below n/3 corruption, so firing indicates an implementation bug).
+    The one kind is ``fixed-cycle``: the node's threshold-fixed pairs
+    contained a directed cycle of ``cycle_len`` edges, ``pair`` is the
+    dropped edge and ``level`` records whether that edge had lock-level
+    receipts.  ``kind`` stays in the record so stored runs keep their shape.
     """
 
     kind: str

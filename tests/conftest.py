@@ -2,7 +2,7 @@
 
 import random
 
-from byzrank.rankings import Profile
+from byzrank.rankings import Profile, pairs_of
 
 
 def rand_ranking(rng: random.Random, m: int) -> tuple:
@@ -11,6 +11,12 @@ def rand_ranking(rng: random.Random, m: int) -> tuple:
 
 def rand_profile(rng: random.Random, n: int, m: int) -> Profile:
     return Profile.of([rand_ranking(rng, m) for _ in range(n)], m)
+
+
+def tau_profile(r, profile: Profile) -> int:
+    """Kendall cost of ``r`` against ``profile``, counted pair by pair: an
+    oracle for the solvers that shares no code with ``weight_matrix``."""
+    return sum(len(pairs_of(r) - pairs_of(p)) for p in profile)
 
 
 def triangle_holds(w) -> bool:

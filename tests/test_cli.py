@@ -316,6 +316,17 @@ def test_replay_ignores_wall_clock(tmp_path, capsys):
     assert run_cli(["simulate", "--replay", str(dest)], capsys)[0] == 0
 
 
+def test_replay_admits_the_benchmarks_largest_record(tmp_path, capsys):
+    # one seed at (31,10,4) stv-baseline: 43,989 messages, under the cap
+    dest = tmp_path / "rec.json"
+    argv = ["simulate", "--protocol", "stv-baseline", "--strategy", "random",
+            "--n", "31", "--t", "10", "--m", "4", "--json", str(dest)]
+    assert run_cli(argv, capsys)[0] == 0
+    assert json.loads(dest.read_text())["runs"][0]["messages_total"] == 43_989
+    code, out, _ = run_cli(["simulate", "--replay", str(dest)], capsys)
+    assert code == 0 and "replay: identical" in out
+
+
 def test_replay_unknown_command_exits_2(tmp_path, capsys):
     dest = tmp_path / "rec.json"
     dest.write_text(json.dumps({"command": "mystery", "config": {}}))
@@ -361,6 +372,9 @@ def scenario(**changes):
         # would run until killed
         (sim(seeds=10**9), "asks for 1000000000 seeds but holds 1 run(s)"),
         ({"command": "simulate", "config": SIM_CONFIG}, "asks for 1 seeds but holds 0 run(s)"),
+        # 400 million messages: priced by the closed form, never run
+        (sim(n=10_000), "asks for 399,980,000 messages; replay stops at 250,000"),
+        (sim(t=2), "resilience requires 3t < n"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):

@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzrank import protocol
 from byzrank.kemeny import approx_ratio
@@ -35,6 +37,7 @@ from byzrank.simnet import (
     cycle_lock_attack,
     make_strategy,
     run_sync,
+    sanitize_batch,
 )
 from conftest import rand_ranking
 
@@ -142,15 +145,48 @@ def test_collect_fixed_pairs_resolves_cycle():
     assert adjust_ranking((2, 1, 0), kept) == (0, 1, 2)
 
 
-def test_resolve_acyclic_drops_both_orientations():
+def test_resolve_acyclic_keeps_one_of_both_orientations():
+    # both orientations of a pair are a 2-cycle: the first edge stays
     pairs = frozenset({Pair(0, 1), Pair(1, 0), Pair(2, 0)})
-    receipts = {Pair(0, 1): 3, Pair(1, 0): 2, Pair(2, 0): 2}
+    receipts = {Pair(0, 1): 3, Pair(1, 0): 5, Pair(2, 0): 2}
     kept, events = resolve_acyclic(pairs, receipts, n=7, t=2, round_no=4, node=1)
-    assert kept == {Pair(2, 0)}
-    assert len(events) == 1
-    e = events[0]
-    assert e.kind == "both-orientations" and e.pair == (0, 1) and e.cycle_len == 2
-    assert e.round == 4 and e.node == 1
+    assert kept == {Pair(0, 1), Pair(2, 0)}
+    assert [e.to_json() for e in events] == [
+        {"kind": "fixed-cycle", "round": 4, "node": 1, "pair": [1, 0], "level": "lock",
+         "cycle_len": 2}
+    ]
+    _, events = resolve_acyclic(pairs, {**receipts, Pair(1, 0): 4}, n=7, t=2)
+    assert events[0].level == "fix"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_no_two_cycle_reaches_resolution(data):
+    # Opposite orientations of one pair at t+1 receipts each need a correct
+    # proposer of each, and two correct proposers with opposite orientations
+    # need n <= 3t.  Views are built as the network delivers them: uniform
+    # correct payloads, per-recipient Byzantine ones, batches sanitized.
+    t = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(3 * t + 1, 3 * t + 4))
+    m = data.draw(st.integers(2, 5))
+    byz = range(n - data.draw(st.integers(0, t)), n)
+    ranking = st.permutations(range(m)).map(tuple)
+    batch = st.lists(st.tuples(st.integers(-1, m), st.integers(-1, m)), max_size=12)
+    inputs = {u: data.draw(ranking) for u in range(n) if u not in byz}
+    proposals = {
+        v: compute_proposals(
+            [data.draw(st.none() | ranking) if u in byz else inputs[u] for u in range(n)],
+            n, t, m,
+        )
+        for v in inputs
+    }
+    for v in inputs:
+        batches = [
+            sanitize_batch(data.draw(st.none() | batch), m) if u in byz else proposals[u]
+            for u in range(n)
+        ]
+        _, _, events = collect_fixed_pairs(batches, n, t, round_no=1, node=v)
+        assert all(e.cycle_len != 2 for e in events)
 
 
 def test_resolve_acyclic_breaks_cycle_and_grades_level():
