@@ -41,6 +41,11 @@ SCHEMA = "byzrank-run/1"
 # summed over its seeds: over five times the largest record the tests and the
 # benchmark write (43,989 for one seed at n=31, t=10, m=4, stv-baseline)
 REPLAY_MESSAGES_MAX = 250_000
+# the most messages times m³ it may ask for: a message's replay cost grows
+# about as m³ (a one-seed n=4 record took 0.04, 0.24 and 1.87 s at m = 50,
+# 100 and 200); over five times that same largest record, 43,989 · 4³ =
+# 2,815,296, which lets a one-seed n=4 record reach m = 64
+REPLAY_WORK_MAX = 15_000_000
 
 
 def _ratio_str(ratio) -> str:
@@ -320,8 +325,9 @@ def replay(path: str) -> tuple[dict, bool]:
 
     Raises ValueError when the record is not an object with a known command
     and every config key that command needs, each with a valid value, or
-    when a simulate record asks for more seeds than it holds runs or for
-    more than :data:`REPLAY_MESSAGES_MAX` messages in all.
+    when a simulate record asks for more seeds than it holds runs, for
+    more than :data:`REPLAY_MESSAGES_MAX` messages in all or for more than
+    :data:`REPLAY_WORK_MAX` messages times m³.
     """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
@@ -354,6 +360,11 @@ def replay(path: str) -> tuple[dict, bool]:
         if total > REPLAY_MESSAGES_MAX:
             raise ValueError(
                 f"record asks for {total:,} messages; replay stops at {REPLAY_MESSAGES_MAX:,}"
+            )
+        if total * m**3 > REPLAY_WORK_MAX:
+            raise ValueError(
+                f"record asks for {total:,} messages at m={m}, {total * m**3:,} messages·m³;"
+                f" replay stops at {REPLAY_WORK_MAX:,}"
             )
     fresh = RECORDS[command](*(cfg[k] for k in REPLAY_KEYS[command]))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .kemeny import kemeny_exact
@@ -40,7 +41,7 @@ from .simnet import (
     RunStats,
     SyncNetwork,
 )
-from .tournament import weight_matrix
+from .tournament import add_ballots, weight_matrix
 
 
 @dataclass(frozen=True)
@@ -104,15 +105,22 @@ def expected_messages(
 
 
 def compute_proposals(
-    received: Sequence[Ranking | None], n: int, t: int, m: int
+    received: Sequence[Ranking | None],
+    n: int,
+    t: int,
+    m: int,
+    shared: Sequence[Sequence[int]] | None = None,
 ) -> frozenset[Pair]:
     """Pairs supported by at least n-t of the received rankings.
 
     ``received`` holds one sanitized slot per sender; a slot is None when
     that sender's broadcast was missing or malformed, and contributes no
-    support.
+    support.  ``shared``, a weight matrix that is copied and not changed,
+    tallies rankings received on top of the slots: the round engine passes
+    its correct senders' tally and only the Byzantine slots.
     """
-    w = weight_matrix([r for r in received if r is not None], m)
+    w = weight_matrix((), m) if shared is None else [row[:] for row in shared]
+    add_ballots(w, [r for r in received if r is not None])
     need = n - t
     return frozenset(
         Pair(a, b) for a in range(m) for b in range(m) if a != b and w[a][b] >= need
@@ -126,16 +134,19 @@ def collect_fixed_pairs(
     *,
     round_no: int,
     node: int,
+    shared: Mapping[Pair, int] | None = None,
 ) -> tuple[frozenset[Pair], frozenset[Pair], list[IntegrityEvent]]:
     """Fix, resolve and lock the pairs of one node's received batches.
 
-    Each slot is one sender's sanitized batch (None when absent).  A pair
+    Each slot is one sender's sanitized batch (None when absent).
+    ``shared``, copied and not changed, counts receipts on top of the slots,
+    as :func:`compute_proposals`' ``shared`` tallies rankings.  A pair
     proposed by at least t+1 senders is fixed; :func:`resolve_acyclic` makes
     the fixed set acyclic.  Returns ``(kept, locks, events)``: the kept
-    fixed pairs, those of them with at least n-t receipts, and the
-    integrity events of the resolution.
+    fixed pairs, those of them with at least n-t receipts, and the integrity
+    events of the resolution.
     """
-    receipts: Counter = Counter()
+    receipts: Counter = Counter(shared)
     for batch in batches:
         if batch:
             receipts.update(batch)
@@ -255,17 +266,22 @@ def decide_dictator(
 # --- round engine -------------------------------------------------------------
 
 
-def _views(inboxes: Sequence[Mapping[int, object]], n: int) -> list[tuple]:
-    """One slot tuple per recipient (sender order, None where nothing came).
+def _byz_views(inboxes: Sequence[Mapping[int, object]], byz_ids: frozenset[int]) -> list[tuple]:
+    """One tuple per recipient of its Byzantine senders' slots.
 
-    Recipients that share an inbox object share one tuple, built once.
+    Slots follow sender id order, None where nothing came.  Recipients that
+    share an inbox object share one tuple, built once.  The tuple is all
+    that can tell two recipients' views apart, because
+    :meth:`SyncNetwork.exchange` delivers each correct sender's payload
+    unchanged to every recipient.
     """
+    byz = sorted(byz_ids)
     slots: dict[int, tuple] = {}
     views = []
     for box in inboxes:
         view = slots.get(id(box))
         if view is None:
-            view = slots[id(box)] = tuple(box.get(u) for u in range(n))
+            view = slots[id(box)] = tuple(box.get(u) for u in byz)
         views.append(view)
     return views
 
@@ -278,28 +294,36 @@ def _king_rounds(
     The instance inputs the adversary sees are the correct nodes' rankings
     on entry.  Rankings are kept for every node: corrupted nodes keep an
     honest shadow ranking (fed by real inboxes) so the network can answer
-    exactly what they would have sent.  A node's steps depend only on its
-    view, so each step runs once per distinct view and is shared.
+    exactly what they would have sent.  Every recipient gets each correct
+    sender's payload unchanged, so a phase tallies the correct payloads once
+    and each view adds only its Byzantine slots: O(n·t) work per phase, not
+    O(n²).  A node's steps depend only on its view, so each step runs once
+    per distinct view and is shared.
     """
     n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
-    instance_inputs = {v: r for v, r in rankings.items() if v not in byz_ids}
+    correct = [v for v in range(n) if v not in byz_ids]
+    instance_inputs = {v: rankings[v] for v in correct}
     events: list[IntegrityEvent] = []
     for ground, dict_id in enumerate(cfg.dictator_schedule, start_round):
         inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs)
+        weights = weight_matrix([rankings[u] for u in correct], m)
         tally: dict[tuple, frozenset[Pair]] = {}
         proposals: dict[int, frozenset[Pair]] = {}
-        for v, view in enumerate(_views(inboxes, n)):
+        for v, view in enumerate(_byz_views(inboxes, byz_ids)):
             if view not in tally:
-                tally[view] = compute_proposals(view, n, t, m)
+                tally[view] = compute_proposals(view, n, t, m, weights)
             proposals[v] = tally[view]
 
         inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs)
+        receipts = Counter(chain.from_iterable(proposals[u] for u in correct))
         fixed: dict[tuple, tuple] = {}
         adjusted: dict[tuple, Ranking] = {}
         locks: dict[int, frozenset[Pair]] = {}
-        for v, view in enumerate(_views(inboxes, n)):
+        for v, view in enumerate(_byz_views(inboxes, byz_ids)):
             if view not in fixed:
-                fixed[view] = collect_fixed_pairs(view, n, t, round_no=ground, node=v)
+                fixed[view] = collect_fixed_pairs(
+                    view, n, t, round_no=ground, node=v, shared=receipts
+                )
             kept, locks[v], evs = fixed[view]
             if v not in byz_ids:
                 events.extend(replace(e, node=v) for e in evs)
@@ -309,8 +333,12 @@ def _king_rounds(
             rankings[v] = adjusted[key]
 
         inboxes = net.exchange(ground, DICTATOR, m, {dict_id: rankings[dict_id]}, instance_inputs)
+        decided: dict[tuple, Ranking] = {}
         for v in range(n):
-            rankings[v] = decide_dictator(rankings[v], locks[v], inboxes[v].get(dict_id))
+            key = (rankings[v], locks[v], inboxes[v].get(dict_id))
+            if key not in decided:
+                decided[key] = decide_dictator(*key)
+            rankings[v] = decided[key]
         net.end_round()
     return events
 
@@ -376,11 +404,14 @@ def run_algorithm2(
     inboxes = net.exchange(1, RANKING, cfg.m, rankings, correct_inputs)
     net.end_round()
 
+    # the median depends on the ballots' weights alone, so the correct
+    # ballots go first and each view adds its Byzantine slots
+    ballots = list(correct_inputs.values())
     median_memo: dict[tuple, Ranking] = {}
-    for v, view in enumerate(_views(inboxes, cfg.n)):
+    for v, view in enumerate(_byz_views(inboxes, net.byz_ids)):
         if view not in median_memo:
-            ballots = [r for r in view if r is not None]
-            median_memo[view] = kemeny_exact(Profile.of(ballots, cfg.m)).chosen
+            profile = Profile.of(ballots + [r for r in view if r is not None], cfg.m)
+            median_memo[view] = kemeny_exact(profile).chosen
         rankings[v] = median_memo[view]
     net.end_round()  # round 2: local computation only
 

@@ -12,6 +12,8 @@ value and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Ranking = tuple[int, ...]
@@ -92,13 +94,13 @@ class Profile:
         return iter(self.rankings)
 
 
+# builds a Pair from a 2-tuple without the Python-level NamedTuple.__new__
+_as_pair = partial(tuple.__new__, Pair)
+
+
 def pairs_of(r: Sequence[int]) -> frozenset[Pair]:
     """All m(m-1)/2 ordered preference pairs implied by a ranking."""
-    r = tuple(r)
-    m = len(r)
-    return frozenset(
-        Pair(r[i], r[j]) for i in range(m) for j in range(i + 1, m)
-    )
+    return frozenset(map(_as_pair, combinations(r, 2)))
 
 
 def unanimous_pairs(profile: Profile) -> frozenset[Pair]:

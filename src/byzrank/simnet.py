@@ -309,6 +309,10 @@ class SyncNetwork:
         A Byzantine payload is sanitized once per transmission: once for a
         uniform broadcast, once per recipient for an equivocation, whose keys
         other than plain-int node ids are skipped.
+        Every inbox holds each correct sender's payload exactly as given in
+        ``payloads``, so only the Byzantine senders' entries can differ
+        between recipients; the round engine tallies the correct payloads
+        once per phase on this guarantee.
         Recipients with equal deliveries share one inbox object (every one
         of them when nobody equivocates), so callers must not mutate it.
         """

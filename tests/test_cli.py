@@ -375,6 +375,8 @@ def scenario(**changes):
         # 400 million messages: priced by the closed form, never run
         (sim(n=10_000), "asks for 399,980,000 messages; replay stops at 250,000"),
         (sim(t=2), "resilience requires 3t < n"),
+        # 56 messages, but each costs about m³: such a record ran for 13.6 s
+        (sim(strategy="random", m=400), "asks for 56 messages at m=400, 3,584,000,000"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from byzrank.simnet import (
     run_sync,
     sanitize_batch,
 )
+from byzrank.tournament import weight_matrix
 from conftest import rand_ranking
 
 # --- configuration --------------------------------------------------------------
@@ -166,6 +168,8 @@ def test_no_two_cycle_reaches_resolution(data):
     # proposer of each, and two correct proposers with opposite orientations
     # need n <= 3t.  Views are built as the network delivers them: uniform
     # correct payloads, per-recipient Byzantine ones, batches sanitized.
+    # Each full-slot call is the reference for the round engine's call: the
+    # correct senders tallied once and shared, plus the view's Byzantine slots.
     t = data.draw(st.integers(0, 3))
     n = data.draw(st.integers(3 * t + 1, 3 * t + 4))
     m = data.draw(st.integers(2, 5))
@@ -173,19 +177,19 @@ def test_no_two_cycle_reaches_resolution(data):
     ranking = st.permutations(range(m)).map(tuple)
     batch = st.lists(st.tuples(st.integers(-1, m), st.integers(-1, m)), max_size=12)
     inputs = {u: data.draw(ranking) for u in range(n) if u not in byz}
-    proposals = {
-        v: compute_proposals(
-            [data.draw(st.none() | ranking) if u in byz else inputs[u] for u in range(n)],
-            n, t, m,
-        )
-        for v in inputs
-    }
+    weights = weight_matrix(list(inputs.values()), m)
+    proposals = {}
     for v in inputs:
-        batches = [
-            sanitize_batch(data.draw(st.none() | batch), m) if u in byz else proposals[u]
-            for u in range(n)
-        ]
-        _, _, events = collect_fixed_pairs(batches, n, t, round_no=1, node=v)
+        slots = [data.draw(st.none() | ranking) for _ in byz]
+        proposals[v] = compute_proposals([*inputs.values(), *slots], n, t, m)
+        assert compute_proposals(slots, n, t, m, weights) == proposals[v]
+    receipts = Counter(chain.from_iterable(proposals.values()))
+    for v in inputs:
+        slots = [sanitize_batch(data.draw(st.none() | batch), m) for _ in byz]
+        full = collect_fixed_pairs([*proposals.values(), *slots], n, t, round_no=1, node=v)
+        shared = collect_fixed_pairs(slots, n, t, round_no=1, node=v, shared=receipts)
+        assert shared == full
+        _, _, events = full
         assert all(e.cycle_len != 2 for e in events)
 
 

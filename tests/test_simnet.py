@@ -345,6 +345,30 @@ def test_equivocated_deliveries_stay_per_recipient():
     assert boxes[1] is boxes[3] and boxes[0] is not boxes[2]
 
 
+@pytest.mark.parametrize("strategy_name", [*simnet.STRATEGY_NAMES, "mixed-keys"])
+@pytest.mark.parametrize("phase", [RANKING, PROPOSE, DICTATOR])
+def test_correct_payloads_reach_every_inbox_unchanged(strategy_name, phase):
+    # the round engine tallies the correct senders once per phase and keys
+    # each recipient's work on its Byzantine slots alone, which holds only
+    # if every inbox holds every correct sender's payload as it was given
+    n, t, m = 7, 2, 3
+    rng = random.Random(f"{strategy_name}/{phase}")
+    rankings = {v: rand_ranking(rng, m) for v in range(n)}
+    payloads = {v: pairs_of(r) for v, r in rankings.items()} if phase == PROPOSE else rankings
+    if strategy_name == "mixed-keys":
+        # per-recipient payloads, silence, and keys that are no node id
+        junk = dict.fromkeys((True, "x", None, 6.0), payloads[0])
+        script = {(1, phase, u): {**junk, 0: payloads[1], 2: payloads[u], 3: None} for u in (5, 6)}
+        strategy = ScriptedViews(script)
+    else:
+        strategy = make_strategy(strategy_name, n=n, t=t, m=m)
+    net = simnet.SyncNetwork(n, strategy, seed=0, byz_ids=frozenset({5, 6}))
+    correct = range(n - t)
+    boxes = net.exchange(1, phase, m, payloads, {v: rankings[v] for v in correct})
+    for box in boxes:
+        assert {u: box[u] for u in correct} == {u: payloads[u] for u in correct}
+
+
 def test_equivocation_reaches_only_plain_int_node_ids():
     # True and 1.0 would alias node 1; "x" and None would not sort with ints
     r = (2, 1, 0)
