@@ -34,7 +34,7 @@ from .scenarios import (
     appendix_c_search,
     measure_scenario,
 )
-from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, run_sync
+from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, random_ranking, run_sync
 
 SCHEMA = "byzrank-run/1"
 # the most correct-sender messages a replayed simulate record may ask for,
@@ -133,7 +133,7 @@ def simulate_record(
             inputs = [tuple(r) for r in profile_rankings]
         else:
             rng = random.Random(f"{n}/{t}/{m}/{strategy_name}/{seed}/inputs")
-            inputs = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+            inputs = [random_ranking(rng, m) for _ in range(n)]
         result = run_sync(protocol, inputs, strategy, cfg, seed=seed)
         per_round = list(result.stats.messages_per_round)
         expected = expected_messages(protocol, n, t, m, result.byz_ids, cfg.dictator_schedule)

@@ -146,6 +146,11 @@ def measure_scenario(protocol: str, spec: ScenarioSpec) -> LowerBoundReport:
         correct, byz_ballots = views[side]
         strategy = completion_script(byz_ballots, spec.n)
         result = run_sync(protocol, correct + byz_ballots, strategy, cfg, seed=f"0/{side}")
+        # Unreachable: the completion script's one round-1 broadcast is
+        # uniform and it is silent after, so in every phase all correct nodes
+        # get the same inbox, hence the same kept and locked pairs.  Each king
+        # stage schedules a correct dictator, whose ranking holds every kept
+        # pair, so all adopt it; equal rankings with equal inboxes stay equal.
         if not result.agreement:
             raise RuntimeError(f"scenario run lost agreement on side {side}")
         consensus = result.consensus

@@ -133,6 +133,25 @@ class AdversaryStrategy:
         raise NotImplementedError
 
 
+def random_ranking(rng: random.Random, m: int) -> Ranking:
+    """``tuple(rng.sample(range(m), m))``, drawing the same bits call for call.
+
+    ``sample`` takes its pool branch for every full permutation, one
+    ``getrandbits(k)`` rejection loop per position; this inlines it.
+    """
+    getrandbits = rng.getrandbits
+    pool = list(range(m))
+    out = []
+    for size in range(m, 0, -1):
+        k = size.bit_length()
+        j = getrandbits(k)
+        while j >= size:
+            j = getrandbits(k)
+        out.append(pool[j])
+        pool[j] = pool[size - 1]
+    return tuple(out)
+
+
 def _phase_payload(ranking: Ranking, phase: str) -> Payload:
     """What sending ``ranking`` means in ``phase``: its pairs as a proposal batch."""
     return pairs_of(ranking) if phase == PROPOSE else ranking
@@ -181,16 +200,29 @@ class OppositeMedian(AdversaryStrategy):
 
 
 class Equivocate(AdversaryStrategy):
-    """Every message is a fresh random value, chosen per recipient."""
+    """Every message is a fresh random value, chosen per recipient.
+
+    Equal values go out as one interned object, so the network sanitizes each
+    once per phase; the table grows by at most one entry per message sent.
+    """
 
     name = "equivocate"
 
+    def __init__(self):
+        self._payloads: dict[tuple[bool, Ranking], Payload] = {}
+
     def send(self, ctx, sender):
         rnd = random.Random(f"{ctx.seed}/equivocate/{ctx.round}/{ctx.phase}/{sender}")
-        return {
-            v: _phase_payload(tuple(rnd.sample(range(ctx.m), ctx.m)), ctx.phase)
-            for v in range(ctx.n)
-        }
+        propose = ctx.phase == PROPOSE
+        table = self._payloads
+        out = {}
+        for v in range(ctx.n):
+            key = (propose, random_ranking(rnd, ctx.m))
+            payload = table.get(key)
+            if payload is None:
+                payload = table[key] = _phase_payload(key[1], ctx.phase)
+            out[v] = payload
+        return out
 
 
 class RandomRankings(AdversaryStrategy):
@@ -200,7 +232,7 @@ class RandomRankings(AdversaryStrategy):
 
     def send(self, ctx, sender):
         rnd = random.Random(f"{ctx.seed}/random/{ctx.round}/{sender}")
-        return _phase_payload(tuple(rnd.sample(range(ctx.m), ctx.m)), ctx.phase)
+        return _phase_payload(random_ranking(rnd, ctx.m), ctx.phase)
 
 
 class ScriptedViews(AdversaryStrategy):
@@ -306,9 +338,11 @@ class SyncNetwork:
         ``payloads`` maps each sender of the phase to what it sends when
         correct: correct senders' entries are delivered, and the adversary
         chooses for the Byzantine ones (``ctx.honest`` looks them up here).
-        A Byzantine payload is sanitized once per transmission: once for a
-        uniform broadcast, once per recipient for an equivocation, whose keys
-        other than plain-int node ids are skipped.
+        A Byzantine payload is sanitized once per distinct payload object per
+        phase, so a value sent to many recipients as one object, or broadcast
+        by several senders, is checked once; every delivered slot still
+        equals the sanitizer applied to its own transcript row.  An
+        equivocation's keys other than plain-int node ids are skipped.
         Every inbox holds each correct sender's payload exactly as given in
         ``payloads``, so only the Byzantine senders' entries can differ
         between recipients; the round engine tallies the correct payloads
@@ -339,6 +373,8 @@ class SyncNetwork:
             honest=payloads.__getitem__,
         )
         sanitize = sanitize_batch if phase == PROPOSE else sanitize_ranking
+        # id(raw) -> (raw, clean); holding raw keeps its id unique for the call
+        checked: dict[int, tuple[Payload, Payload | None]] = {}
         own: dict[int, dict[int, Payload]] = {}  # equivocated deliveries
         for sender in byz_senders:
             out = self.adversary.send(ctx, sender)
@@ -352,15 +388,19 @@ class SyncNetwork:
                         continue
                     if transcript is not None:
                         transcript.append((round_no, phase, sender, v, raw))
-                    clean = sanitize(raw, m)
-                    if clean is not None:
-                        own.setdefault(v, {})[sender] = clean
+                    hit = checked.get(id(raw))
+                    if hit is None:
+                        hit = checked[id(raw)] = (raw, sanitize(raw, m))
+                    if hit[1] is not None:
+                        own.setdefault(v, {})[sender] = hit[1]
             else:
                 if transcript is not None:
                     transcript.extend((round_no, phase, sender, v, out) for v in range(n))
-                clean = sanitize(out, m)
-                if clean is not None:
-                    shared[sender] = clean
+                hit = checked.get(id(out))
+                if hit is None:
+                    hit = checked[id(out)] = (out, sanitize(out, m))
+                if hit[1] is not None:
+                    shared[sender] = hit[1]
         return [shared | own[v] if v in own else shared for v in range(n)]
 
     def end_round(self) -> None:
@@ -455,7 +495,7 @@ def split_lock_script(n: int, t: int, m: int, rng: random.Random) -> ScriptedVie
     a, b = rng.sample(range(m), 2)
     planted = Pair(a, b)
     for sender in range(n - t, n):
-        rankings = {v: tuple(rng.sample(range(m), m)) for v in range(n)}
+        rankings = {v: random_ranking(rng, m) for v in range(n)}
         script[(1, RANKING, sender)] = rankings
         favored = {v for v in range(n) if rng.random() < 0.5}
         script[(1, PROPOSE, sender)] = {
@@ -463,9 +503,7 @@ def split_lock_script(n: int, t: int, m: int, rng: random.Random) -> ScriptedVie
         }
         for r in range(2, t + 2):
             if rng.random() < 0.5:
-                script[(r, DICTATOR, sender)] = {
-                    v: tuple(rng.sample(range(m), m)) for v in range(n)
-                }
+                script[(r, DICTATOR, sender)] = {v: random_ranking(rng, m) for v in range(n)}
     return ScriptedViews(script)
 
 
@@ -532,7 +570,7 @@ def _trials(protocol: str, cfg, seed: int | str, inputs: tuple[Ranking, ...] | N
         rng = random.Random(f"{seed}/search/{i - 1}")
         run_inputs = inputs
         if inputs is None:
-            run_inputs = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+            run_inputs = [random_ranking(rng, m) for _ in range(n)]
         strategy = Equivocate() if rng.random() < 0.5 else split_lock_script(n, t, m, rng)
         if rng.random() < 0.5:
             schedule = cfg.dictator_schedule

@@ -188,6 +188,21 @@ def test_measure_other_protocols_also_survive_the_scenario():
     assert rep.ratio_measured >= 1
 
 
+@pytest.mark.parametrize("protocol", ["alg1", "alg2", "stv-baseline"])
+def test_scenarios_agree_inside_the_cycle_region(protocol):
+    # n <= (m+1)t is where an equivocating adversary can split agreement, but
+    # a completion script broadcasts uniformly once, so every correct node
+    # sees the same inboxes and measure_scenario's agreement guard never fires
+    cells = [
+        ("binary-worst", 4, 1, 3), ("binary-worst", 10, 3, 3), ("binary-worst", 6, 1, 5),
+        ("cycle-worst", 4, 1, 3), ("cycle-worst", 8, 2, 3), ("cycle-worst", 6, 1, 5),
+    ]
+    for kind, n, t, m in cells:
+        assert n <= (m + 1) * t
+        rep = measure_scenario(protocol, ScenarioSpec(kind, n, t, m))
+        assert sorted(rep.witness) == list(range(m))
+
+
 # --- appendix grid search -----------------------------------------------------------
 
 

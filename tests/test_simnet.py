@@ -204,6 +204,17 @@ def test_default_script_round_one_ballots():
         assert sorted(ballot) == [0, 1, 2]
 
 
+def test_random_ranking_draws_what_sample_draws():
+    # the engine's draw must stay stdlib's full-permutation sample, bit for
+    # bit, or every seeded transcript moves
+    for m in range(41):
+        for k in range(100):
+            rng, twin = random.Random(f"draw/{m}/{k}"), random.Random(f"draw/{m}/{k}")
+            for _ in range(2):
+                assert simnet.random_ranking(rng, m) == tuple(twin.sample(range(m), m))
+                assert rng.getstate() == twin.getstate()
+
+
 # --- payload sanitizing -----------------------------------------------------------
 
 
@@ -280,10 +291,11 @@ def test_sanitizers_fuzz(payload, m):
 # --- sanitization at delivery ------------------------------------------------------
 
 
-@pytest.mark.parametrize("strategy,calls", [(RandomRankings, 2), (Equivocate, 8)])
-def test_byzantine_batches_are_sanitized_once_per_transmission(monkeypatch, strategy, calls):
+@pytest.mark.parametrize("strategy,calls", [(RandomRankings, 2), (Equivocate, 7)])
+def test_byzantine_batches_are_sanitized_once_per_distinct_payload(monkeypatch, strategy, calls):
     # alg1 at (4,1,3): two PROPOSE phases, one Byzantine sender; a uniform
-    # broadcast is checked once, an equivocation once per recipient
+    # broadcast is checked once, an equivocation once per distinct batch of
+    # its phase, and two recipients of one equivocation drew the same ranking
     seen = []
     real = simnet.sanitize_batch
 
@@ -292,8 +304,14 @@ def test_byzantine_batches_are_sanitized_once_per_transmission(monkeypatch, stra
         return real(payload, m)
 
     monkeypatch.setattr(simnet, "sanitize_batch", counted)
-    run_sync("alg1", INPUTS4, strategy(), ProtocolConfig(4, 1, 3), seed=0)
-    assert len(seen) == calls
+    res = run_sync("alg1", INPUTS4, strategy(), ProtocolConfig(4, 1, 3), seed=0,
+                   record_transcript=True)
+    distinct = {
+        (rnd, payload)
+        for rnd, phase, sender, _to, payload in res.transcript
+        if phase == PROPOSE and sender in res.byz_ids
+    }
+    assert len(seen) == len(distinct) == calls
 
 
 def test_malformed_byzantine_payload_is_logged_raw_and_ignored():
@@ -367,6 +385,37 @@ def test_correct_payloads_reach_every_inbox_unchanged(strategy_name, phase):
     boxes = net.exchange(1, phase, m, payloads, {v: rankings[v] for v in correct})
     for box in boxes:
         assert {u: box[u] for u in correct} == {u: payloads[u] for u in correct}
+
+
+@pytest.mark.parametrize("strategy_name", [*simnet.STRATEGY_NAMES, "shared-objects"])
+@pytest.mark.parametrize("phase", [RANKING, PROPOSE, DICTATOR])
+def test_byzantine_slots_are_their_transcript_rows_sanitized(strategy_name, phase):
+    # sanitization is shared per payload object, never per value: a bool
+    # payload equals and hashes like its int twin, yet (True, False, 2) is
+    # malformed where (1, 0, 2) is a ranking
+    n, t, m = 7, 2, 3
+    rng = random.Random(f"{strategy_name}/{phase}")
+    rankings = {v: rand_ranking(rng, m) for v in range(n)}
+    payloads = {v: pairs_of(r) for v, r in rankings.items()} if phase == PROPOSE else rankings
+    if strategy_name == "shared-objects":
+        if phase == PROPOSE:
+            one, alias, real = [(2, 1), (1, 0), (2, 0)], frozenset({(True, 2)}), frozenset({(1, 2)})
+        else:
+            one, alias, real = [2, 1, 0], (True, False, 2), (1, 0, 2)
+        from_five = {0: one, 1: one, 2: one, 3: None, 4: alias, 5: alias}
+        strategy = ScriptedViews({(1, phase, 5): from_five, (1, phase, 6): real})
+    else:
+        strategy = make_strategy(strategy_name, n=n, t=t, m=m)
+    byz = frozenset({5, 6})
+    net = simnet.SyncNetwork(n, strategy, seed=0, byz_ids=byz, record_transcript=True)
+    correct = range(n - t)
+    boxes = net.exchange(1, phase, m, payloads, {v: rankings[v] for v in correct})
+    sanitize = sanitize_batch if phase == PROPOSE else sanitize_ranking
+    rows = {(sender, to): raw for _r, _p, sender, to, raw in net.transcript if sender in byz}
+    for v, box in enumerate(boxes):
+        for u in byz:
+            clean = sanitize(rows[u, v], m) if (u, v) in rows else None
+            assert box.get(u) == clean and (clean is None) == (u not in box)
 
 
 def test_equivocation_reaches_only_plain_int_node_ids():
