@@ -46,6 +46,10 @@ REPLAY_MESSAGES_MAX = 250_000
 # 100 and 200); over five times that same largest record, 43,989 · 4³ =
 # 2,815,296, which lets a one-seed n=4 record reach m = 64
 REPLAY_WORK_MAX = 15_000_000
+# the most cells an appendix-c replay's weight grid may hold, the cube of the
+# weights' range n - t - ⌈n/2⌉ + 1: a 10⁶-cell grid (n=200, t=1) took 0.02 s,
+# and the largest record the tests and the benchmark write has 2,197 cells
+REPLAY_GRID_MAX = 1_000_000
 
 
 def _ratio_str(ratio) -> str:
@@ -320,6 +324,26 @@ REPLAY_KEYS = {
 RECORDS = {"simulate": simulate_record, "scenario": scenario_record, "kemeny": kemeny_record}
 
 
+def _price(protocol: str, n: int, t: int, m: int, seeds: int) -> None:
+    """Refuse, before any of it runs, a replay that costs too much.
+
+    The cost is the closed-form message count over the seeds; every
+    built-in strategy corrupts the last t ids.
+    """
+    schedule = ProtocolConfig(n, t, m).dictator_schedule
+    byz = frozenset(range(n - t, n))
+    total = seeds * sum(expected_messages(protocol, n, t, m, byz, schedule))
+    if total > REPLAY_MESSAGES_MAX:
+        raise ValueError(
+            f"record asks for {total:,} messages; replay stops at {REPLAY_MESSAGES_MAX:,}"
+        )
+    if total * m**3 > REPLAY_WORK_MAX:
+        raise ValueError(
+            f"record asks for {total:,} messages at m={m}, {total * m**3:,} messages·m³;"
+            f" replay stops at {REPLAY_WORK_MAX:,}"
+        )
+
+
 def replay(path: str) -> tuple[dict, bool]:
     """Re-run a stored record from its own config; True iff bit-identical.
 
@@ -327,7 +351,9 @@ def replay(path: str) -> tuple[dict, bool]:
     and every config key that command needs, each with a valid value, or
     when a simulate record asks for more seeds than it holds runs, for
     more than :data:`REPLAY_MESSAGES_MAX` messages in all or for more than
-    :data:`REPLAY_WORK_MAX` messages times m³.
+    :data:`REPLAY_WORK_MAX` messages times m³.  Each side of a simulated
+    scenario is priced as a one-seed alg2 simulate record, and an
+    appendix-c record by its grid against :data:`REPLAY_GRID_MAX`.
     """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
@@ -351,21 +377,17 @@ def replay(path: str) -> tuple[dict, bool]:
         held = len(stored["runs"]) if isinstance(stored.get("runs"), list) else 0
         if cfg["seeds"] > held:
             raise ValueError(f"record asks for {cfg['seeds']} seeds but holds {held} run(s)")
-        # price the run by its closed-form message count before any of it
-        # runs; every built-in strategy corrupts the last t ids
-        n, t, m = cfg["n"], cfg["t"], cfg["m"]
-        schedule = ProtocolConfig(n, t, m).dictator_schedule
-        byz = frozenset(range(n - t, n))
-        total = cfg["seeds"] * sum(expected_messages(cfg["protocol"], n, t, m, byz, schedule))
-        if total > REPLAY_MESSAGES_MAX:
+        _price(cfg["protocol"], cfg["n"], cfg["t"], cfg["m"], cfg["seeds"])
+    elif command == "scenario" and cfg["name"] == "appendix-c":
+        n, t = cfg["n"], cfg["t"]
+        grid = (n - t - (n + 1) // 2 + 1) ** 3
+        if grid > REPLAY_GRID_MAX:
             raise ValueError(
-                f"record asks for {total:,} messages; replay stops at {REPLAY_MESSAGES_MAX:,}"
+                f"record asks for a {grid:,}-cell weight grid; replay stops at {REPLAY_GRID_MAX:,}"
             )
-        if total * m**3 > REPLAY_WORK_MAX:
-            raise ValueError(
-                f"record asks for {total:,} messages at m={m}, {total * m**3:,} messages·m³;"
-                f" replay stops at {REPLAY_WORK_MAX:,}"
-            )
+    elif command == "scenario":
+        # each side is one alg2 run, priced alone
+        _price("alg2", cfg["n"], cfg["t"], cfg["m"], 1)
     fresh = RECORDS[command](*(cfg[k] for k in REPLAY_KEYS[command]))
 
     def strip(rec: dict) -> dict:

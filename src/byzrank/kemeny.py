@@ -112,6 +112,13 @@ def _subset_sums(col: Sequence[int]) -> list[int]:
     return sums
 
 
+def _exact_weights(profile: Profile) -> list[list[int]]:
+    """The profile's weight matrix, refused above :data:`EXACT_MAX_M` before it is built."""
+    if profile.m > EXACT_MAX_M:
+        raise CapacityError(f"exact solver handles m <= {EXACT_MAX_M}, got {profile.m}")
+    return weight_matrix(profile.rankings, profile.m)
+
+
 def _prefix_dp(
     w: Sequence[Sequence[int]],
 ) -> tuple[list[int], list[int], Callable[[int, int], int]]:
@@ -127,8 +134,6 @@ def _prefix_dp(
     of optimal rankings.
     """
     m = len(w)
-    if m > EXACT_MAX_M:
-        raise CapacityError(f"exact solver handles m <= {EXACT_MAX_M}, got {m}")
     k = m // 2
     mask = (1 << k) - 1
     colsum = [sum(w[d][c] for d in range(m)) for c in range(m)]
@@ -193,16 +198,15 @@ def kemeny_exact(profile: Profile) -> MedianResult:
     lexicographic order, and the rest are listed only when ``medians`` is
     read.
     """
-    m = profile.m
-    h, cnt, append_cost = _prefix_dp(weight_matrix(profile.rankings, m))
-    optima = partial(_optima, h, append_cost, m)
+    h, cnt, append_cost = _prefix_dp(_exact_weights(profile))
+    optima = partial(_optima, h, append_cost, profile.m)
     return MedianResult(cost=h[0], chosen=next(optima()), count=cnt[0], _listing=optima)
 
 
 def approx_ratio(candidate: Sequence[int], profile: Profile) -> ApproxReport:
     """Exact cost ratio of ``candidate`` against the profile's true median."""
     candidate = validate_ranking(candidate, profile.m)
-    w = weight_matrix(profile.rankings, profile.m)
+    w = _exact_weights(profile)
     cand_cost = _backward(w, candidate)
     h, _cnt, _append_cost = _prefix_dp(w)
     opt = h[0]

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .kemeny import kemeny_exact
 from .rankings import Pair, Profile, Ranking, is_ranking, validate_ranking
@@ -104,76 +104,48 @@ def expected_messages(
 # --- pure per-node steps ------------------------------------------------------
 
 
-def compute_proposals(
-    received: Sequence[Ranking | None],
-    n: int,
-    t: int,
-    m: int,
-    shared: Sequence[Sequence[int]] | None = None,
-) -> frozenset[Pair]:
-    """Pairs supported by at least n-t of the received rankings.
+def compute_proposals(w: Sequence[Sequence[int]], n: int, t: int) -> frozenset[Pair]:
+    """Pairs that at least n-t of the tallied rankings support.
 
-    ``received`` holds one sanitized slot per sender; a slot is None when
-    that sender's broadcast was missing or malformed, and contributes no
-    support.  ``shared``, a weight matrix that is copied and not changed,
-    tallies rankings received on top of the slots: the round engine passes
-    its correct senders' tally and only the Byzantine slots.
+    ``w`` is the weight matrix of the rankings one node received.
     """
-    w = weight_matrix((), m) if shared is None else [row[:] for row in shared]
-    add_ballots(w, [r for r in received if r is not None])
     need = n - t
+    m = len(w)
     return frozenset(
         Pair(a, b) for a in range(m) for b in range(m) if a != b and w[a][b] >= need
     )
 
 
 def collect_fixed_pairs(
-    batches: Iterable[frozenset[Pair] | None],
-    n: int,
-    t: int,
-    *,
-    round_no: int,
-    node: int,
-    shared: Mapping[Pair, int] | None = None,
-) -> tuple[frozenset[Pair], frozenset[Pair], list[IntegrityEvent]]:
-    """Fix, resolve and lock the pairs of one node's received batches.
+    receipts: Mapping[Pair, int], n: int, t: int
+) -> tuple[frozenset[Pair], frozenset[Pair], list[tuple[Pair, str, int]]]:
+    """Fix, resolve and lock the pairs of one node's receipt counts.
 
-    Each slot is one sender's sanitized batch (None when absent).
-    ``shared``, copied and not changed, counts receipts on top of the slots,
-    as :func:`compute_proposals`' ``shared`` tallies rankings.  A pair
-    proposed by at least t+1 senders is fixed; :func:`resolve_acyclic` makes
-    the fixed set acyclic.  Returns ``(kept, locks, events)``: the kept
-    fixed pairs, those of them with at least n-t receipts, and the integrity
-    events of the resolution.
+    A pair proposed by at least t+1 senders is fixed; :func:`resolve_acyclic`
+    makes the fixed set acyclic.  Returns ``(kept, locks, drops)``: the kept
+    fixed pairs, those of them with at least n-t receipts, and one
+    ``(pair, level, cycle_len)`` per dropped edge, its level ``"lock"`` when
+    the edge had lock-level receipts and ``"fix"`` otherwise.
     """
-    receipts: Counter = Counter(shared)
-    for batch in batches:
-        if batch:
-            receipts.update(batch)
     fixed = frozenset(p for p, c in receipts.items() if c >= t + 1)
-    kept, events = resolve_acyclic(fixed, receipts, n, t, round_no=round_no, node=node)
-    locks = frozenset(p for p in kept if receipts[p] >= n - t)
-    return kept, locks, events
+    kept, dropped = resolve_acyclic(fixed)
+    lock_level = n - t
+    locks = frozenset(p for p in kept if receipts[p] >= lock_level)
+    drops = [
+        (p, "lock" if receipts[p] >= lock_level else "fix", cycle_len) for p, cycle_len in dropped
+    ]
+    return kept, locks, drops
 
 
-def resolve_acyclic(
-    pairs: frozenset[Pair],
-    receipts: Mapping[Pair, int],
-    n: int,
-    t: int,
-    *,
-    round_no: int = 0,
-    node: int = -1,
-) -> tuple[frozenset[Pair], list[IntegrityEvent]]:
-    """Extract an acyclic subset of ``pairs``, logging every dropped edge.
+def resolve_acyclic(pairs: frozenset[Pair]) -> tuple[frozenset[Pair], list[tuple[Pair, int]]]:
+    """Extract an acyclic subset of ``pairs`` and list the dropped edges.
 
     Pairs are added greedily in lexicographic order; an edge that would close
-    a directed cycle is dropped with a ``fixed-cycle`` event recording the
-    cycle length and whether the edge had lock-level (>= n-t) receipts.  A
+    a directed cycle is dropped, listed with the length of that cycle.  A
     pair given in both orientations is the 2-cycle case: the
     lexicographically first edge is kept and the other dropped.
     """
-    events: list[IntegrityEvent] = []
+    dropped: list[tuple[Pair, int]] = []
     kept: set[Pair] = set()
     adj: dict[int, set[int]] = {}
 
@@ -193,24 +165,14 @@ def resolve_acyclic(
             frontier = nxt
         return 0
 
-    lock_level = n - t
     for p in sorted(pairs):
         path = reachable(p.below, p.above)
         if path:
-            events.append(
-                IntegrityEvent(
-                    kind="fixed-cycle",
-                    round=round_no,
-                    node=node,
-                    pair=(p.above, p.below),
-                    level="lock" if receipts.get(p, 0) >= lock_level else "fix",
-                    cycle_len=path + 1,
-                )
-            )
+            dropped.append((p, path + 1))
             continue
         kept.add(p)
         adj.setdefault(p.above, set()).add(p.below)
-    return frozenset(kept), events
+    return frozenset(kept), dropped
 
 
 def adjust_ranking(ranking: Ranking, fixed_pairs: frozenset[Pair]) -> Ranking:
@@ -296,9 +258,10 @@ def _king_rounds(
     honest shadow ranking (fed by real inboxes) so the network can answer
     exactly what they would have sent.  Every recipient gets each correct
     sender's payload unchanged, so a phase tallies the correct payloads once
-    and each view adds only its Byzantine slots: O(n·t) work per phase, not
-    O(n²).  A node's steps depend only on its view, so each step runs once
-    per distinct view and is shared.
+    and each view adds only its Byzantine slots, None slots counting nothing:
+    O(n·t) work per phase, not O(n²).  A node's steps depend only on its
+    view, so each step runs once per distinct view and is shared; each
+    dropped edge becomes one integrity event per correct node that holds it.
     """
     n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
     correct = [v for v in range(n) if v not in byz_ids]
@@ -311,7 +274,9 @@ def _king_rounds(
         proposals: dict[int, frozenset[Pair]] = {}
         for v, view in enumerate(_byz_views(inboxes, byz_ids)):
             if view not in tally:
-                tally[view] = compute_proposals(view, n, t, m, weights)
+                w = [row[:] for row in weights]
+                add_ballots(w, [r for r in view if r is not None])
+                tally[view] = compute_proposals(w, n, t)
             proposals[v] = tally[view]
 
         inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs)
@@ -321,12 +286,15 @@ def _king_rounds(
         locks: dict[int, frozenset[Pair]] = {}
         for v, view in enumerate(_byz_views(inboxes, byz_ids)):
             if view not in fixed:
-                fixed[view] = collect_fixed_pairs(
-                    view, n, t, round_no=ground, node=v, shared=receipts
-                )
-            kept, locks[v], evs = fixed[view]
+                counts = receipts.copy()
+                counts.update(chain.from_iterable(b for b in view if b is not None))
+                fixed[view] = collect_fixed_pairs(counts, n, t)
+            kept, locks[v], drops = fixed[view]
             if v not in byz_ids:
-                events.extend(replace(e, node=v) for e in evs)
+                events.extend(
+                    IntegrityEvent("fixed-cycle", ground, v, (a, b), level, cycle_len)
+                    for (a, b), level, cycle_len in drops
+                )
             key = (rankings[v], kept)
             if key not in adjusted:
                 adjusted[key] = adjust_ranking(*key)

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from byzrank import scenarios
+from byzrank import kemeny, scenarios
 from byzrank.cli import main, scenario_record, simulate_record
 from byzrank.rankings import Profile, validate_ranking
 
 CYCLE_PROFILE = "a > b > c\nb > c > a\nc > a > b\n"
 TIE_PROFILE = "x > y\ny > x\n"
+# one ballot over seventeen candidates, one more than the exact solver takes
+WIDE_PROFILE = " > ".join(f"c{i}" for i in range(17)) + "\n"
 # twelve candidates, one ballot and its reverse: all 12! rankings are optimal
 ALL_TIE_12 = " > ".join("abcdefghijkl") + "\n" + " > ".join("lkjihgfedcba") + "\n"
 
@@ -86,6 +88,20 @@ def test_kemeny_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["kemeny", "--profile", str(tmp_path / "nope.txt")], capsys)
     assert code == 2
     assert "error:" in err
+
+
+def test_kemeny_over_capacity_exits_2_before_the_tally(tmp_path, capsys, monkeypatch):
+    # the m×m tally grows as m²: a profile of 30,000 names would take gigabytes
+    calls = []
+    monkeypatch.setattr(kemeny, "weight_matrix", lambda *args: calls.append(args))
+    p = tmp_path / "wide.txt"
+    p.write_text(WIDE_PROFILE)
+    code, out, err = run_cli(["kemeny", "--profile", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: exact solver handles m <= 16, got 17\n"
+    with pytest.raises(kemeny.CapacityError):
+        kemeny.approx_ratio(tuple(range(17)), Profile.of([tuple(range(17))]))
+    assert calls == []
 
 
 # --- simulate -------------------------------------------------------------------
@@ -377,6 +393,16 @@ def scenario(**changes):
         (sim(t=2), "resilience requires 3t < n"),
         # 56 messages, but each costs about m³: such a record ran for 13.6 s
         (sim(strategy="random", m=400), "asks for 56 messages at m=400, 3,584,000,000"),
+        # the grid search is cubic in n: 0.14 s at n=400, still running at
+        # 60 s at n=4000
+        (scenario(name="appendix-c", n=4000, t=1, m=3, case="C231"),
+         "asks for a 8,000,000,000-cell weight grid; replay stops at 1,000,000"),
+        # each side is priced as a one-seed alg2 simulate record
+        (scenario(name="cycle-worst", n=4000, t=1000, m=3),
+         "asks for 24,040,004,000 messages; replay stops at 250,000"),
+        ({"command": "kemeny", "config": {"profile": WIDE_PROFILE, "ties": False,
+                                          "verify": False}},
+         "exact solver handles m <= 16, got 17"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):

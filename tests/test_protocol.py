@@ -31,6 +31,7 @@ from byzrank.simnet import (
     RANKING,
     Equivocate,
     Honest,
+    IntegrityEvent,
     OppositeMedian,
     ScriptedViews,
     Silent,
@@ -92,73 +93,69 @@ def test_config_rejects_non_ints_and_small_m():
 
 def test_proposals_unanimous():
     r = (2, 0, 1)
-    assert compute_proposals([r] * 4, 4, 1, 3) == pairs_of(r)
+    assert compute_proposals(weight_matrix([r] * 4, 3), 4, 1) == pairs_of(r)
 
 
 def test_proposals_threshold_met():
-    got = compute_proposals([(0, 1), (0, 1), (0, 1), (1, 0)], 4, 1, 2)
+    got = compute_proposals(weight_matrix([(0, 1), (0, 1), (0, 1), (1, 0)], 2), 4, 1)
     assert got == {Pair(0, 1)}  # 3 of 4 is exactly n-t
 
 
 def test_proposals_split_vote():
-    assert compute_proposals([(0, 1), (0, 1), (1, 0), (1, 0)], 4, 1, 2) == frozenset()
+    w = weight_matrix([(0, 1), (0, 1), (1, 0), (1, 0)], 2)
+    assert compute_proposals(w, 4, 1) == frozenset()
 
 
 def test_proposals_missing_slots_count_nothing():
-    assert compute_proposals([(0, 1), (0, 1), (0, 1), None], 4, 1, 2) == {Pair(0, 1)}
-    assert compute_proposals([(0, 1), (0, 1), None, None], 4, 1, 2) == frozenset()
+    # n=7, t=2: node 0 gets (0, 1) from sender 5 and nothing from sender 6,
+    # the other correct nodes get nothing from either; the round engine
+    # tallies a missing slot as no ranking at all
+    inputs = [(0, 1)] * 4 + [(1, 0)] * 3
+    script = {(1, RANKING, 5): {0: (0, 1)}}
+    res = run_algorithm1(
+        inputs, ScriptedViews(script), ProtocolConfig(7, 2, 2), record_transcript=True
+    )
+    sent = {s: p for r, ph, s, _, p in res.transcript if (r, ph) == (1, PROPOSE) and s < 5}
+    assert sent == {0: {Pair(0, 1)}, **dict.fromkeys(range(1, 5), frozenset())}
 
 
 # --- fixing pairs ---------------------------------------------------------------
 
 
-def collect(batches, n, t):
-    return collect_fixed_pairs(batches, n, t, round_no=1, node=0)
-
-
 def test_collect_fixed_pairs_threshold():
     # t+1 = 2 receipts fix a pair; one receipt does not
-    batch = frozenset({Pair(0, 1)})
-    kept, locks, events = collect([batch, batch, None, frozenset()], 4, 1)
-    assert kept == {Pair(0, 1)} and events == []
-    kept, locks, events = collect([batch, frozenset(), None, frozenset()], 4, 1)
-    assert kept == locks == frozenset() and events == []
+    kept, locks, drops = collect_fixed_pairs(Counter({Pair(0, 1): 2}), 4, 1)
+    assert kept == {Pair(0, 1)} and drops == []
+    kept, locks, drops = collect_fixed_pairs(Counter({Pair(0, 1): 1}), 4, 1)
+    assert kept == locks == frozenset() and drops == []
 
 
 def test_collect_fixed_pairs_lock_threshold():
     # n=7, t=2: 3 receipts fix a pair, only n-t = 5 lock it
-    fixed_only = [frozenset({Pair(0, 1)})] * 4 + [None] * 3
-    kept, locks, _ = collect(fixed_only, 7, 2)
+    kept, locks, _ = collect_fixed_pairs(Counter({Pair(0, 1): 4}), 7, 2)
     assert kept == {Pair(0, 1)} and locks == frozenset()
-    locked = [frozenset({Pair(0, 1)})] * 5 + [None] * 2
-    kept, locks, _ = collect(locked, 7, 2)
+    kept, locks, _ = collect_fixed_pairs(Counter({Pair(0, 1): 5}), 7, 2)
     assert kept == locks == {Pair(0, 1)}
 
 
 def test_collect_fixed_pairs_resolves_cycle():
-    ab = frozenset({Pair(0, 1), Pair(1, 2)})
-    ca = frozenset({Pair(2, 0)})
-    kept, locks, events = collect_fixed_pairs([ab, ab, ca, ca], 4, 1, round_no=3, node=2)
+    receipts = Counter({Pair(0, 1): 2, Pair(1, 2): 2, Pair(2, 0): 2})
+    kept, locks, drops = collect_fixed_pairs(receipts, 4, 1)
     assert kept == {Pair(0, 1), Pair(1, 2)}  # acyclic: the closing edge is dropped
     assert locks == frozenset()  # two receipts each, below n-t = 3
-    assert [(e.kind, e.pair, e.level, e.round, e.node) for e in events] == [
-        ("fixed-cycle", (2, 0), "fix", 3, 2)
-    ]
+    assert drops == [(Pair(2, 0), "fix", 3)]
     assert adjust_ranking((2, 1, 0), kept) == (0, 1, 2)
 
 
 def test_resolve_acyclic_keeps_one_of_both_orientations():
     # both orientations of a pair are a 2-cycle: the first edge stays
     pairs = frozenset({Pair(0, 1), Pair(1, 0), Pair(2, 0)})
-    receipts = {Pair(0, 1): 3, Pair(1, 0): 5, Pair(2, 0): 2}
-    kept, events = resolve_acyclic(pairs, receipts, n=7, t=2, round_no=4, node=1)
-    assert kept == {Pair(0, 1), Pair(2, 0)}
-    assert [e.to_json() for e in events] == [
-        {"kind": "fixed-cycle", "round": 4, "node": 1, "pair": [1, 0], "level": "lock",
-         "cycle_len": 2}
-    ]
-    _, events = resolve_acyclic(pairs, {**receipts, Pair(1, 0): 4}, n=7, t=2)
-    assert events[0].level == "fix"
+    assert resolve_acyclic(pairs) == ({Pair(0, 1), Pair(2, 0)}, [(Pair(1, 0), 2)])
+    receipts = {Pair(0, 1): 3, Pair(1, 0): 5, Pair(2, 0): 3}
+    _, _, drops = collect_fixed_pairs(receipts, 7, 2)
+    assert drops == [(Pair(1, 0), "lock", 2)]
+    _, _, drops = collect_fixed_pairs({**receipts, Pair(1, 0): 4}, 7, 2)
+    assert drops == [(Pair(1, 0), "fix", 2)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,9 +164,8 @@ def test_no_two_cycle_reaches_resolution(data):
     # Opposite orientations of one pair at t+1 receipts each need a correct
     # proposer of each, and two correct proposers with opposite orientations
     # need n <= 3t.  Views are built as the network delivers them: uniform
-    # correct payloads, per-recipient Byzantine ones, batches sanitized.
-    # Each full-slot call is the reference for the round engine's call: the
-    # correct senders tallied once and shared, plus the view's Byzantine slots.
+    # correct payloads, per-recipient Byzantine ones, batches sanitized, and
+    # each view's full tally is counted from its received slots.
     t = data.draw(st.integers(0, 3))
     n = data.draw(st.integers(3 * t + 1, 3 * t + 4))
     m = data.draw(st.integers(2, 5))
@@ -177,49 +173,44 @@ def test_no_two_cycle_reaches_resolution(data):
     ranking = st.permutations(range(m)).map(tuple)
     batch = st.lists(st.tuples(st.integers(-1, m), st.integers(-1, m)), max_size=12)
     inputs = {u: data.draw(ranking) for u in range(n) if u not in byz}
-    weights = weight_matrix(list(inputs.values()), m)
     proposals = {}
     for v in inputs:
         slots = [data.draw(st.none() | ranking) for _ in byz]
-        proposals[v] = compute_proposals([*inputs.values(), *slots], n, t, m)
-        assert compute_proposals(slots, n, t, m, weights) == proposals[v]
-    receipts = Counter(chain.from_iterable(proposals.values()))
+        w = weight_matrix([*inputs.values(), *(r for r in slots if r is not None)], m)
+        proposals[v] = compute_proposals(w, n, t)
     for v in inputs:
         slots = [sanitize_batch(data.draw(st.none() | batch), m) for _ in byz]
-        full = collect_fixed_pairs([*proposals.values(), *slots], n, t, round_no=1, node=v)
-        shared = collect_fixed_pairs(slots, n, t, round_no=1, node=v, shared=receipts)
-        assert shared == full
-        _, _, events = full
-        assert all(e.cycle_len != 2 for e in events)
+        received = [*proposals.values(), *(b for b in slots if b is not None)]
+        _, _, drops = collect_fixed_pairs(Counter(chain.from_iterable(received)), n, t)
+        assert all(cycle_len != 2 for _, _, cycle_len in drops)
 
 
 def test_resolve_acyclic_breaks_cycle_and_grades_level():
     cyc = frozenset({Pair(0, 1), Pair(1, 2), Pair(2, 0)})
-    kept, events = resolve_acyclic(cyc, {p: 3 for p in cyc}, n=7, t=2)
-    assert kept == {Pair(0, 1), Pair(1, 2)}  # lex-greedy keeps the first two
-    assert [(e.kind, e.level, e.cycle_len) for e in events] == [("fixed-cycle", "fix", 3)]
-    kept, events = resolve_acyclic(cyc, {p: 5 for p in cyc}, n=7, t=2)
+    # lex-greedy keeps the first two
+    assert resolve_acyclic(cyc) == ({Pair(0, 1), Pair(1, 2)}, [(Pair(2, 0), 3)])
+    kept, _, drops = collect_fixed_pairs({p: 3 for p in cyc}, 7, 2)
+    assert kept == {Pair(0, 1), Pair(1, 2)} and drops == [(Pair(2, 0), "fix", 3)]
+    kept, _, drops = collect_fixed_pairs({p: 5 for p in cyc}, 7, 2)
     assert kept == {Pair(0, 1), Pair(1, 2)}
-    assert events[0].level == "lock"  # n-t receipts
+    assert drops == [(Pair(2, 0), "lock", 3)]  # n-t receipts
 
 
 def test_resolve_acyclic_passthrough():
     pairs = frozenset({Pair(0, 1), Pair(1, 2)})
-    kept, events = resolve_acyclic(pairs, {p: 2 for p in pairs}, n=4, t=1)
-    assert kept == pairs and events == []
+    assert resolve_acyclic(pairs) == (pairs, [])
 
 
 def test_integrity_event_json():
-    cyc = frozenset({Pair(0, 1), Pair(1, 2), Pair(2, 0)})
-    _, events = resolve_acyclic(cyc, {p: 3 for p in cyc}, n=7, t=2, round_no=2, node=5)
-    assert events[0].to_json() == {
-        "kind": "fixed-cycle",
-        "round": 2,
-        "node": 5,
-        "pair": [2, 0],
-        "level": "fix",
-        "cycle_len": 3,
-    }
+    event = IntegrityEvent("fixed-cycle", 2, 5, (2, 0), "fix", 3)
+    assert list(event.to_json().items()) == [
+        ("kind", "fixed-cycle"),
+        ("round", 2),
+        ("node", 5),
+        ("pair", [2, 0]),
+        ("level", "fix"),
+        ("cycle_len", 3),
+    ]
 
 
 # --- adjust / decide -------------------------------------------------------------
