@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 
 from .kemeny import (
+    EXACT_MAX_M,
     MEDIANS_MAX,
     CapacityError,
     approx_ratio,
@@ -148,7 +149,7 @@ def simulate_record(
             "messages": per_round == expected and max(per_round) <= budget,
         }
         ratio = None
-        if result.agreement and m <= 16:
+        if result.agreement and m <= EXACT_MAX_M:
             rep = approx_ratio(
                 result.consensus, Profile.of(list(result.correct_inputs.values()), m)
             )
@@ -310,7 +311,9 @@ REPLAY_KEYS = {
     "simulate": {
         "protocol": _one_of(*PROTOCOLS),
         "strategy": _one_of(*STRATEGY_NAMES),
-        **dict.fromkeys(("n", "t", "m", "seeds", "seed_start"), _exactly(int)),
+        **dict.fromkeys(("n", "t", "m"), _exactly(int)),
+        "seeds": lambda v: type(v) is int and v >= 1,
+        "seed_start": _exactly(int),
         "profile": lambda v: v is None or type(v) is list and all(type(r) is list for r in v),
     },
     "scenario": {
@@ -328,19 +331,27 @@ def _price(protocol: str, n: int, t: int, m: int, seeds: int) -> None:
     """Refuse, before any of it runs, a replay that costs too much.
 
     The cost is the closed-form message count over the seeds; every
-    built-in strategy corrupts the last t ids.
+    built-in strategy corrupts the last t ids.  The count needs a t+1-entry
+    schedule, so the bound ``seeds·n²`` is checked first: every run has a
+    king round whose n-t > 2n/3 correct senders send over n² messages, so
+    the bound refuses only records the count refuses too.
     """
+    _refuse_above(seeds * n * n, m, "over ")
     schedule = ProtocolConfig(n, t, m).dictator_schedule
     byz = frozenset(range(n - t, n))
-    total = seeds * sum(expected_messages(protocol, n, t, m, byz, schedule))
+    _refuse_above(seeds * sum(expected_messages(protocol, n, t, m, byz, schedule)), m)
+
+
+def _refuse_above(total: int, m: int, over: str = "") -> None:
+    """Refuse ``total`` messages at ``m`` candidates above either replay cap."""
     if total > REPLAY_MESSAGES_MAX:
         raise ValueError(
-            f"record asks for {total:,} messages; replay stops at {REPLAY_MESSAGES_MAX:,}"
+            f"record asks for {over}{total:,} messages; replay stops at {REPLAY_MESSAGES_MAX:,}"
         )
     if total * m**3 > REPLAY_WORK_MAX:
         raise ValueError(
-            f"record asks for {total:,} messages at m={m}, {total * m**3:,} messages·m³;"
-            f" replay stops at {REPLAY_WORK_MAX:,}"
+            f"record asks for {over}{total:,} messages at m={m},"
+            f" {over}{total * m**3:,} messages·m³; replay stops at {REPLAY_WORK_MAX:,}"
         )
 
 

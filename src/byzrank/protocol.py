@@ -30,7 +30,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .kemeny import kemeny_exact
-from .rankings import Pair, Profile, Ranking, is_ranking, validate_ranking
+from .rankings import Pair, Profile, Ranking, is_ranking, pairs_of, validate_ranking
 from .simnet import (
     DICTATOR,
     PROPOSE,
@@ -112,7 +112,7 @@ def compute_proposals(w: Sequence[Sequence[int]], n: int, t: int) -> frozenset[P
     need = n - t
     m = len(w)
     return frozenset(
-        Pair(a, b) for a in range(m) for b in range(m) if a != b and w[a][b] >= need
+        (a, b) for a in range(m) for b in range(m) if a != b and w[a][b] >= need
     )
 
 
@@ -166,12 +166,13 @@ def resolve_acyclic(pairs: frozenset[Pair]) -> tuple[frozenset[Pair], list[tuple
         return 0
 
     for p in sorted(pairs):
-        path = reachable(p.below, p.above)
+        above, below = p
+        path = reachable(below, above)
         if path:
             dropped.append((p, path + 1))
             continue
         kept.add(p)
-        adj.setdefault(p.above, set()).add(p.below)
+        adj.setdefault(above, set()).add(below)
     return frozenset(kept), dropped
 
 
@@ -188,12 +189,12 @@ def adjust_ranking(ranking: Ranking, fixed_pairs: frozenset[Pair]) -> Ranking:
     constrained: set[int] = set()
     adj: dict[int, list[int]] = {}
     indeg: Counter = Counter()
-    for p in fixed_pairs:
-        if p.above not in pos or p.below not in pos:
-            raise ValueError(f"pair {p} mentions a candidate outside the ranking")
-        constrained.update((p.above, p.below))
-        adj.setdefault(p.above, []).append(p.below)
-        indeg[p.below] += 1
+    for above, below in fixed_pairs:
+        if above not in pos or below not in pos:
+            raise ValueError(f"pair ({above}, {below}) mentions a candidate outside the ranking")
+        constrained.update((above, below))
+        adj.setdefault(above, []).append(below)
+        indeg[below] += 1
     heap = [pos[c] for c in constrained if indeg[c] == 0]
     heapq.heapify(heap)
     block: list[int] = []
@@ -216,13 +217,9 @@ def decide_dictator(
     dictator_ranking: object,
 ) -> Ranking:
     """Adopt the dictator's ranking unless it is malformed or misses a pair."""
-    if not is_ranking(dictator_ranking, len(own)):
-        return own
-    dpos = {c: i for i, c in enumerate(dictator_ranking)}
-    for p in fixed_pairs:
-        if dpos[p.above] > dpos[p.below]:
-            return own
-    return dictator_ranking
+    if is_ranking(dictator_ranking, len(own)) and fixed_pairs <= pairs_of(dictator_ranking):
+        return dictator_ranking
+    return own
 
 
 # --- round engine -------------------------------------------------------------
@@ -292,8 +289,8 @@ def _king_rounds(
             kept, locks[v], drops = fixed[view]
             if v not in byz_ids:
                 events.extend(
-                    IntegrityEvent("fixed-cycle", ground, v, (a, b), level, cycle_len)
-                    for (a, b), level, cycle_len in drops
+                    IntegrityEvent("fixed-cycle", ground, v, pair, level, cycle_len)
+                    for pair, level, cycle_len in drops
                 )
             key = (rankings[v], kept)
             if key not in adjusted:

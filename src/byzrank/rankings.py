@@ -12,18 +12,11 @@ value and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Ranking = tuple[int, ...]
-
-
-class Pair(NamedTuple):
-    """A binary relation ``above`` preferred to ``below``."""
-
-    above: int
-    below: int
+Pair = tuple[int, int]  # (above, below): ``above`` preferred to ``below``
 
 
 class ParseError(ValueError):
@@ -94,13 +87,9 @@ class Profile:
         return iter(self.rankings)
 
 
-# builds a Pair from a 2-tuple without the Python-level NamedTuple.__new__
-_as_pair = partial(tuple.__new__, Pair)
-
-
 def pairs_of(r: Sequence[int]) -> frozenset[Pair]:
     """All m(m-1)/2 ordered preference pairs implied by a ranking."""
-    return frozenset(map(_as_pair, combinations(r, 2)))
+    return frozenset(combinations(r, 2))
 
 
 def unanimous_pairs(profile: Profile) -> frozenset[Pair]:
@@ -114,7 +103,7 @@ def unanimous_pairs(profile: Profile) -> frozenset[Pair]:
         common = common & pairs_of(r)
         if not common:
             break
-    return frozenset(common)
+    return common
 
 
 # --- text format ------------------------------------------------------------

@@ -428,7 +428,7 @@ def sanitize_batch(payload: object, m: int) -> frozenset[Pair] | None:
             continue
         a, b = item
         if type(a) is int and type(b) is int and 0 <= a < m and 0 <= b < m and a != b:
-            pairs.add(item if type(item) is Pair else Pair(a, b))
+            pairs.add((a, b))
     return frozenset(p for p in pairs if (p[1], p[0]) not in pairs)
 
 
@@ -468,7 +468,7 @@ def cycle_lock_attack(n: int, t: int, m: int):
         inputs.extend([rotations[(i + 1) % L]] * g[i])
     byz_ids = list(range(n - t, n))
     inputs.extend([rotations[0]] * t)
-    cycle_pairs = frozenset(Pair(i, (i + 1) % L) for i in range(L))
+    cycle_pairs = frozenset((i, (i + 1) % L) for i in range(L))
     script: dict = {}
     for sender in byz_ids:
         script[(1, RANKING, sender)] = {v: inputs[v] for v in range(n)}
@@ -485,8 +485,7 @@ def split_lock_script(n: int, t: int, m: int, rng: random.Random) -> ScriptedVie
     trying to place some nodes just above a threshold and others just below.
     """
     script: dict = {}
-    a, b = rng.sample(range(m), 2)
-    planted = Pair(a, b)
+    planted = tuple(rng.sample(range(m), 2))
     for sender in range(n - t, n):
         rankings = {v: random_ranking(rng, m) for v in range(n)}
         script[(1, RANKING, sender)] = rankings

@@ -2,14 +2,17 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from byzrank import kemeny, scenarios
+import byzrank
+from byzrank import cli, kemeny, scenarios
 from byzrank.cli import main, scenario_record, simulate_record
 from byzrank.rankings import Profile, validate_ranking
 
@@ -383,26 +386,29 @@ def scenario(**changes):
         (scenario(m="2"), "bad values: m='2'"),
         ({"command": "kemeny", "config": {"profile": "a > b", "ties": 1, "verify": False}},
          "bad values: ties=1"),
-        (sim(seeds=0), "need at least one seed, got 0"),
+        (sim(seeds=0), "bad values: seeds=0"),
         # one stored run cannot vouch for a billion seeds; replaying them
         # would run until killed
         (sim(seeds=10**9), "asks for 1000000000 seeds but holds 1 run(s)"),
         ({"command": "simulate", "config": SIM_CONFIG}, "asks for 1 seeds but holds 0 run(s)"),
-        # 400 million messages: priced by the closed form, never run
-        (sim(n=10_000), "asks for 399,980,000 messages; replay stops at 250,000"),
+        # 400 million messages, refused on their lower bound seeds·n²
+        (sim(n=10_000), "asks for over 100,000,000 messages; replay stops at 250,000"),
         (sim(t=2), "resilience requires 3t < n"),
         # 56 messages, but each costs about m³: such a record ran for 13.6 s
-        (sim(strategy="random", m=400), "asks for 56 messages at m=400, 3,584,000,000"),
+        (sim(strategy="random", m=400), "asks for over 16 messages at m=400, over 1,024,000,000"),
         # the grid search is cubic in n: 0.14 s at n=400, still running at
         # 60 s at n=4000
         (scenario(name="appendix-c", n=4000, t=1, m=3, case="C231"),
          "asks for a 8,000,000,000-cell weight grid; replay stops at 1,000,000"),
         # each side is priced as a one-seed alg2 simulate record
         (scenario(name="cycle-worst", n=4000, t=1000, m=3),
-         "asks for 24,040,004,000 messages; replay stops at 250,000"),
+         "asks for over 16,000,000 messages; replay stops at 250,000"),
         ({"command": "kemeny", "config": {"profile": WIDE_PROFILE, "ties": False,
                                           "verify": False}},
          "exact solver handles m <= 16, got 17"),
+        # under the caps on seeds·n², over them on the closed-form count
+        (sim(n=300, t=99), "asks for 12,090,000 messages; replay stops at 250,000"),
+        (sim(strategy="random", m=80), "asks for 56 messages at m=80, 28,672,000"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
@@ -413,6 +419,33 @@ def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
     assert time.monotonic() - started < 1.0
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        sim(n=3 * 10**9 + 1, t=10**9, m=3),
+        sim(protocol="stv-baseline", n=4, t=1, m=10**9),
+        # runs: [] held -1 seeds, and the priced total came out negative
+        {**sim(n=3 * 10**9 + 1, t=10**9, m=3, seeds=-1), "runs": []},
+        scenario(name="cycle-worst", n=3 * 10**9 + 1, t=10**9, m=3),
+    ],
+)
+def test_replay_is_priced_before_it_allocates(tmp_path, capsys, monkeypatch, record):
+    # the closed-form count builds a t+1-entry schedule and up to (m-1)(t+1)
+    # round counts, gigabytes at t = 10⁹, so these records must be refused
+    # without either
+    def unreachable(*args):
+        raise AssertionError("replay priced a record by its full closed form")
+
+    monkeypatch.setattr(cli, "ProtocolConfig", unreachable)
+    monkeypatch.setattr(cli, "expected_messages", unreachable)
+    dest = tmp_path / "rec.json"
+    dest.write_text(json.dumps(record))
+    started = time.monotonic()
+    code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])
@@ -437,11 +470,16 @@ def test_bool_profile_is_refused():
 
 # --- process-level ----------------------------------------------------------------
 
+# child interpreters import the byzrank this suite imports, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(byzrank.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)}
+
 
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "byzrank.cli", "kemeny", "--profile", "-"],
-        input=TIE_PROFILE, capture_output=True, text=True,
+        input=TIE_PROFILE, capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "median: x > y" in proc.stdout
@@ -450,6 +488,6 @@ def test_console_script_runs():
 def test_bad_subcommand_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "byzrank.cli", "frobnicate"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 2

@@ -1,7 +1,7 @@
 """Node-level protocol steps and full agreement runs."""
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
@@ -24,7 +24,7 @@ from byzrank.protocol import (
     run_algorithm2,
     run_baseline_stv,
 )
-from byzrank.rankings import Pair, Profile, pairs_of, unanimous_pairs
+from byzrank.rankings import Profile, pairs_of, unanimous_pairs
 from byzrank.simnet import (
     DICTATOR,
     PROPOSE,
@@ -98,7 +98,7 @@ def test_proposals_unanimous():
 
 def test_proposals_threshold_met():
     got = compute_proposals(weight_matrix([(0, 1), (0, 1), (0, 1), (1, 0)], 2), 4, 1)
-    assert got == {Pair(0, 1)}  # 3 of 4 is exactly n-t
+    assert got == {(0, 1)}  # 3 of 4 is exactly n-t
 
 
 def test_proposals_split_vote():
@@ -116,7 +116,7 @@ def test_proposals_missing_slots_count_nothing():
         inputs, ScriptedViews(script), ProtocolConfig(7, 2, 2), record_transcript=True
     )
     sent = {s: p for r, ph, s, _, p in res.transcript if (r, ph) == (1, PROPOSE) and s < 5}
-    assert sent == {0: {Pair(0, 1)}, **dict.fromkeys(range(1, 5), frozenset())}
+    assert sent == {0: {(0, 1)}, **dict.fromkeys(range(1, 5), frozenset())}
 
 
 # --- fixing pairs ---------------------------------------------------------------
@@ -124,38 +124,38 @@ def test_proposals_missing_slots_count_nothing():
 
 def test_collect_fixed_pairs_threshold():
     # t+1 = 2 receipts fix a pair; one receipt does not
-    kept, locks, drops = collect_fixed_pairs(Counter({Pair(0, 1): 2}), 4, 1)
-    assert kept == {Pair(0, 1)} and drops == []
-    kept, locks, drops = collect_fixed_pairs(Counter({Pair(0, 1): 1}), 4, 1)
+    kept, locks, drops = collect_fixed_pairs(Counter({(0, 1): 2}), 4, 1)
+    assert kept == {(0, 1)} and drops == []
+    kept, locks, drops = collect_fixed_pairs(Counter({(0, 1): 1}), 4, 1)
     assert kept == locks == frozenset() and drops == []
 
 
 def test_collect_fixed_pairs_lock_threshold():
     # n=7, t=2: 3 receipts fix a pair, only n-t = 5 lock it
-    kept, locks, _ = collect_fixed_pairs(Counter({Pair(0, 1): 4}), 7, 2)
-    assert kept == {Pair(0, 1)} and locks == frozenset()
-    kept, locks, _ = collect_fixed_pairs(Counter({Pair(0, 1): 5}), 7, 2)
-    assert kept == locks == {Pair(0, 1)}
+    kept, locks, _ = collect_fixed_pairs(Counter({(0, 1): 4}), 7, 2)
+    assert kept == {(0, 1)} and locks == frozenset()
+    kept, locks, _ = collect_fixed_pairs(Counter({(0, 1): 5}), 7, 2)
+    assert kept == locks == {(0, 1)}
 
 
 def test_collect_fixed_pairs_resolves_cycle():
-    receipts = Counter({Pair(0, 1): 2, Pair(1, 2): 2, Pair(2, 0): 2})
+    receipts = Counter({(0, 1): 2, (1, 2): 2, (2, 0): 2})
     kept, locks, drops = collect_fixed_pairs(receipts, 4, 1)
-    assert kept == {Pair(0, 1), Pair(1, 2)}  # acyclic: the closing edge is dropped
+    assert kept == {(0, 1), (1, 2)}  # acyclic: the closing edge is dropped
     assert locks == frozenset()  # two receipts each, below n-t = 3
-    assert drops == [(Pair(2, 0), "fix", 3)]
+    assert drops == [((2, 0), "fix", 3)]
     assert adjust_ranking((2, 1, 0), kept) == (0, 1, 2)
 
 
 def test_resolve_acyclic_keeps_one_of_both_orientations():
     # both orientations of a pair are a 2-cycle: the first edge stays
-    pairs = frozenset({Pair(0, 1), Pair(1, 0), Pair(2, 0)})
-    assert resolve_acyclic(pairs) == ({Pair(0, 1), Pair(2, 0)}, [(Pair(1, 0), 2)])
-    receipts = {Pair(0, 1): 3, Pair(1, 0): 5, Pair(2, 0): 3}
+    pairs = frozenset({(0, 1), (1, 0), (2, 0)})
+    assert resolve_acyclic(pairs) == ({(0, 1), (2, 0)}, [((1, 0), 2)])
+    receipts = {(0, 1): 3, (1, 0): 5, (2, 0): 3}
     _, _, drops = collect_fixed_pairs(receipts, 7, 2)
-    assert drops == [(Pair(1, 0), "lock", 2)]
-    _, _, drops = collect_fixed_pairs({**receipts, Pair(1, 0): 4}, 7, 2)
-    assert drops == [(Pair(1, 0), "fix", 2)]
+    assert drops == [((1, 0), "lock", 2)]
+    _, _, drops = collect_fixed_pairs({**receipts, (1, 0): 4}, 7, 2)
+    assert drops == [((1, 0), "fix", 2)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,18 +186,18 @@ def test_no_two_cycle_reaches_resolution(data):
 
 
 def test_resolve_acyclic_breaks_cycle_and_grades_level():
-    cyc = frozenset({Pair(0, 1), Pair(1, 2), Pair(2, 0)})
+    cyc = frozenset({(0, 1), (1, 2), (2, 0)})
     # lex-greedy keeps the first two
-    assert resolve_acyclic(cyc) == ({Pair(0, 1), Pair(1, 2)}, [(Pair(2, 0), 3)])
+    assert resolve_acyclic(cyc) == ({(0, 1), (1, 2)}, [((2, 0), 3)])
     kept, _, drops = collect_fixed_pairs({p: 3 for p in cyc}, 7, 2)
-    assert kept == {Pair(0, 1), Pair(1, 2)} and drops == [(Pair(2, 0), "fix", 3)]
+    assert kept == {(0, 1), (1, 2)} and drops == [((2, 0), "fix", 3)]
     kept, _, drops = collect_fixed_pairs({p: 5 for p in cyc}, 7, 2)
-    assert kept == {Pair(0, 1), Pair(1, 2)}
-    assert drops == [(Pair(2, 0), "lock", 3)]  # n-t receipts
+    assert kept == {(0, 1), (1, 2)}
+    assert drops == [((2, 0), "lock", 3)]  # n-t receipts
 
 
 def test_resolve_acyclic_passthrough():
-    pairs = frozenset({Pair(0, 1), Pair(1, 2)})
+    pairs = frozenset({(0, 1), (1, 2)})
     assert resolve_acyclic(pairs) == (pairs, [])
 
 
@@ -221,15 +221,15 @@ def test_adjust_no_fixed_pairs():
 
 
 def test_adjust_single_pair_pulls_block_up():
-    assert adjust_ranking((0, 1, 2), frozenset({Pair(2, 0)})) == (2, 0, 1)
+    assert adjust_ranking((0, 1, 2), frozenset({(2, 0)})) == (2, 0, 1)
 
 
 def test_adjust_full_chain():
-    assert adjust_ranking((2, 1, 0), frozenset({Pair(0, 1), Pair(1, 2)})) == (0, 1, 2)
+    assert adjust_ranking((2, 1, 0), frozenset({(0, 1), (1, 2)})) == (0, 1, 2)
 
 
 def test_adjust_rejects_cycle():
-    cyc = frozenset({Pair(0, 1), Pair(1, 2), Pair(2, 0)})
+    cyc = frozenset({(0, 1), (1, 2), (2, 0)})
     with pytest.raises(ValueError):
         adjust_ranking((0, 1, 2), cyc)
 
@@ -251,11 +251,13 @@ def test_adjust_contains_fixed_and_preserves_rest():
 
 
 def test_decide_dictator_adopts_superset():
-    assert decide_dictator((0, 1, 2), frozenset({Pair(0, 1)}), (0, 2, 1)) == (0, 2, 1)
+    assert decide_dictator((0, 1, 2), frozenset({(0, 1)}), (0, 2, 1)) == (0, 2, 1)
 
 
 def test_decide_dictator_rejects_violation():
-    assert decide_dictator((0, 1, 2), frozenset({Pair(0, 1)}), (1, 0, 2)) == (0, 1, 2)
+    assert decide_dictator((0, 1, 2), frozenset({(0, 1)}), (1, 0, 2)) == (0, 1, 2)
+    # no ranking of 0..2 holds a lock naming candidate 5
+    assert decide_dictator((0, 1, 2), frozenset({(0, 5)}), (2, 1, 0)) == (0, 1, 2)
 
 
 def test_decide_dictator_absent_or_garbage():
@@ -423,7 +425,7 @@ def test_propose_batches_are_antisymmetric():
     assert batches
     for batch in batches:
         for a, b in batch:
-            assert Pair(b, a) not in batch
+            assert (b, a) not in batch
 
 
 def test_transcript_requires_recording():
@@ -436,6 +438,27 @@ def test_transcript_requires_recording():
 
 
 # --- engineered integrity and validity edge cases ---------------------------------
+
+
+def test_every_pair_is_a_plain_tuple():
+    # a pair is (above, below) wherever it comes from, whatever type came in
+    Labeled = namedtuple("Labeled", "above below")
+    profile = Profile.of([(0, 1, 2), (0, 2, 1)])
+    kept, locks, drops = collect_fixed_pairs(Counter({(0, 1): 3, (1, 2): 3, (2, 0): 3}), 4, 1)
+    inputs, strategy, _ = cycle_lock_attack(4, 1, 3)
+    res = run_algorithm1(inputs, strategy, ProtocolConfig(4, 1, 3), seed=0)
+    sources = {
+        "pairs_of": pairs_of((2, 0, 1)),
+        "unanimous_pairs": unanimous_pairs(profile),
+        "compute_proposals": compute_proposals(weight_matrix(profile.rankings, 3), 2, 0),
+        "kept": kept,
+        "locks": locks,
+        "drops": [p for p, _, _ in drops],
+        "sanitize_batch": sanitize_batch([Labeled(0, 1)], 3),
+        "events": [e.pair for e in res.stats.integrity_errors],
+    }
+    for name, pairs in sources.items():
+        assert pairs and all(type(p) is tuple for p in pairs), name
 
 
 def test_scripted_cycle_fires_integrity_events_but_agreement_survives():
@@ -473,7 +496,7 @@ def test_median_agreement_can_shed_a_unanimous_pair():
     assert not res.pareto
     correct = Profile.of(list(res.correct_inputs.values()))
     missing = unanimous_pairs(correct) - pairs_of(res.consensus)
-    assert missing == {Pair(2, 1)}
+    assert missing == {(2, 1)}
 
 
 def test_bool_dictator_ranking_is_not_adopted():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from byzrank.kemeny import approx_ratio
 from byzrank.rankings import (
-    Pair,
     ParseError,
     Profile,
     is_ranking,
@@ -117,7 +116,7 @@ def test_opposite_is_farthest():
 
 
 def test_pairs_of_small():
-    assert pairs_of((1, 0, 2)) == {Pair(1, 0), Pair(1, 2), Pair(0, 2)}
+    assert pairs_of((1, 0, 2)) == {(1, 0), (1, 2), (0, 2)}
 
 
 def test_pairs_of_count():
@@ -128,7 +127,7 @@ def test_pairs_of_count():
 @settings(max_examples=40, deadline=None)
 @given(rankings_st)
 def test_opposite_flips_every_pair(r):
-    assert pairs_of(r[::-1]) == {Pair(b, a) for a, b in pairs_of(r)}
+    assert pairs_of(r[::-1]) == {(b, a) for a, b in pairs_of(r)}
 
 
 # --- profiles -----------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_unanimous_pairs_of_identical_ballots():
 
 def test_unanimous_pairs_partial():
     p = Profile.of([(0, 1, 2), (0, 2, 1)])
-    assert unanimous_pairs(p) == {Pair(0, 1), Pair(0, 2)}
+    assert unanimous_pairs(p) == {(0, 1), (0, 2)}
 
 
 def test_unanimous_pairs_singleton_profile():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from byzrank import simnet
 from byzrank.protocol import ProtocolConfig
-from byzrank.rankings import Pair, is_ranking, pairs_of, validate_ranking
+from byzrank.rankings import is_ranking, pairs_of, validate_ranking
 from byzrank.simnet import (
     DICTATOR,
     PROPOSE,
@@ -228,8 +228,8 @@ def test_sanitize_ranking():
 
 
 def test_sanitize_batch_drops_garbage_keeps_valid():
-    assert sanitize_batch([(0, 1), (2, 2)], 3) == {Pair(0, 1)}
-    assert sanitize_batch([(0, 1), (5, 1)], 3) == {Pair(0, 1)}
+    assert sanitize_batch([(0, 1), (2, 2)], 3) == {(0, 1)}
+    assert sanitize_batch([(0, 1), (5, 1)], 3) == {(0, 1)}
     assert sanitize_batch([(0, 1, 2)], 3) == frozenset()
     assert sanitize_batch([], 3) == frozenset()
     assert sanitize_batch(None, 3) is None
@@ -239,7 +239,7 @@ def test_sanitize_batch_drops_garbage_keeps_valid():
 def test_sanitizers_refuse_bool_candidates():
     # True/False compare equal to 1/0, so a lax check adopts them as aliases
     assert sanitize_ranking((True, False, 2), 3) is None
-    assert sanitize_batch([(True, 0), (0, False), (1, 0)], 2) == {Pair(1, 0)}
+    assert sanitize_batch([(True, 0), (0, False), (1, 0)], 2) == {(1, 0)}
     payloads = [(True, False, 2), (0, 1, 2), [(True, 0), (2, 1)], [(0, 2), (False, 1)]]
     for payload in payloads:
         ranking = sanitize_ranking(payload, 3)
@@ -250,7 +250,7 @@ def test_sanitizers_refuse_bool_candidates():
 
 def test_sanitize_batch_rejects_double_orientation():
     got = sanitize_batch([(0, 1), (1, 0), (2, 1)], 3)
-    assert got == {Pair(2, 1)}
+    assert got == {(2, 1)}
 
 
 _small = st.integers(min_value=-1, max_value=4) | st.booleans()
@@ -276,9 +276,9 @@ def test_sanitizers_fuzz(payload, m):
     if batch is not None:
         assert isinstance(batch, frozenset)
         for p in batch:
-            assert type(p) is Pair
-            assert all(type(c) is int and 0 <= c < m for c in p) and p.above != p.below
-            assert Pair(p.below, p.above) not in batch
+            assert type(p) is tuple
+            assert all(type(c) is int and 0 <= c < m for c in p) and p[0] != p[1]
+            assert (p[1], p[0]) not in batch
     if isinstance(payload, tuple):
         try:
             validate_ranking(payload, m)
