@@ -62,7 +62,6 @@ from .simnet import (
 from .scenarios import (
     InfeasibleError,
     LowerBoundReport,
-    ScenarioSpec,
     appendix_c_search,
     gen_binary_worst,
     gen_cycle_worst,
@@ -86,8 +85,7 @@ __all__ = [
     "RunStats", "ScriptedViews", "SearchReport", "Silent", "adversary_search",
     "completion_script", "cycle_lock_attack", "default_script", "make_strategy",
     "run_sync",
-    "InfeasibleError", "LowerBoundReport", "ScenarioSpec", "appendix_c_search",
-    "gen_binary_worst", "gen_cycle_worst",
-    "measure_scenario",
+    "InfeasibleError", "LowerBoundReport", "appendix_c_search",
+    "gen_binary_worst", "gen_cycle_worst", "measure_scenario",
     "__version__",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -31,7 +32,6 @@ from .scenarios import (
     SCENARIO_NAMES,
     SIDES,
     InfeasibleError,
-    ScenarioSpec,
     appendix_c_search,
     measure_scenario,
 )
@@ -242,8 +242,7 @@ def scenario_record(name: str, n: int, t: int, m: int, side: str, case: str) -> 
         ok = True
         config = {"name": name, "n": n, "t": t, "m": 3, "side": side, "case": case}
     else:
-        spec = ScenarioSpec(name, n, t, m, side)
-        report = measure_scenario("alg2", spec)
+        report = measure_scenario(name, n, t, m, side)
         measured = _ratio_str(report.ratio_measured)
         closed = _ratio_str(report.ratio_closed_form)
         witness = list(report.witness)
@@ -362,9 +361,9 @@ def replay(path: str) -> tuple[dict, bool]:
     and every config key that command needs, each with a valid value, or
     when a simulate record asks for more seeds than it holds runs, for
     more than :data:`REPLAY_MESSAGES_MAX` messages in all or for more than
-    :data:`REPLAY_WORK_MAX` messages times m³.  Each side of a simulated
-    scenario is priced as a one-seed alg2 simulate record, and an
-    appendix-c record by its grid against :data:`REPLAY_GRID_MAX`.
+    :data:`REPLAY_WORK_MAX` messages times m³.  A simulated scenario's one
+    run is priced as a one-seed alg2 simulate record, and an appendix-c
+    record by its grid against :data:`REPLAY_GRID_MAX`.
     """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
@@ -397,7 +396,7 @@ def replay(path: str) -> tuple[dict, bool]:
                 f"record asks for a {grid:,}-cell weight grid; replay stops at {REPLAY_GRID_MAX:,}"
             )
     elif command == "scenario":
-        # each side is one alg2 run, priced alone
+        # a simulated scenario is one alg2 run of the completed view
         _price("alg2", cfg["n"], cfg["t"], cfg["m"], 1)
     fresh = RECORDS[command](*(cfg[k] for k in REPLAY_KEYS[command]))
 
@@ -469,23 +468,28 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         if getattr(args, "replay", None):
-            record, identical = replay(args.replay)
-            record["wall_ms"] = int((time.monotonic() - started) * 1000)
-            if args.json:
-                _emit_json(record, args.json)
-            status = "replay: identical" if identical else "replay: MISMATCH"
+            record, ok = replay(args.replay)
+        else:
+            record = args.run(args)
+            ok = record["ok"]
+        record["wall_ms"] = int((time.monotonic() - started) * 1000)
+        if args.json:
+            _emit_json(record, args.json)
+        if getattr(args, "replay", None):
+            status = "replay: identical" if ok else "replay: MISMATCH"
             print(status, file=sys.stderr if args.json == "-" else sys.stdout)
-            return 0 if identical else 1
-        record = args.run(args)
+        elif args.json != "-":
+            args.show(record)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the interpreter's
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, CapacityError, InfeasibleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    record["wall_ms"] = int((time.monotonic() - started) * 1000)
-    if args.json:
-        _emit_json(record, args.json)
-    if args.json != "-":
-        args.show(record)
-    return 0 if record["ok"] else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 Each scenario family builds a correct-node profile plus the Byzantine ballots
 that complete it, such that the completed views of two different correct
-profiles ("left"/"right" sides) are the same ranking multiset.  Any protocol
-that decides from the completed view must answer both sides identically, so
-one side is stuck with the closed-form approximation ratio.  measure_scenario
-replays the construction through a protocol run and reports the measured
-worst-side ratio next to the closed form.
+profiles ("left"/"right" sides) are the same ranking multiset.  Any
+deterministic protocol that decides from the completed view gives both sides
+one answer, so one side is stuck with the closed-form approximation ratio.
+measure_scenario runs the completed view once through alg2 and scores that
+one consensus against each side's correct profile, next to the closed form.
 
 The third family, ``appendix-c``, is not a simulation: it is an exact grid
 search over three-candidate cyclic tournaments for the worst ratio between a
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .kemeny import approx_ratio
 from .rankings import Profile, Ranking
-from .simnet import completion_script, run_sync
+from .simnet import Honest, run_sync
 from .protocol import ProtocolConfig
 
 SCENARIO_NAMES = ("binary-worst", "cycle-worst", "appendix-c")
@@ -31,21 +31,6 @@ CASES = ("C231", "C312")
 
 class InfeasibleError(ValueError):
     """The requested scenario has no instance at these parameters."""
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    kind: str
-    n: int
-    t: int
-    m: int
-    side: str = "both"
-
-    def __post_init__(self):
-        if self.kind not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {self.kind!r}")
-        if self.side not in SIDES:
-            raise ValueError("side must be left, right, or both")
 
 
 @dataclass(frozen=True)
@@ -128,39 +113,29 @@ _FAMILIES = {
 }
 
 
-def measure_scenario(protocol: str, spec: ScenarioSpec) -> LowerBoundReport:
-    """Run the scenario through a protocol; report the worst-side ratio.
+def measure_scenario(kind: str, n: int, t: int, m: int, side: str = "both") -> LowerBoundReport:
+    """Run the completed view once through alg2; report the worst-side ratio.
 
-    The report's ratio is measured against the correct-node profile of the
-    worse side; the witness is the consensus ranking that side reached.  The
-    closed form is reported beside it, not checked here.
+    The one consensus is scored against the correct-node profile of each
+    selected side; the report's ratio is the worse score and the witness is
+    that consensus.  The closed form is reported beside it, not checked here.
     """
-    if spec.kind not in _FAMILIES:
-        raise ValueError(f"{spec.kind!r} is a grid search, not a simulation scenario")
-    construct, closed_form = _FAMILIES[spec.kind]
-    views = construct(spec.n, spec.t, spec.m)
-    cfg = ProtocolConfig(spec.n, spec.t, spec.m)
-    worst: Fraction | None = None
-    witness: Ranking = ()
-    for side in ("left", "right") if spec.side == "both" else (spec.side,):
-        correct, byz_ballots = views[side]
-        strategy = completion_script(byz_ballots, spec.n)
-        result = run_sync(protocol, correct + byz_ballots, strategy, cfg, seed=f"0/{side}")
-        # Unreachable: the completion script's one round-1 broadcast is
-        # uniform and it is silent after, so in every phase all correct nodes
-        # get the same inbox, hence the same kept and locked pairs.  Each king
-        # stage schedules a correct dictator, whose ranking holds every kept
-        # pair, so all adopt it; equal rankings with equal inboxes stay equal.
-        if not result.agreement:
-            raise RuntimeError(f"scenario run lost agreement on side {side}")
-        consensus = result.consensus
-        ratio = approx_ratio(consensus, Profile.of(list(correct), spec.m)).ratio
-        if worst is None or ratio > worst:
-            worst = ratio
-            witness = consensus
-    assert worst is not None
-    closed = closed_form(spec.n, spec.t, spec.m)
-    return LowerBoundReport(ratio_measured=worst, ratio_closed_form=closed, witness=witness)
+    if kind not in _FAMILIES:
+        raise ValueError(f"{kind!r} is not a simulation scenario")
+    if side not in SIDES:
+        raise ValueError("side must be left, right, or both")
+    construct, closed_form = _FAMILIES[kind]
+    views = construct(n, t, m)
+    correct, byz_ballots = views["left"]
+    result = run_sync("alg2", correct + byz_ballots, Honest(), ProtocolConfig(n, t, m))
+    # unreachable: honest nodes broadcast uniformly, so in every phase every
+    # node gets the same inbox, hence the same kept pairs and the same ranking
+    if not result.agreement:
+        raise RuntimeError("scenario run lost agreement")
+    consensus = result.consensus
+    scored = ("left", "right") if side == "both" else (side,)
+    worst = max(approx_ratio(consensus, Profile.of(list(views[s][0]), m)).ratio for s in scored)
+    return LowerBoundReport(worst, closed_form(n, t, m), consensus)
 
 
 def appendix_c_search(n: int, t: int, case: str) -> tuple[Fraction, tuple[int, int, int]]:

@@ -47,7 +47,6 @@ from byzrank.kemeny import approx_ratio, kemeny_brute, kemeny_exact
 from byzrank.protocol import ProtocolConfig, expected_messages
 from byzrank.rankings import Profile
 from byzrank.scenarios import (
-    ScenarioSpec,
     appendix_c_search,
     binary_closed_form,
     cycle_closed_form,
@@ -321,7 +320,7 @@ def test_criterion_5_reversal_identity(capfd):
 
 
 def test_criterion_6_binary_worst_reproduction(capfd):
-    report = measure_scenario("alg2", ScenarioSpec("binary-worst", 12, 3, 2))
+    report = measure_scenario("binary-worst", 12, 3, 2)
     sides = gen_binary_worst(12, 3, 2)
     left, right = sides["left"], sides["right"]
     same_completed = sorted(left[0] + left[1]) == sorted(right[0] + right[1])
@@ -340,7 +339,7 @@ def test_criterion_6_binary_worst_reproduction(capfd):
 
 
 def test_criterion_7_cycle_worst_reproduction(capfd):
-    report = measure_scenario("alg2", ScenarioSpec("cycle-worst", 90, 10, 3))
+    report = measure_scenario("cycle-worst", 90, 10, 3)
     ok = (
         report.ratio_measured == Fraction(11, 9)
         and report.ratio_closed_form == Fraction(11, 9)
@@ -422,22 +421,22 @@ def test_integrity_trigger_census():
 
 def test_criterion_10_upper_bound_conformance(sweep, capfd):
     scenario_cells = [
-        ScenarioSpec("binary-worst", 8, 2, 2),
-        ScenarioSpec("binary-worst", 12, 3, 2),
-        ScenarioSpec("binary-worst", 12, 3, 3),
-        ScenarioSpec("binary-worst", 12, 3, 5),
-        ScenarioSpec("binary-worst", 20, 4, 2),
-        ScenarioSpec("cycle-worst", 18, 2, 3),
-        ScenarioSpec("cycle-worst", 18, 2, 4),
-        ScenarioSpec("cycle-worst", 18, 2, 5),
-        ScenarioSpec("cycle-worst", 40, 4, 3),
-        ScenarioSpec("cycle-worst", 90, 10, 3),
+        ("binary-worst", 8, 2, 2),
+        ("binary-worst", 12, 3, 2),
+        ("binary-worst", 12, 3, 3),
+        ("binary-worst", 12, 3, 5),
+        ("binary-worst", 20, 4, 2),
+        ("cycle-worst", 18, 2, 3),
+        ("cycle-worst", 18, 2, 4),
+        ("cycle-worst", 18, 2, 5),
+        ("cycle-worst", 40, 4, 3),
+        ("cycle-worst", 90, 10, 3),
     ]
     scenario_breaches = []
-    for spec in scenario_cells:
-        report = measure_scenario("alg2", spec)
+    for cell in scenario_cells:
+        report = measure_scenario(*cell)
         if report.ratio_measured > report.ratio_closed_form:
-            scenario_breaches.append(spec)
+            scenario_breaches.append(cell)
 
     # the closed forms themselves behave like the limits they approach:
     # the cycle bound rises with m toward n/(n-2t), never crossing it, and

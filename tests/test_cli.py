@@ -491,3 +491,18 @@ def test_bad_subcommand_exits_2():
         capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 2
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader goes away before the child writes: its JSON (about 80 kB, over
+    # a pipe's buffer) hits a closed pipe, as under `byzrank ... | head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "byzrank.cli", "simulate", "--n", "7", "--t", "2",
+         "--m", "3", "--seeds", "200", "--json", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

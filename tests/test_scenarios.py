@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from byzrank import scenarios
 from byzrank.kemeny import approx_ratio
 from byzrank.rankings import Profile
 from byzrank.scenarios import (
     InfeasibleError,
     LowerBoundReport,
-    ScenarioSpec,
     appendix_c_search,
     binary_closed_form,
     cycle_closed_form,
@@ -25,16 +25,6 @@ from conftest import triangle_holds
 
 def completed(correct, byz):
     return Counter(correct) + Counter(byz)
-
-
-# --- spec validation -------------------------------------------------------------
-
-
-def test_spec_rejects_unknown_kind_and_side():
-    with pytest.raises(ValueError):
-        ScenarioSpec("nope", 12, 3, 2)
-    with pytest.raises(ValueError):
-        ScenarioSpec("binary-worst", 12, 3, 2, side="middle")
 
 
 # --- two-bloc family --------------------------------------------------------------
@@ -86,15 +76,15 @@ def test_binary_infeasible_parameters():
 
 
 def test_binary_measured_ratio():
-    rep = measure_scenario("alg2", ScenarioSpec("binary-worst", 12, 3, 2))
+    rep = measure_scenario("binary-worst", 12, 3, 2)
     assert isinstance(rep, LowerBoundReport)
     assert rep.ratio_measured == Fraction(2) == rep.ratio_closed_form
     assert rep.witness == (0, 1)  # the tie-break answer, wrong for the right side
 
 
 def test_binary_sides_measured_separately():
-    left = measure_scenario("alg2", ScenarioSpec("binary-worst", 12, 3, 2, "left"))
-    right = measure_scenario("alg2", ScenarioSpec("binary-worst", 12, 3, 2, "right"))
+    left = measure_scenario("binary-worst", 12, 3, 2, "left")
+    right = measure_scenario("binary-worst", 12, 3, 2, "right")
     assert left.ratio_measured == 1
     assert right.ratio_measured == 2
 
@@ -129,26 +119,26 @@ def test_cycle_triangle_inequality_before_and_after():
 
 
 def test_cycle_measured_ratio_headline_cell():
-    rep = measure_scenario("alg2", ScenarioSpec("cycle-worst", 90, 10, 3))
+    rep = measure_scenario("cycle-worst", 90, 10, 3)
     assert rep.ratio_measured == Fraction(11, 9) == rep.ratio_closed_form
     assert rep.ratio_measured < Fraction(5, 4)
 
 
 def test_cycle_sides_measured_separately():
-    left = measure_scenario("alg2", ScenarioSpec("cycle-worst", 90, 10, 3, "left"))
-    right = measure_scenario("alg2", ScenarioSpec("cycle-worst", 90, 10, 3, "right"))
+    left = measure_scenario("cycle-worst", 90, 10, 3, "left")
+    right = measure_scenario("cycle-worst", 90, 10, 3, "right")
     assert left.ratio_measured == 1
     assert right.ratio_measured == Fraction(11, 9)
 
 
 def test_cycle_more_candidates():
-    # the closed form stays exact through m=4; from m=5 on the construction
-    # yields strictly less than the formula, which stays a valid upper bound
-    rep3 = measure_scenario("alg2", ScenarioSpec("cycle-worst", 18, 2, 3))
+    # alg2 reaches the closed form where n >= 2mt, so at n = 18 through m=4;
+    # at m=5, n < 2mt = 20 and it stays strictly under the formula
+    rep3 = measure_scenario("cycle-worst", 18, 2, 3)
     assert rep3.ratio_measured == Fraction(11, 9) == cycle_closed_form(18, 2, 3)
-    rep4 = measure_scenario("alg2", ScenarioSpec("cycle-worst", 18, 2, 4))
+    rep4 = measure_scenario("cycle-worst", 18, 2, 4)
     assert rep4.ratio_measured == Fraction(5, 4) == cycle_closed_form(18, 2, 4)
-    rep5 = measure_scenario("alg2", ScenarioSpec("cycle-worst", 18, 2, 5))
+    rep5 = measure_scenario("cycle-worst", 18, 2, 5)
     assert cycle_closed_form(18, 2, 5) == Fraction(29, 23)
     assert rep5.ratio_measured == Fraction(24, 23) < Fraction(29, 23)
 
@@ -167,14 +157,16 @@ def test_cycle_infeasible_parameters():
 # --- measurement plumbing ----------------------------------------------------------
 
 
+def test_measure_rejects_unknown_kind_and_side():
+    with pytest.raises(ValueError):
+        measure_scenario("nope", 12, 3, 2)
+    with pytest.raises(ValueError):
+        measure_scenario("binary-worst", 12, 3, 2, side="middle")
+
+
 def test_measure_rejects_grid_search_kind():
     with pytest.raises(ValueError):
-        measure_scenario("alg2", ScenarioSpec("appendix-c", 12, 2, 3))
-
-
-def test_measure_unknown_protocol():
-    with pytest.raises(ValueError):
-        measure_scenario("alg9", ScenarioSpec("binary-worst", 12, 3, 2))
+        measure_scenario("appendix-c", 12, 2, 3)
 
 
 def test_completion_script_targets_the_last_nodes():
@@ -183,23 +175,57 @@ def test_completion_script_targets_the_last_nodes():
     assert s.script == {(1, "ranking", 4): (1, 0), (1, "ranking", 5): (0, 1)}
 
 
-def test_measure_other_protocols_also_survive_the_scenario():
-    rep = measure_scenario("alg1", ScenarioSpec("binary-worst", 12, 3, 2))
-    assert rep.ratio_measured >= 1
+def test_measure_runs_the_completed_view_once(monkeypatch):
+    calls = []
+    real = scenarios.run_sync
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_sync", counting)
+    measure_scenario("cycle-worst", 18, 2, 3, "both")
+    assert calls == ["alg2"]
 
 
-@pytest.mark.parametrize("protocol", ["alg1", "alg2", "stv-baseline"])
-def test_scenarios_agree_inside_the_cycle_region(protocol):
+# cells on both sides of cycle-worst's n = 2mt boundary, and binary-worst's
+ONE_ANSWER_CELLS = [
+    ("binary-worst", 12, 3, 2), ("binary-worst", 4, 1, 3),
+    ("cycle-worst", 12, 3, 3), ("cycle-worst", 8, 2, 4),
+    ("cycle-worst", 18, 2, 3), ("cycle-worst", 18, 2, 5),
+]
+
+
+@pytest.mark.parametrize("kind,n,t,m", ONE_ANSWER_CELLS)
+def test_both_sides_get_one_answer(kind, n, t, m):
+    witnesses = {side: measure_scenario(kind, n, t, m, side).witness
+                 for side in ("left", "right", "both")}
+    assert len(set(witnesses.values())) == 1, witnesses
+
+
+def test_cycle_worst_reaches_its_closed_form_iff_n_at_least_2mt():
+    # below n = 2mt the 2t C-ballots outweigh a bloc; in these cells alg2's
+    # one answer is then optimal for both sides: (8, 2, 3) measures 1, not 3/2
+    for m in (3, 4):
+        for t in (1, 2):
+            for n in range(4 * t, 8 * t + 1, 2):
+                rep = measure_scenario("cycle-worst", n, t, m)
+                assert (rep.ratio_measured == rep.ratio_closed_form) == (n >= 2 * m * t), (n, t, m)
+                if n < 2 * m * t:
+                    assert rep.ratio_measured == 1
+
+
+def test_scenarios_agree_inside_the_cycle_region():
     # n <= (m+1)t is where an equivocating adversary can split agreement, but
-    # a completion script broadcasts uniformly once, so every correct node
-    # sees the same inboxes and measure_scenario's agreement guard never fires
+    # the completed view's one run is honest, so every correct node sees the
+    # same inboxes and measure_scenario's agreement guard never fires
     cells = [
         ("binary-worst", 4, 1, 3), ("binary-worst", 10, 3, 3), ("binary-worst", 6, 1, 5),
         ("cycle-worst", 4, 1, 3), ("cycle-worst", 8, 2, 3), ("cycle-worst", 6, 1, 5),
     ]
     for kind, n, t, m in cells:
         assert n <= (m + 1) * t
-        rep = measure_scenario(protocol, ScenarioSpec(kind, n, t, m))
+        rep = measure_scenario(kind, n, t, m)
         assert sorted(rep.witness) == list(range(m))
 
 
