@@ -83,7 +83,7 @@ def kemeny_record(profile_text: str, ties: bool, verify: bool) -> dict:
             brute.cost == result.cost
             and brute.chosen == result.chosen
             and brute.count == result.count
-            and set(brute.medians) == set(result.medians)
+            and brute.medians == result.medians
         )
         record["result"]["verified"] = agreed
         record["ok"] = agreed

@@ -2,8 +2,9 @@
 
 Two independent solvers: :func:`kemeny_brute` enumerates all m! rankings
 (m <= 8, the test oracle) and :func:`kemeny_exact` runs a dynamic program
-over candidate subsets (m <= 16).  Both report the optimal cost, the number
-of optimal rankings and the same deterministic representative: ``chosen`` is
+over candidate subsets (m <= 16) once per majority block, in O(2^b * b) for
+the largest block's size b.  Both report the optimal cost, the number of
+optimal rankings and the same deterministic representative: ``chosen`` is
 the lexicographically smallest median under candidate-index order, so equal
 inputs yield equal outputs everywhere in the simulator.  The medians
 themselves are listed, in lexicographic order, only when a caller reads
@@ -119,6 +120,31 @@ def _exact_weights(profile: Profile) -> list[list[int]]:
     return weight_matrix(profile.rankings, profile.m)
 
 
+def _blocks(w: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strong components of the weak-majority graph (a -> b when
+    ``w[a][b] >= w[b][a]``), each in ascending index order.
+
+    Each block beats every later one by strict majority on every pair, so
+    every Kemeny ranking keeps this block order (Truchon 1998).  Sorted by
+    Copeland score (2 per strict win, 1 per tie), the top k candidates close
+    a block exactly when their scores sum to k(k-1) + 2k(m-k).
+    """
+    m = len(w)
+    score = [
+        sum(2 if w[c][d] > w[d][c] else 1 if w[c][d] == w[d][c] else 0 for d in range(m) if d != c)
+        for c in range(m)
+    ]
+    order = sorted(range(m), key=lambda c: -score[c])
+    blocks: list[list[int]] = []
+    start = total = 0
+    for k, c in enumerate(order, 1):
+        total += score[c]
+        if total == k * (k - 1) + 2 * k * (m - k):
+            blocks.append(sorted(order[start:k]))
+            start = k
+    return blocks
+
+
 def _prefix_dp(
     w: Sequence[Sequence[int]],
 ) -> tuple[list[int], list[int], Callable[[int, int], int]]:
@@ -129,7 +155,8 @@ def _prefix_dp(
     orders that reach it; appending candidate ``c`` costs the yet-unplaced
     candidates' weight over ``c``.  That cost is read in O(1) from two
     prefix-sum tables per candidate, one over the low and one over the high
-    half of the candidates, so the program costs O(2^m * m).  Returns
+    half of the b candidates, so the program costs O(2^b * b); the solvers
+    run it once per majority block of two or more candidates.  Returns
     ``(h, cnt, append_cost)``; ``h[0]`` is the optimum, ``cnt[0]`` the number
     of optimal rankings.
     """
@@ -167,14 +194,17 @@ def _prefix_dp(
     return h, cnt, append_cost
 
 
-def _optima(h: list[int], append_cost: Callable[[int, int], int], m: int) -> Iterator[Ranking]:
-    """Every optimal ranking in lexicographic order.
+def _optima(
+    h: list[int], append_cost: Callable[[int, int], int], ids: Sequence[int]
+) -> Iterator[Ranking]:
+    """Every optimal order of the ascending candidates ``ids``, whose weights
+    :func:`_prefix_dp` solved, in lexicographic order.
 
-    Depth-first along the zero-slack branches in candidate-index order, so
-    the first ranking is the greedy walk that takes the lowest-index
-    candidate which keeps the prefix optimal.
+    Depth-first along the zero-slack branches in index order, so the first
+    order is the greedy walk that takes the lowest-index candidate which
+    keeps the prefix optimal.
     """
-    full = (1 << m) - 1
+    full = (1 << len(ids)) - 1
     stack: list[tuple[int, Ranking]] = [(0, ())]
     while stack:
         s, prefix = stack.pop()
@@ -182,25 +212,48 @@ def _optima(h: list[int], append_cost: Callable[[int, int], int], m: int) -> Ite
             yield prefix
             continue
         branches = []
-        for c in range(m):
-            bit = 1 << c
+        for i, c in enumerate(ids):
+            bit = 1 << i
             if s & bit:
                 continue
-            if append_cost(s, c) + h[s | bit] == h[s]:
+            if append_cost(s, i) + h[s | bit] == h[s]:
                 branches.append((s | bit, prefix + (c,)))
         stack.extend(reversed(branches))
 
 
+def _solve(w: Sequence[Sequence[int]]) -> tuple[int, int, list[Callable[[], Iterator[Ranking]]]]:
+    """Optimal cost, optima count and, per block in order, a lister of the
+    block's optimal orders: every optimal ranking concatenates one of each."""
+    cost, count, listers, above = 0, 1, [], []
+    for block in _blocks(w):
+        cost += sum(w[b][a] for a in above for b in block)
+        above += block
+        if len(block) == 1:  # a lone candidate has one order at no cost
+            listers.append(partial(iter, (tuple(block),)))
+            continue
+        h, cnt, append_cost = _prefix_dp([[w[a][b] for b in block] for a in block])
+        cost += h[0]
+        count *= cnt[0]
+        listers.append(partial(_optima, h, append_cost, block))
+    return cost, count, listers
+
+
 def kemeny_exact(profile: Profile) -> MedianResult:
-    """Exact optimum by the subset dynamic program (m <= 16).
+    """Exact optimum by the subset dynamic program per majority block (m <= 16).
 
     The DP counts the optimal rankings; ``chosen`` is the first of them in
     lexicographic order, and the rest are listed only when ``medians`` is
-    read.
+    read: all optima share the block order, so the product of the blocks'
+    listings is in lexicographic order too.
     """
-    h, cnt, append_cost = _prefix_dp(_exact_weights(profile))
-    optima = partial(_optima, h, append_cost, profile.m)
-    return MedianResult(cost=h[0], chosen=next(optima()), count=cnt[0], _listing=optima)
+    cost, count, listers = _solve(_exact_weights(profile))
+
+    def listing() -> Iterator[Ranking]:
+        for orders in itertools.product(*(lister() for lister in listers)):
+            yield tuple(itertools.chain.from_iterable(orders))
+
+    chosen = tuple(c for lister in listers for c in next(lister()))
+    return MedianResult(cost=cost, chosen=chosen, count=count, _listing=listing)
 
 
 def approx_ratio(candidate: Sequence[int], profile: Profile) -> ApproxReport:
@@ -208,8 +261,7 @@ def approx_ratio(candidate: Sequence[int], profile: Profile) -> ApproxReport:
     candidate = validate_ranking(candidate, profile.m)
     w = _exact_weights(profile)
     cand_cost = _backward(w, candidate)
-    h, _cnt, _append_cost = _prefix_dp(w)
-    opt = h[0]
+    opt, _count, _listers = _solve(w)
     if opt == 0:
         ratio = Fraction(1) if cand_cost == 0 else INFINITE
     else:

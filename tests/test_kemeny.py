@@ -105,6 +105,91 @@ def test_exact_matches_brute_on_random_profiles():
         assert e.count == b.count == len(e.medians)
 
 
+def block_profiles(rng):
+    """Profiles whose majority graph splits into 2-4 ordered blocks.
+
+    A leading bloc of voters ranks the planned blocks in order, each in a
+    random inner order, and a smaller or equal number of random voters
+    makes cross-block pairs strict but not unanimous, or, with an even
+    voter count, ties one of them, which merges two would-be blocks.
+    """
+    for _ in range(150):
+        m = rng.randint(4, BRUTE_MAX_M)
+        ref = rand_ranking(rng, m)
+        cuts = sorted(rng.sample(range(1, m), rng.randint(1, 3)))
+        planned = [ref[a:b] for a, b in zip([0] + cuts, cuts + [m])]
+        bloc = rng.randint(2, 5)
+        ballots = [
+            tuple(c for block in planned for c in rng.sample(block, len(block)))
+            for _ in range(bloc)
+        ]
+        ballots += [rand_ranking(rng, m) for _ in range(rng.randint(1, bloc))]
+        yield Profile.of(ballots, m)
+
+
+def test_exact_matches_brute_on_block_profiles():
+    # 0 beats 1 and 1 beats 2 by 3 to 1, not unanimously; 2 and 3 tie
+    split = Profile.of([(0, 1, 2, 3), (1, 0, 3, 2), (0, 2, 1, 3), (0, 1, 3, 2)])
+    # 1 and 2 tie 2 to 2 with four voters, so {1} and {2} merge
+    merged = Profile.of([(0, 1, 2, 3), (1, 0, 3, 2), (0, 2, 1, 3), (2, 0, 1, 3)])
+    assert kemeny._blocks(weight_matrix(split.rankings, 4)) == [[0], [1], [2, 3]]
+    assert kemeny._blocks(weight_matrix(merged.rankings, 4)) == [[0], [1, 2], [3]]
+    rng = random.Random(38)
+    block_counts = set()
+    for p in [split, merged, *block_profiles(rng)]:
+        block_counts.add(len(kemeny._blocks(weight_matrix(p.rankings, p.m))))
+        b, e = kemeny_brute(p), kemeny_exact(p)
+        assert (e.cost, e.chosen, e.count) == (b.cost, b.chosen, b.count)
+        assert e.medians == b.medians
+        r = rand_ranking(rng, p.m)
+        rep = approx_ratio(r, p)
+        assert (rep.candidate_cost, rep.optimal_cost) == (tau_profile(r, p), b.cost)
+        if b.cost:
+            assert rep.ratio == Fraction(rep.candidate_cost, b.cost)
+    assert {2, 3, 4} <= block_counts
+
+
+def _dp_sizes(monkeypatch) -> list[int]:
+    sizes: list[int] = []
+    solve = kemeny._prefix_dp
+
+    def recorded(w):
+        sizes.append(len(w))
+        return solve(w)
+
+    monkeypatch.setattr(kemeny, "_prefix_dp", recorded)
+    return sizes
+
+
+def test_dp_runs_per_majority_block(monkeypatch):
+    m = EXACT_MAX_M
+    ident = tuple(range(m))
+    sizes = _dp_sizes(monkeypatch)
+    # three ballots move 3 below 4 and 5 and swap 11 and 12: ties against the
+    # three identity ballots join {3, 4, 5} and {11, 12}, every other pair is
+    # unanimous
+    moved = list(ident)
+    moved[3:6], moved[11:13] = [4, 5, 3], [12, 11]
+    res = kemeny_exact(Profile.of([ident] * 3 + [tuple(moved)] * 3))
+    assert sizes == [3, 2]  # a lone candidate needs no table
+    assert (res.cost, res.chosen, res.count) == (9, ident, 3 * 2)
+    sizes.clear()
+    all_tie = kemeny_exact(Profile.of([ident, ident[::-1]] * 3))
+    assert sizes == [m] and all_tie.count == math.factorial(m)
+
+
+def test_exact_refuses_above_capacity_before_tallying(monkeypatch):
+    sizes = _dp_sizes(monkeypatch)
+    tallies = []
+    monkeypatch.setattr(kemeny, "weight_matrix", lambda *args: tallies.append(args))
+    p = Profile.of([tuple(range(EXACT_MAX_M + 1))] * 3)
+    with pytest.raises(CapacityError):
+        kemeny_exact(p)
+    with pytest.raises(CapacityError):
+        approx_ratio(tuple(range(EXACT_MAX_M + 1)), p)
+    assert tallies == [] and sizes == []
+
+
 def test_all_tie_solve_at_capacity_counts_without_listing():
     # [id, rev] * 3 at m = 16: every ranking is optimal, 3 * C(16, 2) = 360
     m = EXACT_MAX_M
