@@ -237,6 +237,8 @@ def _print_simulate(record: dict) -> None:
 
 def scenario_record(name: str, n: int, t: int, m: int, side: str, case: str) -> dict:
     if name == "appendix-c":
+        if m != 3:
+            raise ValueError(f"appendix-c has three candidates, got m={m}")
         ratio, argmax = appendix_c_search(n, t, case)
         measured, closed, witness = _ratio_str(ratio), None, list(argmax)
         ok = True
@@ -247,8 +249,9 @@ def scenario_record(name: str, n: int, t: int, m: int, side: str, case: str) -> 
         closed = _ratio_str(report.ratio_closed_form)
         witness = list(report.witness)
         config = {"name": name, "n": n, "t": t, "m": m, "side": side, "case": None}
-        # both sides reach the closed form where it is exact; one side, or
-        # cycle-worst from m = 5 on, only stays under it
+        # both sides must reach the closed form for binary-worst and for
+        # cycle-worst up to m = 4, which reaches it exactly where n >= 2mt
+        # (ROADMAP item 2); one side, or cycle-worst above m = 4, stays under
         if side == "both" and (name == "binary-worst" or m <= 4):
             ok = report.ratio_measured == report.ratio_closed_form
         else:
@@ -361,9 +364,9 @@ def replay(path: str) -> tuple[dict, bool]:
     and every config key that command needs, each with a valid value, or
     when a simulate record asks for more seeds than it holds runs, for
     more than :data:`REPLAY_MESSAGES_MAX` messages in all or for more than
-    :data:`REPLAY_WORK_MAX` messages times m³.  A simulated scenario's one
-    run is priced as a one-seed alg2 simulate record, and an appendix-c
-    record by its grid against :data:`REPLAY_GRID_MAX`.
+    :data:`REPLAY_WORK_MAX` messages times m³.  A two-sided scenario record
+    is priced as its cell's one-seed alg2 simulate record, a bound on n and
+    m, and an appendix-c record by its grid against :data:`REPLAY_GRID_MAX`.
     """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
@@ -396,7 +399,7 @@ def replay(path: str) -> tuple[dict, bool]:
                 f"record asks for a {grid:,}-cell weight grid; replay stops at {REPLAY_GRID_MAX:,}"
             )
     elif command == "scenario":
-        # a simulated scenario is one alg2 run of the completed view
+        # no run, but its cell's one-seed alg2 record bounds n and m
         _price("alg2", cfg["n"], cfg["t"], cfg["m"], 1)
     fresh = RECORDS[command](*(cfg[k] for k in REPLAY_KEYS[command]))
 

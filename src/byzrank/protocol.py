@@ -72,10 +72,11 @@ class ProtocolConfig:
         object.__setattr__(self, "dictator_schedule", sched)
         if len(sched) != self.t + 1:
             raise ValueError(f"dictator schedule must have t+1={self.t + 1} entries")
+        # exact type: True and 1.0 would pass the range test as node 1
+        if any(type(d) is not int or not (0 <= d < self.n) for d in sched):
+            raise ValueError("dictator schedule entries must be node ids")
         if len(set(sched)) != len(sched):
             raise ValueError("dictator schedule entries must be distinct")
-        if any(not (0 <= d < self.n) for d in sched):
-            raise ValueError("dictator schedule entries must be node ids")
 
 
 # --- closed forms -------------------------------------------------------------

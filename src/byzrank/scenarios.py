@@ -5,10 +5,11 @@ that complete it, such that the completed views of two different correct
 profiles ("left"/"right" sides) are the same ranking multiset.  Any
 deterministic protocol that decides from the completed view gives both sides
 one answer, so one side is stuck with the closed-form approximation ratio.
-measure_scenario runs the completed view once through alg2 and scores that
-one consensus against each side's correct profile, next to the closed form.
+For alg2 that answer is the completed view's lexicographically first Kemeny
+median; measure_scenario computes it directly and scores it against each
+side's correct profile, next to the closed form.
 
-The third family, ``appendix-c``, is not a simulation: it is an exact grid
+The third family, ``appendix-c``, has no two sides: it is an exact grid
 search over three-candidate cyclic tournaments for the worst ratio between a
 forced cyclic-median answer and the optimal one, subject to feasibility
 constraints tying the tournament weights to n and t.
@@ -19,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kemeny import approx_ratio
-from .rankings import Profile, Ranking
-from .simnet import Honest, run_sync
+from .kemeny import approx_ratio, kemeny_exact
 from .protocol import ProtocolConfig
+from .rankings import Profile, Ranking
 
 SCENARIO_NAMES = ("binary-worst", "cycle-worst", "appendix-c")
 SIDES = ("left", "right", "both")
@@ -106,7 +106,7 @@ def gen_cycle_worst(n: int, t: int, m: int) -> dict:
     return _sides(a, b, n // 2 - t, [c] * (2 * t), t)
 
 
-# each simulated family: its two-sided construction and its closed-form ratio
+# each two-sided family: its construction and its closed-form ratio
 _FAMILIES = {
     "binary-worst": (gen_binary_worst, lambda n, t, m: binary_closed_form(n, t)),
     "cycle-worst": (gen_cycle_worst, cycle_closed_form),
@@ -114,11 +114,15 @@ _FAMILIES = {
 
 
 def measure_scenario(kind: str, n: int, t: int, m: int, side: str = "both") -> LowerBoundReport:
-    """Run the completed view once through alg2; report the worst-side ratio.
+    """Score alg2's one answer M on each selected side; report the worse.
 
-    The one consensus is scored against the correct-node profile of each
-    selected side; the report's ratio is the worse score and the witness is
-    that consensus.  The closed form is reported beside it, not checked here.
+    M, the completed view's lexicographically first Kemeny median, is what
+    every node outputs in an alg2 run of that view: in round 1 every node
+    receives the completed view and takes M; in each king round every node
+    holds M, so it proposes, fixes and locks exactly ``pairs_of(M)`` and
+    ``adjust_ranking`` leaves M unchanged; the dictators 0..t are correct
+    (the corrupted nodes are the last t, and n > 2t) and all send M.  The
+    closed form is reported beside the ratio, not checked here.
     """
     if kind not in _FAMILIES:
         raise ValueError(f"{kind!r} is not a simulation scenario")
@@ -126,16 +130,12 @@ def measure_scenario(kind: str, n: int, t: int, m: int, side: str = "both") -> L
         raise ValueError("side must be left, right, or both")
     construct, closed_form = _FAMILIES[kind]
     views = construct(n, t, m)
+    ProtocolConfig(n, t, m)  # refuse what an alg2 run would, with its messages
     correct, byz_ballots = views["left"]
-    result = run_sync("alg2", correct + byz_ballots, Honest(), ProtocolConfig(n, t, m))
-    # unreachable: honest nodes broadcast uniformly, so in every phase every
-    # node gets the same inbox, hence the same kept pairs and the same ranking
-    if not result.agreement:
-        raise RuntimeError("scenario run lost agreement")
-    consensus = result.consensus
+    median = kemeny_exact(Profile.of(correct + byz_ballots, m)).chosen
     scored = ("left", "right") if side == "both" else (side,)
-    worst = max(approx_ratio(consensus, Profile.of(list(views[s][0]), m)).ratio for s in scored)
-    return LowerBoundReport(worst, closed_form(n, t, m), consensus)
+    worst = max(approx_ratio(median, Profile.of(views[s][0], m)).ratio for s in scored)
+    return LowerBoundReport(worst, closed_form(n, t, m), median)
 
 
 def appendix_c_search(n: int, t: int, case: str) -> tuple[Fraction, tuple[int, int, int]]:
@@ -162,17 +162,11 @@ def appendix_c_search(n: int, t: int, case: str) -> tuple[Fraction, tuple[int, i
             for z in range(lo, y + 1):
                 if not (n - t <= x + y + z <= 2 * (n - t)):
                     continue
-                if case == "C231":
-                    if x - z > t:
-                        continue
-                    num = 2 * (n - t) + x - y - z
-                else:
-                    if y - z > t:
-                        continue
-                    num = 2 * (n - t) - x + y - z
-                den = 2 * (n - t) - x - y + z
-                if den <= 0:
+                lead, other = (x, y) if case == "C231" else (y, x)
+                if lead - z > t:
                     continue
+                num = 2 * (n - t) + lead - other - z
+                den = 2 * (n - t) - x - y + z  # >= z > 0, as x, y <= n - t
                 ratio = Fraction(num, den)
                 if best_ratio is None or ratio > best_ratio:
                     best_ratio, best_arg = ratio, (x, y, z)

@@ -222,6 +222,15 @@ def test_scenario_appendix(capsys):
     assert "witness: [8, 6, 6]" in out
 
 
+def test_scenario_appendix_refuses_other_m(capsys):
+    # the grid search has three candidates; any other m would be recorded as 3
+    code, out, err = run_cli(
+        ["scenario", "appendix-c", "--n", "30", "--t", "3", "--m", "9"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: appendix-c has three candidates, got m=9\n"
+
+
 def test_scenario_needs_name(capsys):
     code, _, err = run_cli(["scenario", "--n", "12", "--t", "3"], capsys)
     assert code == 2
@@ -409,6 +418,8 @@ def scenario(**changes):
         # under the caps on seeds·n², over them on the closed-form count
         (sim(n=300, t=99), "asks for 12,090,000 messages; replay stops at 250,000"),
         (sim(strategy="random", m=80), "asks for 56 messages at m=80, 28,672,000"),
+        # appendix-c searches three candidates; "m": 9 would be rewritten as 3
+        (scenario(name="appendix-c", m=9, case="C231"), "appendix-c has three candidates, got m=9"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):

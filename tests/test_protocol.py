@@ -69,6 +69,13 @@ def test_config_schedule_validation():
     assert ProtocolConfig(4, 1, 3, (3, 1)).dictator_schedule == (3, 1)
 
 
+@pytest.mark.parametrize("alias", [True, 1.0])
+def test_config_schedule_refuses_aliases_of_node_ids(alias):
+    # True and 1.0 pass the range test as node 1
+    with pytest.raises(ValueError, match="entries must be node ids"):
+        ProtocolConfig(4, 1, 3, (0, alias))
+
+
 def test_config_with_schedule():
     cfg = replace(ProtocolConfig(7, 2, 4), dictator_schedule=[6, 0, 1])
     assert cfg.dictator_schedule == (6, 0, 1)

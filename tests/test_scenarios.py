@@ -7,6 +7,7 @@ import pytest
 
 from byzrank import scenarios
 from byzrank.kemeny import approx_ratio
+from byzrank.protocol import ProtocolConfig
 from byzrank.rankings import Profile
 from byzrank.scenarios import (
     InfeasibleError,
@@ -18,7 +19,7 @@ from byzrank.scenarios import (
     gen_cycle_worst,
     measure_scenario,
 )
-from byzrank.simnet import ScriptedViews, completion_script
+from byzrank.simnet import Honest, completion_script, run_sync
 from byzrank.tournament import weight_matrix
 from conftest import triangle_holds
 
@@ -169,23 +170,32 @@ def test_measure_rejects_grid_search_kind():
         measure_scenario("appendix-c", 12, 2, 3)
 
 
-def test_completion_script_targets_the_last_nodes():
-    s = completion_script(((1, 0), (0, 1)), n=6)
-    assert isinstance(s, ScriptedViews)
-    assert s.script == {(1, "ranking", 4): (1, 0), (1, "ranking", 5): (0, 1)}
+# both families, t in {1, 2, 3}, even n from 4t to 10t, m = 2..6: 189 cells
+ALG2_GRID = [
+    (kind, n, t, m)
+    for kind in ("binary-worst", "cycle-worst")
+    for t in (1, 2, 3)
+    for n in range(4 * t, 10 * t + 1, 2)
+    for m in range(2 if kind == "binary-worst" else 3, 7)
+]
 
 
-def test_measure_runs_the_completed_view_once(monkeypatch):
-    calls = []
-    real = scenarios.run_sync
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scenarios, "run_sync", counting)
-    measure_scenario("cycle-worst", 18, 2, 3, "both")
-    assert calls == ["alg2"]
+def test_measure_is_what_alg2_outputs_on_the_completed_view():
+    # measure_scenario runs no simulation: its witness must be what alg2
+    # outputs, with agreement, on the completed view with every node honest
+    # and on each side with the corrupted nodes broadcasting its completion,
+    # even inside the cycle region n <= (m+1)t where an equivocating
+    # adversary could split agreement
+    assert len(ALG2_GRID) == 189
+    for kind, n, t, m in ALG2_GRID:
+        witness = measure_scenario(kind, n, t, m).witness
+        sides = scenarios._FAMILIES[kind][0](n, t, m)
+        cfg = ProtocolConfig(n, t, m)
+        correct, byz = sides["left"]
+        runs = [run_sync("alg2", correct + byz, Honest(), cfg)]
+        runs += [run_sync("alg2", c + b, completion_script(b, n), cfg) for c, b in sides.values()]
+        for result in runs:
+            assert result.agreement and result.consensus == witness, (kind, n, t, m)
 
 
 # cells on both sides of cycle-worst's n = 2mt boundary, and binary-worst's
@@ -216,9 +226,8 @@ def test_cycle_worst_reaches_its_closed_form_iff_n_at_least_2mt():
 
 
 def test_scenarios_agree_inside_the_cycle_region():
-    # n <= (m+1)t is where an equivocating adversary can split agreement, but
-    # the completed view's one run is honest, so every correct node sees the
-    # same inboxes and measure_scenario's agreement guard never fires
+    # n <= (m+1)t is where an equivocating adversary can split agreement;
+    # the completed view's median is a full ranking there too
     cells = [
         ("binary-worst", 4, 1, 3), ("binary-worst", 10, 3, 3), ("binary-worst", 6, 1, 5),
         ("cycle-worst", 4, 1, 3), ("cycle-worst", 8, 2, 3), ("cycle-worst", 6, 1, 5),

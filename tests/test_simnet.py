@@ -20,6 +20,7 @@ from byzrank.simnet import (
     ScriptedViews,
     Silent,
     adversary_search,
+    completion_script,
     cycle_lock_attack,
     default_script,
     make_strategy,
@@ -193,6 +194,12 @@ def test_scripted_views_follows_script_and_defaults_to_silence():
     assert r2[0] == (0, 1, 2) and r2[1] == (1, 0, 2) and 3 not in r2
     assert not [msg for msg in byz if msg[1] == PROPOSE]  # unscripted: silent
     assert res.agreement
+
+
+def test_completion_script_targets_the_last_nodes():
+    s = completion_script(((1, 0), (0, 1)), n=6)
+    assert isinstance(s, ScriptedViews)
+    assert s.script == {(1, "ranking", 4): (1, 0), (1, "ranking", 5): (0, 1)}
 
 
 def test_default_script_round_one_ballots():
