@@ -16,7 +16,7 @@ from .rankings import (
     unanimous_pairs,
     validate_ranking,
 )
-from .tournament import weight_matrix
+from .tournament import pair_lanes, weight_matrix
 from .kemeny import (
     BRUTE_MAX_M,
     EXACT_MAX_M,
@@ -73,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Pair", "ParseError", "Profile", "Ranking", "is_ranking", "pairs_of",
     "parse_profile", "unanimous_pairs", "validate_ranking",
-    "weight_matrix",
+    "pair_lanes", "weight_matrix",
     "BRUTE_MAX_M", "EXACT_MAX_M", "INFINITE", "ApproxReport", "CapacityError",
     "MedianResult", "approx_ratio", "kemeny_brute", "kemeny_exact",
     "ProtocolConfig",

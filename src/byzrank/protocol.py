@@ -26,8 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .kemeny import kemeny_exact
 from .rankings import Pair, Profile, Ranking, is_ranking, pairs_of, validate_ranking
@@ -41,7 +40,7 @@ from .simnet import (
     RunStats,
     SyncNetwork,
 )
-from .tournament import add_ballots, weight_matrix
+from .tournament import pair_lanes, weight_matrix
 
 
 @dataclass(frozen=True)
@@ -105,37 +104,44 @@ def expected_messages(
 # --- pure per-node steps ------------------------------------------------------
 
 
-def compute_proposals(w: Sequence[Sequence[int]], n: int, t: int) -> frozenset[Pair]:
+def compute_proposals(tally: int, n: int, t: int, m: int) -> frozenset[Pair]:
     """Pairs that at least n-t of the tallied rankings support.
 
-    ``w`` is the weight matrix of the rankings one node received.
+    ``tally`` packs the pair counts of the rankings one node received in
+    the lanes of ``pair_lanes(n, m)``.
     """
-    need = n - t
-    m = len(w)
-    return frozenset(
-        (a, b) for a in range(m) for b in range(m) if a != b and w[a][b] >= need
-    )
+    lanes = pair_lanes(n, m)
+    return lanes.unpack(lanes.at_least(tally, n - t))
 
 
 def collect_fixed_pairs(
-    receipts: Mapping[Pair, int], n: int, t: int
+    tally: int, n: int, t: int, m: int, memo: dict | None = None
 ) -> tuple[frozenset[Pair], frozenset[Pair], list[tuple[Pair, str, int]]]:
     """Fix, resolve and lock the pairs of one node's receipt counts.
 
-    A pair proposed by at least t+1 senders is fixed; :func:`resolve_acyclic`
+    ``tally`` packs the receipts in the lanes of ``pair_lanes(n, m)``.  A
+    pair proposed by at least t+1 senders is fixed; :func:`resolve_acyclic`
     makes the fixed set acyclic.  Returns ``(kept, locks, drops)``: the kept
     fixed pairs, those of them with at least n-t receipts, and one
     ``(pair, level, cycle_len)`` per dropped edge, its level ``"lock"`` when
-    the edge had lock-level receipts and ``"fix"`` otherwise.
+    the edge had lock-level receipts and ``"fix"`` otherwise.  The answer
+    depends only on the fixed and lock-level pair sets, so a ``memo`` shared
+    by calls with equal ``(n, t, m)`` resolves each fixed set once and
+    answers each pair of sets once.
     """
-    fixed = frozenset(p for p, c in receipts.items() if c >= t + 1)
-    kept, dropped = resolve_acyclic(fixed)
-    lock_level = n - t
-    locks = frozenset(p for p in kept if receipts[p] >= lock_level)
-    drops = [
-        (p, "lock" if receipts[p] >= lock_level else "fix", cycle_len) for p, cycle_len in dropped
-    ]
-    return kept, locks, drops
+    lanes = pair_lanes(n, m)
+    fix, lock = lanes.at_least(tally, t + 1), lanes.at_least(tally, n - t)
+    if memo is None:
+        memo = {}
+    key = (fix, lock)
+    if key not in memo:
+        if fix not in memo:
+            memo[fix] = resolve_acyclic(lanes.unpack(fix))
+        kept, dropped = memo[fix]
+        locks = lanes.unpack(lock)
+        drops = [(p, "lock" if p in locks else "fix", cycle_len) for p, cycle_len in dropped]
+        memo[key] = kept, kept & locks, drops
+    return memo[key]
 
 
 def resolve_acyclic(pairs: frozenset[Pair]) -> tuple[frozenset[Pair], list[tuple[Pair, int]]]:
@@ -246,6 +252,20 @@ def _byz_views(inboxes: Sequence[Mapping[int, object]], byz_ids: frozenset[int])
     return views
 
 
+def _tally(base: int, slots: Sequence, pack: Callable[[object], int], packed: dict) -> int:
+    """``base`` plus the packed pair set of every slot that is not None.
+
+    ``packed`` caches ``pack`` per value, so a ballot or batch that reaches
+    many views is packed once.
+    """
+    for x in slots:
+        if x is not None:
+            if x not in packed:
+                packed[x] = pack(x)
+            base += packed[x]
+    return base
+
+
 def _king_rounds(
     net: SyncNetwork, cfg: ProtocolConfig, m: int, rankings: dict[int, Ranking], start_round: int
 ) -> list[IntegrityEvent]:
@@ -255,38 +275,44 @@ def _king_rounds(
     on entry.  Rankings are kept for every node: corrupted nodes keep an
     honest shadow ranking (fed by real inboxes) so the network can answer
     exactly what they would have sent.  Every recipient gets each correct
-    sender's payload unchanged, so a phase tallies the correct payloads once
-    and each view adds only its Byzantine slots, None slots counting nothing:
-    O(n·t) work per phase, not O(n²).  A node's steps depend only on its
-    view, so each step runs once per distinct view and is shared; each
+    sender's payload unchanged, so a phase tallies the correct payloads
+    once (the ranking phase through :func:`weight_matrix`) into one packed
+    int of per-pair lanes (:class:`PairLanes`), and each view adds one
+    big-int per Byzantine slot, None slots counting nothing.  A ballot or
+    batch is packed once per round, and forgotten with it.  A node's steps
+    depend only on its view, so each step runs once per distinct view and
+    is shared; fixed sets are resolved once per run, and the ranking
+    adjustments and dictator decisions are shared run-wide too.  Each
     dropped edge becomes one integrity event per correct node that holds it.
     """
     n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
     correct = [v for v in range(n) if v not in byz_ids]
     instance_inputs = {v: rankings[v] for v in correct}
+    lanes = pair_lanes(n, m)
+    resolved: dict = {}
+    adjusted: dict[tuple, Ranking] = {}
+    decided: dict[tuple, Ranking] = {}
     events: list[IntegrityEvent] = []
     for ground, dict_id in enumerate(cfg.dictator_schedule, start_round):
+        packed: dict[object, int] = {}  # this round's ballots and batches
         inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs)
-        weights = weight_matrix([rankings[u] for u in correct], m)
-        tally: dict[tuple, frozenset[Pair]] = {}
+        base = lanes.matrix(weight_matrix([rankings[u] for u in correct], m))
+        proposed: dict[tuple, frozenset[Pair]] = {}
         proposals: dict[int, frozenset[Pair]] = {}
         for v, view in enumerate(_byz_views(inboxes, byz_ids)):
-            if view not in tally:
-                w = [row[:] for row in weights]
-                add_ballots(w, [r for r in view if r is not None])
-                tally[view] = compute_proposals(w, n, t)
-            proposals[v] = tally[view]
+            if view not in proposed:
+                ballots = _tally(base, view, lanes.ranking, packed)
+                proposed[view] = compute_proposals(ballots, n, t, m)
+            proposals[v] = proposed[view]
 
         inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs)
-        receipts = Counter(chain.from_iterable(proposals[u] for u in correct))
+        receipts = _tally(0, [proposals[u] for u in correct], lanes.pairs, packed)
         fixed: dict[tuple, tuple] = {}
-        adjusted: dict[tuple, Ranking] = {}
         locks: dict[int, frozenset[Pair]] = {}
         for v, view in enumerate(_byz_views(inboxes, byz_ids)):
             if view not in fixed:
-                counts = receipts.copy()
-                counts.update(chain.from_iterable(b for b in view if b is not None))
-                fixed[view] = collect_fixed_pairs(counts, n, t)
+                counts = _tally(receipts, view, lanes.pairs, packed)
+                fixed[view] = collect_fixed_pairs(counts, n, t, m, resolved)
             kept, locks[v], drops = fixed[view]
             if v not in byz_ids:
                 events.extend(
@@ -299,7 +325,6 @@ def _king_rounds(
             rankings[v] = adjusted[key]
 
         inboxes = net.exchange(ground, DICTATOR, m, {dict_id: rankings[dict_id]}, instance_inputs)
-        decided: dict[tuple, Ranking] = {}
         for v in range(n):
             key = (rankings[v], locks[v], inboxes[v].get(dict_id))
             if key not in decided:

@@ -195,25 +195,27 @@ class OppositeMedian(AdversaryStrategy):
 class Equivocate(AdversaryStrategy):
     """Every message is a fresh random value, chosen per recipient.
 
-    Equal values go out as one interned object, so the network sanitizes each
-    once per phase; the table grows by at most one entry per message sent.
+    Equal values of one phase go out as one interned object, so the network
+    sanitizes each once; the table holds the current phase's values only.
     """
 
     name = "equivocate"
 
     def __init__(self):
-        self._payloads: dict[tuple[bool, Ranking], Payload] = {}
+        self._phase: tuple[int, str] | None = None
+        self._payloads: dict[Ranking, Payload] = {}
 
     def send(self, ctx, sender):
+        if self._phase != (ctx.round, ctx.phase):
+            self._phase, self._payloads = (ctx.round, ctx.phase), {}
         rnd = random.Random(f"{ctx.seed}/equivocate/{ctx.round}/{ctx.phase}/{sender}")
-        propose = ctx.phase == PROPOSE
         table = self._payloads
         out = {}
         for v in range(ctx.n):
-            key = (propose, random_ranking(rnd, ctx.m))
-            payload = table.get(key)
+            ranking = random_ranking(rnd, ctx.m)
+            payload = table.get(ranking)
             if payload is None:
-                payload = table[key] = _phase_payload(key[1], ctx.phase)
+                payload = table[ranking] = _phase_payload(ranking, ctx.phase)
             out[v] = payload
         return out
 

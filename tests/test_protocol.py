@@ -4,7 +4,6 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +40,20 @@ from byzrank.simnet import (
     run_sync,
     sanitize_batch,
 )
-from byzrank.tournament import weight_matrix
+from byzrank.tournament import pair_lanes, weight_matrix
 from conftest import rand_ranking
+
+
+def tallied(rankings, n, m):
+    """The rankings' pair counts, packed as a node's ranking tally."""
+    return pair_lanes(n, m).matrix(weight_matrix(rankings, m))
+
+
+def receipts(counts, n, m):
+    """Per-pair receipt counts, packed as a node's receipt tally."""
+    lanes = pair_lanes(n, m)
+    return sum(c * lanes.pairs([p]) for p, c in counts.items())
+
 
 # --- configuration --------------------------------------------------------------
 
@@ -100,17 +111,17 @@ def test_config_rejects_non_ints_and_small_m():
 
 def test_proposals_unanimous():
     r = (2, 0, 1)
-    assert compute_proposals(weight_matrix([r] * 4, 3), 4, 1) == pairs_of(r)
+    assert compute_proposals(tallied([r] * 4, 4, 3), 4, 1, 3) == pairs_of(r)
 
 
 def test_proposals_threshold_met():
-    got = compute_proposals(weight_matrix([(0, 1), (0, 1), (0, 1), (1, 0)], 2), 4, 1)
+    got = compute_proposals(tallied([(0, 1), (0, 1), (0, 1), (1, 0)], 4, 2), 4, 1, 2)
     assert got == {(0, 1)}  # 3 of 4 is exactly n-t
 
 
 def test_proposals_split_vote():
-    w = weight_matrix([(0, 1), (0, 1), (1, 0), (1, 0)], 2)
-    assert compute_proposals(w, 4, 1) == frozenset()
+    tally = tallied([(0, 1), (0, 1), (1, 0), (1, 0)], 4, 2)
+    assert compute_proposals(tally, 4, 1, 2) == frozenset()
 
 
 def test_proposals_missing_slots_count_nothing():
@@ -131,23 +142,23 @@ def test_proposals_missing_slots_count_nothing():
 
 def test_collect_fixed_pairs_threshold():
     # t+1 = 2 receipts fix a pair; one receipt does not
-    kept, locks, drops = collect_fixed_pairs(Counter({(0, 1): 2}), 4, 1)
+    kept, locks, drops = collect_fixed_pairs(receipts({(0, 1): 2}, 4, 2), 4, 1, 2)
     assert kept == {(0, 1)} and drops == []
-    kept, locks, drops = collect_fixed_pairs(Counter({(0, 1): 1}), 4, 1)
+    kept, locks, drops = collect_fixed_pairs(receipts({(0, 1): 1}, 4, 2), 4, 1, 2)
     assert kept == locks == frozenset() and drops == []
 
 
 def test_collect_fixed_pairs_lock_threshold():
     # n=7, t=2: 3 receipts fix a pair, only n-t = 5 lock it
-    kept, locks, _ = collect_fixed_pairs(Counter({(0, 1): 4}), 7, 2)
+    kept, locks, _ = collect_fixed_pairs(receipts({(0, 1): 4}, 7, 2), 7, 2, 2)
     assert kept == {(0, 1)} and locks == frozenset()
-    kept, locks, _ = collect_fixed_pairs(Counter({(0, 1): 5}), 7, 2)
+    kept, locks, _ = collect_fixed_pairs(receipts({(0, 1): 5}, 7, 2), 7, 2, 2)
     assert kept == locks == {(0, 1)}
 
 
 def test_collect_fixed_pairs_resolves_cycle():
-    receipts = Counter({(0, 1): 2, (1, 2): 2, (2, 0): 2})
-    kept, locks, drops = collect_fixed_pairs(receipts, 4, 1)
+    tally = receipts({(0, 1): 2, (1, 2): 2, (2, 0): 2}, 4, 3)
+    kept, locks, drops = collect_fixed_pairs(tally, 4, 1, 3)
     assert kept == {(0, 1), (1, 2)}  # acyclic: the closing edge is dropped
     assert locks == frozenset()  # two receipts each, below n-t = 3
     assert drops == [((2, 0), "fix", 3)]
@@ -158,10 +169,10 @@ def test_resolve_acyclic_keeps_one_of_both_orientations():
     # both orientations of a pair are a 2-cycle: the first edge stays
     pairs = frozenset({(0, 1), (1, 0), (2, 0)})
     assert resolve_acyclic(pairs) == ({(0, 1), (2, 0)}, [((1, 0), 2)])
-    receipts = {(0, 1): 3, (1, 0): 5, (2, 0): 3}
-    _, _, drops = collect_fixed_pairs(receipts, 7, 2)
+    counts = {(0, 1): 3, (1, 0): 5, (2, 0): 3}
+    _, _, drops = collect_fixed_pairs(receipts(counts, 7, 3), 7, 2, 3)
     assert drops == [((1, 0), "lock", 2)]
-    _, _, drops = collect_fixed_pairs({**receipts, (1, 0): 4}, 7, 2)
+    _, _, drops = collect_fixed_pairs(receipts({**counts, (1, 0): 4}, 7, 3), 7, 2, 3)
     assert drops == [((1, 0), "fix", 2)]
 
 
@@ -183,12 +194,13 @@ def test_no_two_cycle_reaches_resolution(data):
     proposals = {}
     for v in inputs:
         slots = [data.draw(st.none() | ranking) for _ in byz]
-        w = weight_matrix([*inputs.values(), *(r for r in slots if r is not None)], m)
-        proposals[v] = compute_proposals(w, n, t)
+        ballots = [*inputs.values(), *(r for r in slots if r is not None)]
+        proposals[v] = compute_proposals(tallied(ballots, n, m), n, t, m)
     for v in inputs:
         slots = [sanitize_batch(data.draw(st.none() | batch), m) for _ in byz]
         received = [*proposals.values(), *(b for b in slots if b is not None)]
-        _, _, drops = collect_fixed_pairs(Counter(chain.from_iterable(received)), n, t)
+        tally = sum(pair_lanes(n, m).pairs(b) for b in received)
+        _, _, drops = collect_fixed_pairs(tally, n, t, m)
         assert all(cycle_len != 2 for _, _, cycle_len in drops)
 
 
@@ -196,11 +208,70 @@ def test_resolve_acyclic_breaks_cycle_and_grades_level():
     cyc = frozenset({(0, 1), (1, 2), (2, 0)})
     # lex-greedy keeps the first two
     assert resolve_acyclic(cyc) == ({(0, 1), (1, 2)}, [((2, 0), 3)])
-    kept, _, drops = collect_fixed_pairs({p: 3 for p in cyc}, 7, 2)
+    kept, _, drops = collect_fixed_pairs(receipts({p: 3 for p in cyc}, 7, 3), 7, 2, 3)
     assert kept == {(0, 1), (1, 2)} and drops == [((2, 0), "fix", 3)]
-    kept, _, drops = collect_fixed_pairs({p: 5 for p in cyc}, 7, 2)
+    kept, _, drops = collect_fixed_pairs(receipts({p: 5 for p in cyc}, 7, 3), 7, 2, 3)
     assert kept == {(0, 1), (1, 2)}
     assert drops == [((2, 0), "lock", 3)]  # n-t receipts
+
+
+# (n, t) cells for the packed-tally checks: small ones, both sides of the
+# step from 1-byte to 2-byte lanes at n = 128, and counts past one byte's
+# carry-free range at n = 255 and 256
+TALLY_CELLS = st.one_of(
+    st.integers(0, 3).flatmap(lambda t: st.tuples(st.integers(3 * t + 1, 3 * t + 4), st.just(t))),
+    st.tuples(st.sampled_from([127, 128, 255, 256]), st.integers(0, 42)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TALLY_CELLS, st.integers(2, 5), st.data())
+def test_packed_proposals_match_per_pair_counts(cell, m, data):
+    # the engine's ranking tally: the correct ballots' weight matrix, packed,
+    # plus one packed ranking per Byzantine slot; the oracle counts each
+    # pair's supporters one ballot at a time
+    n, t = cell
+    byz = data.draw(st.integers(0, t))
+    ranking = st.permutations(range(m)).map(tuple)
+    first, second = data.draw(ranking), data.draw(ranking)
+    # `first`'s share sits on a threshold, or all of them agree
+    k = data.draw(st.sampled_from(sorted({0, 1, t, t + 1, n - t - 1, n - t, n - byz})))
+    k = min(max(k, 0), n - byz)
+    correct = [first] * k + [second] * (n - byz - k)
+    slots = [data.draw(st.none() | st.just(first) | ranking) for _ in range(byz)]
+    ballots = correct + [r for r in slots if r is not None]
+    lanes = pair_lanes(n, m)
+    tally = lanes.matrix(weight_matrix(correct, m))
+    for r in slots:
+        if r is not None:
+            tally += lanes.ranking(r)
+    support = Counter(p for r in ballots for p in pairs_of(r))
+    want = {p for p, count in support.items() if count >= n - t}
+    assert compute_proposals(tally, n, t, m) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(TALLY_CELLS, st.integers(2, 5), st.data())
+def test_packed_fixed_pairs_match_per_pair_counts(cell, m, data):
+    # receipt counts on and around both thresholds, up to all n senders;
+    # sender i proposes every pair with more than i receipts, so batches
+    # hold both orientations of a pair whenever both have receipts
+    n, t = cell
+    ordered = [(a, b) for a in range(m) for b in range(m) if a != b]
+    levels = sorted({0, 1, t, t + 1, n - t - 1, n - t, n} - {-1})
+    counts = {p: data.draw(st.sampled_from(levels)) for p in ordered}
+    lanes = pair_lanes(n, m)
+    tally = sum(lanes.pairs([p for p in ordered if counts[p] > i]) for i in range(n))
+    kept, dropped = resolve_acyclic(frozenset(p for p in ordered if counts[p] >= t + 1))
+    want = (
+        kept,
+        frozenset(p for p in kept if counts[p] >= n - t),
+        [(p, "lock" if counts[p] >= n - t else "fix", cycle_len) for p, cycle_len in dropped],
+    )
+    memo = {}
+    assert collect_fixed_pairs(tally, n, t, m) == want
+    assert collect_fixed_pairs(tally, n, t, m, memo) == want
+    assert collect_fixed_pairs(tally, n, t, m, memo) == want  # answered from the memo
 
 
 def test_resolve_acyclic_passthrough():
@@ -451,13 +522,14 @@ def test_every_pair_is_a_plain_tuple():
     # a pair is (above, below) wherever it comes from, whatever type came in
     Labeled = namedtuple("Labeled", "above below")
     profile = Profile.of([(0, 1, 2), (0, 2, 1)])
-    kept, locks, drops = collect_fixed_pairs(Counter({(0, 1): 3, (1, 2): 3, (2, 0): 3}), 4, 1)
+    counts = {(0, 1): 3, (1, 2): 3, (2, 0): 3}
+    kept, locks, drops = collect_fixed_pairs(receipts(counts, 4, 3), 4, 1, 3)
     inputs, strategy, _ = cycle_lock_attack(4, 1, 3)
     res = run_algorithm1(inputs, strategy, ProtocolConfig(4, 1, 3), seed=0)
     sources = {
         "pairs_of": pairs_of((2, 0, 1)),
         "unanimous_pairs": unanimous_pairs(profile),
-        "compute_proposals": compute_proposals(weight_matrix(profile.rankings, 3), 2, 0),
+        "compute_proposals": compute_proposals(tallied(profile.rankings, 2, 3), 2, 0, 3),
         "kept": kept,
         "locks": locks,
         "drops": [p for p, _, _ in drops],
@@ -593,3 +665,28 @@ def test_steps_run_once_per_distinct_view(monkeypatch, strategy_name):
     else:
         # all n nodes hold one view per phase: one call per round
         assert calls == {"compute_proposals": t + 1, "collect_fixed_pairs": t + 1}
+
+
+def test_fixed_sets_resolve_once_per_run(monkeypatch):
+    # under equivocation the receipt tallies differ from view to view, but
+    # many share one fixed set; each distinct fixed set is resolved once
+    n, t, m = 7, 2, 3
+    lanes = pair_lanes(n, m)
+    seen, resolved = [], []
+    real_collect, real_resolve = protocol.collect_fixed_pairs, protocol.resolve_acyclic
+
+    def collect(tally, *args, **kwargs):
+        seen.append(lanes.unpack(lanes.at_least(tally, t + 1)))
+        return real_collect(tally, *args, **kwargs)
+
+    def resolve(pairs):
+        resolved.append(pairs)
+        return real_resolve(pairs)
+
+    monkeypatch.setattr(protocol, "collect_fixed_pairs", collect)
+    monkeypatch.setattr(protocol, "resolve_acyclic", resolve)
+    rng = random.Random(0)
+    inputs = [rand_ranking(rng, m) for _ in range(n)]
+    run_algorithm1(inputs, Equivocate(), ProtocolConfig(n, t, m), seed=0)
+    assert len(resolved) == len(set(resolved)) == len(set(seen)) < len(seen)
+    assert set(resolved) == set(seen)

@@ -155,6 +155,23 @@ def test_equivocate_sends_per_recipient_payloads():
     assert len(set(r1.values())) == 4  # a different story for everyone
 
 
+def test_equivocate_interns_within_one_phase_only():
+    # equal values of one phase go out as one object, so the network checks
+    # each once; the intern table starts afresh every phase, so no value is
+    # held past the phase it was sent in
+    cfg = ProtocolConfig(4, 1, 2)
+    res = run_sync("alg1", [(0, 1)] * 4, Equivocate(), cfg, seed=1, record_transcript=True)
+    sent = {}
+    for rnd, phase, sender, _to, payload in res.transcript:
+        if sender == 3:
+            sent.setdefault((rnd, phase), []).append(payload)
+    for payloads in sent.values():
+        assert len({id(p) for p in payloads}) == len(set(payloads))
+    first = {p: id(p) for p in sent[1, RANKING]}
+    again = [p for p in sent[2, RANKING] if p in first]
+    assert again and all(id(p) != first[p] for p in again)
+
+
 def test_equivocating_dictator_splits_then_heals():
     # corrupted dictator in round 1 can scatter the correct nodes; the round-2
     # correct dictator pulls them back together

@@ -1,9 +1,9 @@
-"""Pairwise-preference weight matrices built from rankings."""
+"""Pairwise-preference tallies built from rankings: weight matrices and packed lanes."""
 
 import random
 
-from byzrank.rankings import Profile
-from byzrank.tournament import weight_matrix
+from byzrank.rankings import Profile, pairs_of
+from byzrank.tournament import pair_lanes, weight_matrix
 from conftest import rand_profile, rand_ranking, triangle_holds
 
 CYCLE = Profile.of([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
@@ -59,3 +59,34 @@ def test_triangle_inequality_holds_for_real_profiles():
     for _ in range(40):
         p = rand_profile(rng, rng.randint(1, 9), rng.randint(2, 5))
         assert triangle_holds(weight_matrix(p.rankings, p.m))
+
+
+def test_lane_width_leaves_the_top_bit_clear():
+    # a count up to n must stay below a lane's top bit
+    assert [pair_lanes(n, 3).width for n in (1, 127, 128, 32767, 32768)] == [1, 1, 2, 2, 3]
+
+
+def test_packed_tallies_match_the_weight_matrix():
+    rng = random.Random(25)
+    for n in (4, 127, 128):
+        for m in (2, 3, 6):
+            lanes = pair_lanes(n, m)
+            rows = [rand_ranking(rng, m) for _ in range(rng.randint(0, n))]
+            w = weight_matrix(rows, m)
+            tally = lanes.matrix(w)
+            assert tally == sum(lanes.ranking(r) for r in rows)
+            for r in rows[:3]:
+                assert lanes.unpack(lanes.ranking(r)) == pairs_of(r)
+                assert lanes.pairs(pairs_of(r)) == lanes.ranking(r)
+            for need in (1, len(rows) or 1, n):
+                want = {(a, b) for a in range(m) for b in range(m) if a != b and w[a][b] >= need}
+                assert lanes.unpack(lanes.at_least(tally, need)) == want
+
+
+def test_full_lanes_unpack_to_every_ordered_pair():
+    for n in (127, 128):
+        lanes = pair_lanes(n, 4)
+        every = {(a, b) for a in range(4) for b in range(4) if a != b}
+        tally = n * lanes.pairs(every)
+        assert lanes.unpack(lanes.at_least(tally, n)) == every
+        assert lanes.unpack(lanes.at_least(tally - lanes.pairs([(0, 1)]), n)) == every - {(0, 1)}
