@@ -38,15 +38,12 @@ from .scenarios import (
 from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, random_ranking, run_sync
 
 SCHEMA = "byzrank-run/1"
-# the most correct-sender messages a replayed simulate record may ask for,
-# summed over its seeds: over five times the largest record the tests and the
-# benchmark write (43,989 for one seed at n=31, t=10, m=4, stv-baseline)
-REPLAY_MESSAGES_MAX = 250_000
-# the most messages times m³ it may ask for: a message's replay cost grows
-# about as m³ (a one-seed n=4 record took 0.04, 0.24 and 1.87 s at m = 50,
-# 100 and 200); over five times that same largest record, 43,989 · 4³ =
-# 2,815,296, which lets a one-seed n=4 record reach m = 64
-REPLAY_WORK_MAX = 15_000_000
+# the most correct-sender messages times m² a replayed simulate record may ask
+# for, summed over its seeds, as a message's replay cost grows about as m²:
+# 234,375 · 4², over five times the largest record the tests and the benchmark
+# write (43,989 at n=31, t=10, m=4).  Slowest equivocate replays it admits, on a
+# 2-core VM: alg2 (4,1,2) × 13,786 seeds 9-12 s, alg1 (4,1,258) 2.6 s, alg2 (30,9,16) 3-5 s
+REPLAY_WORK_MAX = 3_750_000
 # the most cells an appendix-c replay's weight grid may hold, the cube of the
 # weights' range n - t - ⌈n/2⌉ + 1: a 10⁶-cell grid (n=200, t=1) took 0.02 s,
 # and the largest record the tests and the benchmark write has 2,197 cells
@@ -307,20 +304,24 @@ def _one_of(*choices):
     return lambda value: value in choices
 
 
+def _at_least(low: int):
+    return lambda value: type(value) is int and value >= low
+
+
 # config keys each replayable command needs, in its record function's argument
 # order, each with the test its value must pass
 REPLAY_KEYS = {
     "simulate": {
         "protocol": _one_of(*PROTOCOLS),
         "strategy": _one_of(*STRATEGY_NAMES),
-        **dict.fromkeys(("n", "t", "m"), _exactly(int)),
-        "seeds": lambda v: type(v) is int and v >= 1,
+        **dict.fromkeys(("n", "t"), _exactly(int)), "m": _at_least(2),
+        "seeds": _at_least(1),
         "seed_start": _exactly(int),
         "profile": lambda v: v is None or type(v) is list and all(type(r) is list for r in v),
     },
     "scenario": {
         "name": _one_of(*SCENARIO_NAMES),
-        **dict.fromkeys(("n", "t", "m"), _exactly(int)),
+        **dict.fromkeys(("n", "t"), _exactly(int)), "m": _at_least(2),
         "side": _one_of(*SIDES),
         "case": _one_of(*CASES, None),
     },
@@ -332,11 +333,11 @@ RECORDS = {"simulate": simulate_record, "scenario": scenario_record, "kemeny": k
 def _price(protocol: str, n: int, t: int, m: int, seeds: int) -> None:
     """Refuse, before any of it runs, a replay that costs too much.
 
-    The cost is the closed-form message count over the seeds; every
-    built-in strategy corrupts the last t ids.  The count needs a t+1-entry
-    schedule, so the bound ``seeds·n²`` is checked first: every run has a
-    king round whose n-t > 2n/3 correct senders send over n² messages, so
-    the bound refuses only records the count refuses too.
+    The cost is the closed-form message count over the seeds, times m²;
+    every built-in strategy corrupts the last t ids.  The count needs a
+    t+1-entry schedule, so the bound ``seeds·n²`` is checked first: every
+    run has a king round whose n-t > 2n/3 correct senders send over n²
+    messages, so the bound refuses only records the count refuses too.
     """
     _refuse_above(seeds * n * n, m, "over ")
     schedule = ProtocolConfig(n, t, m).dictator_schedule
@@ -345,15 +346,11 @@ def _price(protocol: str, n: int, t: int, m: int, seeds: int) -> None:
 
 
 def _refuse_above(total: int, m: int, over: str = "") -> None:
-    """Refuse ``total`` messages at ``m`` candidates above either replay cap."""
-    if total > REPLAY_MESSAGES_MAX:
-        raise ValueError(
-            f"record asks for {over}{total:,} messages; replay stops at {REPLAY_MESSAGES_MAX:,}"
-        )
-    if total * m**3 > REPLAY_WORK_MAX:
+    """Refuse ``total`` messages at ``m`` candidates above the replay cap."""
+    if total * m * m > REPLAY_WORK_MAX:
         raise ValueError(
             f"record asks for {over}{total:,} messages at m={m},"
-            f" {over}{total * m**3:,} messages·m³; replay stops at {REPLAY_WORK_MAX:,}"
+            f" {over}{total * m * m:,} messages·m²; replay stops at {REPLAY_WORK_MAX:,}"
         )
 
 
@@ -362,11 +359,11 @@ def replay(path: str) -> tuple[dict, bool]:
 
     Raises ValueError when the record is not an object with a known command
     and every config key that command needs, each with a valid value, or
-    when a simulate record asks for more seeds than it holds runs, for
-    more than :data:`REPLAY_MESSAGES_MAX` messages in all or for more than
-    :data:`REPLAY_WORK_MAX` messages times m³.  A two-sided scenario record
-    is priced as its cell's one-seed alg2 simulate record, a bound on n and
-    m, and an appendix-c record by its grid against :data:`REPLAY_GRID_MAX`.
+    when a simulate record asks for more seeds than it holds runs or for
+    more than :data:`REPLAY_WORK_MAX` messages times m² in all.  A two-sided
+    scenario record is priced as its cell's one-seed alg2 simulate record, a
+    bound on n and m, and an appendix-c record by its grid against
+    :data:`REPLAY_GRID_MAX`.
     """
     with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)

@@ -151,35 +151,37 @@ def resolve_acyclic(pairs: frozenset[Pair]) -> tuple[frozenset[Pair], list[tuple
     a directed cycle is dropped, listed with the length of that cycle.  A
     pair given in both orientations is the 2-cycle case: the
     lexicographically first edge is kept and the other dropped.
+
+    Sorted pairs come grouped by ``above``, and no path back to ``above``
+    uses an edge out of it, so one backward search from ``above`` over the
+    kept edges (a bitmask ring per distance) decides its group: O(m²)
+    big-int steps per call for candidates 0..m-1.
     """
     dropped: list[tuple[Pair, int]] = []
-    kept: set[Pair] = set()
-    adj: dict[int, set[int]] = {}
-
-    def reachable(src: int, dst: int) -> int:
-        # BFS over kept edges; returns path edge count, 0 if unreachable
-        frontier = [src]
-        dist = {src: 0}
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for d in adj.get(c, ()):
-                    if d not in dist:
-                        dist[d] = dist[c] + 1
-                        if d == dst:
-                            return dist[d]
-                        nxt.append(d)
-            frontier = nxt
-        return 0
-
+    kept: list[Pair] = []
+    sources: dict[int, int] = {}  # candidate -> mask of its kept edges' sources
+    above = None
     for p in sorted(pairs):
-        above, below = p
-        path = reachable(below, above)
+        if p[0] != above:  # a new source: one search back to it decides its group
+            above, hops, length = p[0], {}, 0  # hops: path length to `above`
+            ring = seen = 1 << above
+            while ring:
+                ahead = 0
+                while ring:
+                    low = ring & -ring
+                    ring ^= low
+                    c = low.bit_length() - 1
+                    hops[c] = length
+                    ahead |= sources.get(c, 0)
+                ring = ahead & ~seen
+                seen |= ring
+                length += 1
+        path = hops.get(p[1])  # 0 at `above` itself: a self-loop closes no cycle
         if path:
             dropped.append((p, path + 1))
-            continue
-        kept.add(p)
-        adj.setdefault(above, set()).add(below)
+        else:
+            kept.append(p)
+            sources[p[1]] = sources.get(p[1], 0) | 1 << above
     return frozenset(kept), dropped
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -50,7 +50,8 @@ class IntegrityEvent:
     cycle_len: int
 
     def to_json(self) -> dict:
-        return {**asdict(self), "pair": list(self.pair)}
+        return dict(kind=self.kind, round=self.round, node=self.node, pair=list(self.pair),
+                    level=self.level, cycle_len=self.cycle_len)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random rankings and profiles."""
+"""Shared helpers for the test suite: seeded random rankings and profiles,
+and per-item oracles for the engine's bulk computations."""
 
 import random
 
@@ -17,6 +18,44 @@ def tau_profile(r, profile: Profile) -> int:
     """Kendall cost of ``r`` against ``profile``, counted pair by pair: an
     oracle for the solvers that shares no code with ``weight_matrix``."""
     return sum(len(pairs_of(r) - pairs_of(p)) for p in profile)
+
+
+def resolve_per_pair(pairs) -> tuple:
+    """Greedy cycle resolution with one breadth-first search per pair: an
+    oracle for ``resolve_acyclic``, which searches once per source candidate.
+
+    Pairs are added in lexicographic order; one that would close a directed
+    cycle is dropped and listed with that cycle's length.
+    """
+    dropped = []
+    kept = set()
+    adj: dict = {}
+
+    def reachable(src, dst) -> int:
+        # path edge count from src to dst over kept edges, 0 if none
+        frontier = [src]
+        dist = {src: 0}
+        while frontier:
+            nxt = []
+            for c in frontier:
+                for d in adj.get(c, ()):
+                    if d not in dist:
+                        dist[d] = dist[c] + 1
+                        if d == dst:
+                            return dist[d]
+                        nxt.append(d)
+            frontier = nxt
+        return 0
+
+    for p in sorted(pairs):
+        above, below = p
+        path = reachable(below, above)
+        if path:
+            dropped.append((p, path + 1))
+            continue
+        kept.add(p)
+        adj.setdefault(above, set()).add(below)
+    return frozenset(kept), dropped
 
 
 def triangle_holds(w) -> bool:

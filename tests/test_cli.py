@@ -401,23 +401,25 @@ def scenario(**changes):
         (sim(seeds=10**9), "asks for 1000000000 seeds but holds 1 run(s)"),
         ({"command": "simulate", "config": SIM_CONFIG}, "asks for 1 seeds but holds 0 run(s)"),
         # 400 million messages, refused on their lower bound seeds·n²
-        (sim(n=10_000), "asks for over 100,000,000 messages; replay stops at 250,000"),
+        (sim(n=10_000),
+         "record asks for over 100,000,000 messages at m=2, over 400,000,000 messages·m²;"
+         " replay stops at 3,750,000"),
         (sim(t=2), "resilience requires 3t < n"),
-        # 56 messages, but each costs about m³: such a record ran for 13.6 s
-        (sim(strategy="random", m=400), "asks for over 16 messages at m=400, over 1,024,000,000"),
+        # 56 messages, but each costs about m²
+        (sim(strategy="random", m=400), "asks for 56 messages at m=400, 8,960,000 messages·m²"),
         # the grid search is cubic in n: 0.14 s at n=400, still running at
         # 60 s at n=4000
         (scenario(name="appendix-c", n=4000, t=1, m=3, case="C231"),
          "asks for a 8,000,000,000-cell weight grid; replay stops at 1,000,000"),
         # each side is priced as a one-seed alg2 simulate record
         (scenario(name="cycle-worst", n=4000, t=1000, m=3),
-         "asks for over 16,000,000 messages; replay stops at 250,000"),
+         "asks for over 16,000,000 messages at m=3, over 144,000,000 messages·m²"),
         ({"command": "kemeny", "config": {"profile": WIDE_PROFILE, "ties": False,
                                           "verify": False}},
          "exact solver handles m <= 16, got 17"),
-        # under the caps on seeds·n², over them on the closed-form count
-        (sim(n=300, t=99), "asks for 12,090,000 messages; replay stops at 250,000"),
-        (sim(strategy="random", m=80), "asks for 56 messages at m=80, 28,672,000"),
+        # under the cap on seeds·n², over it on the closed-form count
+        (sim(n=300, t=99), "asks for 12,090,000 messages at m=2, 48,360,000 messages·m²"),
+        (sim(strategy="random", m=259), "asks for 56 messages at m=259, 3,756,536 messages·m²"),
         # appendix-c searches three candidates; "m": 9 would be rewritten as 3
         (scenario(name="appendix-c", m=9, case="C231"), "appendix-c has three candidates, got m=9"),
     ],
@@ -440,6 +442,10 @@ def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
         # runs: [] held -1 seeds, and the priced total came out negative
         {**sim(n=3 * 10**9 + 1, t=10**9, m=3, seeds=-1), "runs": []},
         scenario(name="cycle-worst", n=3 * 10**9 + 1, t=10**9, m=3),
+        # m < 2 prices a record at next to nothing: zero at m = 0, and its
+        # bare message count at m = 1
+        sim(n=3 * 10**9 + 1, t=10**9, m=0),
+        sim(t=10**9, m=1),
     ],
 )
 def test_replay_is_priced_before_it_allocates(tmp_path, capsys, monkeypatch, record):
@@ -457,6 +463,13 @@ def test_replay_is_priced_before_it_allocates(tmp_path, capsys, monkeypatch, rec
     code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
     assert time.monotonic() - started < 1.0
     assert code == 2 and err.startswith("error: ")
+
+
+def test_replay_cap_prices_messages_times_m_squared():
+    # 234,375 messages at m = 4 sit exactly on the cap
+    cli._refuse_above(234_375, 4)
+    with pytest.raises(ValueError, match="234,376 messages at m=4, 3,750,016 messages·m²"):
+        cli._refuse_above(234_376, 4)
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])

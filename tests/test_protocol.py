@@ -41,7 +41,7 @@ from byzrank.simnet import (
     sanitize_batch,
 )
 from byzrank.tournament import pair_lanes, weight_matrix
-from conftest import rand_ranking
+from conftest import rand_ranking, resolve_per_pair
 
 
 def tallied(rankings, n, m):
@@ -277,6 +277,40 @@ def test_packed_fixed_pairs_match_per_pair_counts(cell, m, data):
 def test_resolve_acyclic_passthrough():
     pairs = frozenset({(0, 1), (1, 2)})
     assert resolve_acyclic(pairs) == (pairs, [])
+
+
+def _tournaments(m: int, both: bool):
+    # every pair of m candidates in one orientation, or with `both` in either
+    # or both orientations
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    ways = [(0,), (1,)] + ([(0, 1)] if both else [])
+    return st.lists(st.sampled_from(ways), min_size=len(pairs), max_size=len(pairs)).map(
+        lambda picks: frozenset(
+            ((a, b), (b, a))[way] for (a, b), pick in zip(pairs, picks) for way in pick
+        )
+    )
+
+
+def _ring(order, chords):
+    # one cycle through every candidate, plus a few chords: long cycles
+    return frozenset(zip(order, order[1:] + order[:1])) | chords
+
+
+def _pair_sets(m: int):
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    return st.one_of(
+        st.frozensets(pair),  # self-loops and both orientations included
+        _tournaments(m, both=False),
+        _tournaments(m, both=True),
+        st.builds(_ring, st.permutations(range(m)), st.frozensets(pair, max_size=3)),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 12).flatmap(_pair_sets))
+def test_resolve_acyclic_matches_per_pair_search(pairs):
+    # the same kept set, the same drops in the same order, the same cycle lengths
+    assert resolve_acyclic(pairs) == resolve_per_pair(pairs)
 
 
 def test_integrity_event_json():
