@@ -357,7 +357,8 @@ def _refuse_above(total: int, m: int, over: str = "") -> None:
 def replay(path: str) -> tuple[dict, bool]:
     """Re-run a stored record from its own config; True iff bit-identical.
 
-    Raises ValueError when the record is not an object with a known command
+    Raises ValueError when the record nests too deeply for the JSON parser,
+    when it is not an object with a known command
     and every config key that command needs, each with a valid value, or
     when a simulate record asks for more seeds than it holds runs or for
     more than :data:`REPLAY_WORK_MAX` messages times m² in all.  A two-sided
@@ -366,7 +367,10 @@ def replay(path: str) -> tuple[dict, bool]:
     :data:`REPLAY_GRID_MAX`.
     """
     with open(path, encoding="utf-8") as fh:
-        stored = json.load(fh)
+        try:
+            stored = json.load(fh)
+        except RecursionError:
+            raise ValueError("record nests too deeply to parse") from None
     if not isinstance(stored, dict):
         raise ValueError("record is not a JSON object")
     command = stored.get("command")

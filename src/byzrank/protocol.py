@@ -234,24 +234,30 @@ def decide_dictator(
 # --- round engine -------------------------------------------------------------
 
 
-def _byz_views(inboxes: Sequence[Mapping[int, object]], byz_ids: frozenset[int]) -> list[tuple]:
-    """One tuple per recipient of its Byzantine senders' slots.
+def _each_view(
+    inboxes: Sequence[Mapping[int, object]], byz_ids: frozenset[int], step: Callable[[tuple], object]
+) -> list:
+    """``step(view)`` for every recipient, run once per distinct view.
 
-    Slots follow sender id order, None where nothing came.  Recipients that
-    share an inbox object share one tuple, built once.  The tuple is all
-    that can tell two recipients' views apart, because
+    A view is the tuple of a recipient's Byzantine senders' slots, in sender
+    id order, None where nothing came, built once per inbox object.  It is
+    all that can tell two recipients' inboxes apart, because
     :meth:`SyncNetwork.exchange` delivers each correct sender's payload
     unchanged to every recipient.
     """
     byz = sorted(byz_ids)
-    slots: dict[int, tuple] = {}
-    views = []
+    by_view: dict[tuple, object] = {}
+    by_box: dict[int, object] = {}  # id(inbox) -> answer; `inboxes` keeps each id unique
+    out = []
     for box in inboxes:
-        view = slots.get(id(box))
-        if view is None:
-            view = slots[id(box)] = tuple(box.get(u) for u in byz)
-        views.append(view)
-    return views
+        key = id(box)
+        if key not in by_box:
+            view = tuple(map(box.get, byz))
+            if view not in by_view:
+                by_view[view] = step(view)
+            by_box[key] = by_view[view]
+        out.append(by_box[key])
+    return out
 
 
 def _tally(base: int, slots: Sequence, pack: Callable[[object], int], packed: dict) -> int:
@@ -282,10 +288,11 @@ def _king_rounds(
     int of per-pair lanes (:class:`PairLanes`), and each view adds one
     big-int per Byzantine slot, None slots counting nothing.  A ballot or
     batch is packed once per round, and forgotten with it.  A node's steps
-    depend only on its view, so each step runs once per distinct view and
-    is shared; fixed sets are resolved once per run, and the ranking
-    adjustments and dictator decisions are shared run-wide too.  Each
-    dropped edge becomes one integrity event per correct node that holds it.
+    depend only on its view, so :func:`_each_view` runs the proposal and
+    fixing steps once per distinct view; fixed sets are resolved once per
+    run, and the ranking adjustments and dictator decisions are shared
+    run-wide too.  Each dropped edge becomes one integrity event per
+    correct node that holds it.
     """
     n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
     correct = [v for v in range(n) if v not in byz_ids]
@@ -299,23 +306,15 @@ def _king_rounds(
         packed: dict[object, int] = {}  # this round's ballots and batches
         inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs)
         base = lanes.matrix(weight_matrix([rankings[u] for u in correct], m))
-        proposed: dict[tuple, frozenset[Pair]] = {}
-        proposals: dict[int, frozenset[Pair]] = {}
-        for v, view in enumerate(_byz_views(inboxes, byz_ids)):
-            if view not in proposed:
-                ballots = _tally(base, view, lanes.ranking, packed)
-                proposed[view] = compute_proposals(ballots, n, t, m)
-            proposals[v] = proposed[view]
+        proposals = dict(enumerate(_each_view(inboxes, byz_ids, lambda view: compute_proposals(
+            _tally(base, view, lanes.ranking, packed), n, t, m))))
 
         inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs)
         receipts = _tally(0, [proposals[u] for u in correct], lanes.pairs, packed)
-        fixed: dict[tuple, tuple] = {}
+        fixed = _each_view(inboxes, byz_ids, lambda view: collect_fixed_pairs(
+            _tally(receipts, view, lanes.pairs, packed), n, t, m, resolved))
         locks: dict[int, frozenset[Pair]] = {}
-        for v, view in enumerate(_byz_views(inboxes, byz_ids)):
-            if view not in fixed:
-                counts = _tally(receipts, view, lanes.pairs, packed)
-                fixed[view] = collect_fixed_pairs(counts, n, t, m, resolved)
-            kept, locks[v], drops = fixed[view]
+        for v, (kept, locks[v], drops) in enumerate(fixed):
             if v not in byz_ids:
                 events.extend(
                     IntegrityEvent("fixed-cycle", ground, v, pair, level, cycle_len)
@@ -400,12 +399,8 @@ def run_algorithm2(
     # the median depends on the ballots' weights alone, so the correct
     # ballots go first and each view adds its Byzantine slots
     ballots = list(correct_inputs.values())
-    median_memo: dict[tuple, Ranking] = {}
-    for v, view in enumerate(_byz_views(inboxes, net.byz_ids)):
-        if view not in median_memo:
-            profile = Profile.of(ballots + [r for r in view if r is not None], cfg.m)
-            median_memo[view] = kemeny_exact(profile).chosen
-        rankings[v] = median_memo[view]
+    rankings.update(enumerate(_each_view(inboxes, net.byz_ids, lambda view: kemeny_exact(
+        Profile.of(ballots + [r for r in view if r is not None], cfg.m)).chosen)))
     net.end_round()  # round 2: local computation only
 
     events = _king_rounds(net, cfg, cfg.m, rankings, 3)

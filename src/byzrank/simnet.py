@@ -337,8 +337,9 @@ class SyncNetwork:
         A Byzantine payload is sanitized once per distinct payload object per
         phase, so a value sent to many recipients as one object, or broadcast
         by several senders, is checked once; every delivered slot still
-        equals the sanitizer applied to its own transcript row.  An
-        equivocation's keys other than plain-int node ids are skipped.
+        equals the sanitizer applied to its own transcript row.  One loop
+        logs, sanitizes and files every delivery: a broadcast's, and one per
+        plain-int node id of an equivocation (its other keys are skipped).
         Every inbox holds each correct sender's payload exactly as given in
         ``payloads``, so only the Byzantine senders' entries can differ
         between recipients; the round engine tallies the correct payloads
@@ -374,29 +375,24 @@ class SyncNetwork:
         own: dict[int, dict[int, Payload]] = {}  # equivocated deliveries
         for sender in byz_senders:
             out = self.adversary.send(ctx, sender)
-            if out is None:
-                continue
+            # (recipient, raw) per delivery, recipient None for a broadcast
             if isinstance(out, dict):
                 # True or 1.0 would alias node 1, and mixed keys would not sort
-                for v in sorted(v for v in out if type(v) is int and 0 <= v < n):
-                    raw = out[v]
-                    if raw is None:
-                        continue
-                    if transcript is not None:
-                        transcript.append((round_no, phase, sender, v, raw))
-                    hit = checked.get(id(raw))
-                    if hit is None:
-                        hit = checked[id(raw)] = (raw, sanitize(raw, m))
-                    if hit[1] is not None:
-                        own.setdefault(v, {})[sender] = hit[1]
+                keys = sorted(v for v in out if type(v) is int and 0 <= v < n)
+                deliveries = [(v, out[v]) for v in keys]
             else:
+                deliveries = [(None, out)]  # None is silence
+            for v, raw in deliveries:
+                if raw is None:
+                    continue
                 if transcript is not None:
-                    transcript.extend((round_no, phase, sender, v, out) for v in range(n))
-                hit = checked.get(id(out))
+                    to = range(n) if v is None else (v,)
+                    transcript.extend((round_no, phase, sender, u, raw) for u in to)
+                hit = checked.get(id(raw))
                 if hit is None:
-                    hit = checked[id(out)] = (out, sanitize(out, m))
+                    hit = checked[id(raw)] = (raw, sanitize(raw, m))
                 if hit[1] is not None:
-                    shared[sender] = hit[1]
+                    (shared if v is None else own.setdefault(v, {}))[sender] = hit[1]
         return [shared | own[v] if v in own else shared for v in range(n)]
 
     def end_round(self) -> None:

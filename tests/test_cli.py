@@ -434,6 +434,19 @@ def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("where", ["top", "config"])
+def test_replay_deeply_nested_record_exits_2(tmp_path, capsys, where):
+    # json.dumps cannot build such a record, so the text is written directly;
+    # json.load gives up on it with a RecursionError
+    deep = "[" * 100_000 + "]" * 100_000
+    text = deep if where == "top" else f'{{"command": "simulate", "config": {deep}, "runs": [{{}}]}}'
+    dest = tmp_path / "rec.json"
+    dest.write_text(text)
+    code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and "nests too deeply" in err
+
+
 @pytest.mark.parametrize(
     "record",
     [

@@ -680,7 +680,7 @@ def test_search_finds_disagreement_at_n4_t1(m):
 @pytest.mark.parametrize("strategy_name", ["honest", "silent", "random", "equivocate"])
 def test_steps_run_once_per_distinct_view(monkeypatch, strategy_name):
     calls = Counter()
-    for name in ("compute_proposals", "collect_fixed_pairs"):
+    for name in ("compute_proposals", "collect_fixed_pairs", "kemeny_exact"):
         real = getattr(protocol, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -699,6 +699,14 @@ def test_steps_run_once_per_distinct_view(monkeypatch, strategy_name):
     else:
         # all n nodes hold one view per phase: one call per round
         assert calls == {"compute_proposals": t + 1, "collect_fixed_pairs": t + 1}
+    # alg2's round-1 median is a step of the view too
+    calls.clear()
+    strategy = make_strategy(strategy_name, n=n, t=t, m=m)
+    run_algorithm2(inputs, strategy, ProtocolConfig(n, t, m), seed=0)
+    if strategy_name == "equivocate":
+        assert 1 <= calls["kemeny_exact"] <= n
+    else:
+        assert calls["kemeny_exact"] == 1
 
 
 def test_fixed_sets_resolve_once_per_run(monkeypatch):

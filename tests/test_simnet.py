@@ -387,6 +387,38 @@ def test_equivocated_deliveries_stay_per_recipient():
     assert boxes[1] is boxes[3] and boxes[0] is not boxes[2]
 
 
+def test_one_object_broadcast_and_equivocated_is_sanitized_once(monkeypatch):
+    # sender 5 broadcasts a raw batch; sender 6 sends that same object to
+    # recipients 0 and 2 and another one to recipient 4
+    n, m = 7, 3
+    raw, other = [(2, 1), (1, 0), (0, 0)], [(0, 1)]
+    seen = []
+    real = simnet.sanitize_batch
+
+    def counted(payload, m):
+        seen.append(payload)
+        return real(payload, m)
+
+    monkeypatch.setattr(simnet, "sanitize_batch", counted)
+    script = {(1, PROPOSE, 5): raw, (1, PROPOSE, 6): {0: raw, 2: raw, 4: other}}
+    byz = frozenset({5, 6})
+    net = simnet.SyncNetwork(n, ScriptedViews(script), seed=0, byz_ids=byz, record_transcript=True)
+    correct = {u: frozenset({(0, 1)}) for u in range(5)}
+    boxes = net.exchange(1, PROPOSE, m, {**correct, 5: frozenset(), 6: frozenset()}, {})
+    assert [id(x) for x in seen] == [id(raw), id(other)]
+    assert net.transcript == (
+        [(1, PROPOSE, u, v, correct[u]) for u in correct for v in range(n)]
+        + [(1, PROPOSE, 5, v, raw) for v in range(n)]
+        + [(1, PROPOSE, 6, v, x) for v, x in ((0, raw), (2, raw), (4, other))]
+    )
+    clean = frozenset({(2, 1), (1, 0)})
+    from_six = {0: clean, 2: clean, 4: frozenset({(0, 1)})}
+    for v, box in enumerate(boxes):
+        assert box == {**correct, 5: clean, **({6: from_six[v]} if v in from_six else {})}
+    assert boxes[1] is boxes[3] is boxes[5] is boxes[6]
+    assert boxes[6][5] is boxes[0][5] is boxes[0][6]
+
+
 @pytest.mark.parametrize("strategy_name", [*simnet.STRATEGY_NAMES, "mixed-keys"])
 @pytest.mark.parametrize("phase", [RANKING, PROPOSE, DICTATOR])
 def test_correct_payloads_reach_every_inbox_unchanged(strategy_name, phase):
