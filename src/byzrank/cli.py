@@ -374,7 +374,7 @@ def replay(path: str) -> tuple[dict, bool]:
     if not isinstance(stored, dict):
         raise ValueError("record is not a JSON object")
     command = stored.get("command")
-    if command not in REPLAY_KEYS:
+    if type(command) is not str or command not in REPLAY_KEYS:
         raise ValueError(f"record has unknown command {command!r}")
     cfg = stored.get("config")
     if not isinstance(cfg, dict):

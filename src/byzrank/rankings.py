@@ -12,7 +12,7 @@ value and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 Ranking = tuple[int, ...]
@@ -59,7 +59,9 @@ class Profile:
     """An ordered multiset of rankings over a common candidate universe.
 
     Voter order and multiplicity are preserved: the simulator attributes
-    ballots to nodes by position.
+    ballots to nodes by position.  Rankings are stored as tuples, and each
+    distinct one is validated once, in first-occurrence order, so the
+    ballot a refusal names is the first bad one.
     """
 
     rankings: tuple[Ranking, ...]
@@ -68,12 +70,26 @@ class Profile:
     def __post_init__(self) -> None:
         if not self.rankings:
             raise ValueError("profile must contain at least one ranking")
-        for r in self.rankings:
-            validate_ranking(r, self.m)
+        rankings = tuple(self.rankings)
+        # A repeated tuple is checked once, at its first occurrence, unless
+        # a repeat may alias it (a bool or float entry equals an int).  Lists,
+        # unhashable entries and possible aliases are checked ballot by ballot.
+        try:
+            distinct = dict.fromkeys(rankings) if {tuple} >= set(map(type, rankings)) else rankings
+        except TypeError:  # an unhashable entry
+            distinct = rankings
+        if len(distinct) < len(rankings) and not {int} >= set(
+            map(type, chain.from_iterable(rankings))
+        ):
+            distinct = rankings
+        checked = [validate_ranking(r, self.m) for r in distinct]
+        if distinct is rankings:
+            rankings = tuple(checked)
+        object.__setattr__(self, "rankings", rankings)
 
     @classmethod
     def of(cls, rankings: Iterable[Sequence[int]], m: int | None = None) -> "Profile":
-        rs = tuple(tuple(r) for r in rankings)
+        rs = tuple(map(tuple, rankings))
         if m is None:
             if not rs:
                 raise ValueError("profile must contain at least one ranking")
@@ -96,10 +112,10 @@ def unanimous_pairs(profile: Profile) -> frozenset[Pair]:
     """Pairs ordered the same way by every ballot in the profile.
 
     The result is the intersection of total orders, hence automatically
-    transitive and acyclic.
+    transitive and acyclic.  Each distinct ranking is intersected once.
     """
     common = pairs_of(profile.rankings[0])
-    for r in profile.rankings[1:]:
+    for r in dict.fromkeys(profile.rankings[1:]):
         common = common & pairs_of(r)
         if not common:
             break
@@ -143,5 +159,5 @@ def parse_profile(text: str) -> tuple[Profile, list[str]]:
                 f"ranking covers {len(parts)} of {m} candidates "
                 f"(every line must rank the full universe)",
             )
-        rankings.append(tuple(index[p] for p in parts))
+        rankings.append(tuple(map(index.__getitem__, parts)))
     return Profile.of(rankings, m), names

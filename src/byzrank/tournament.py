@@ -10,6 +10,7 @@ for every pair at once.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import chain, compress
 from typing import Iterable, Sequence
@@ -18,13 +19,17 @@ from .rankings import Pair, Ranking
 
 
 def weight_matrix(rankings: Sequence[Ranking], m: int) -> list[list[int]]:
-    """Pairwise-preference counts of a plain ranking list (no validation)."""
+    """Pairwise-preference counts of a plain ranking list (no validation).
+
+    Each distinct ranking is added once, times its multiplicity, so a
+    profile of a few blocs costs its distinct rankings, not its ballots.
+    """
     w = [[0] * m for _ in range(m)]
-    for r in rankings:
-        for i in range(m):
-            row = w[r[i]]
-            for j in range(i + 1, m):
-                row[r[j]] += 1
+    for r, k in Counter(rankings).items():
+        for i, a in enumerate(r):
+            row = w[a]
+            for b in r[i + 1:]:
+                row[b] += k
     return w
 
 

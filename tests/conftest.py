@@ -1,7 +1,10 @@
 """Shared helpers for the test suite: seeded random rankings and profiles,
-and per-item oracles for the engine's bulk computations."""
+bloc profiles for hypothesis, and per-item oracles for the engine's bulk
+computations."""
 
 import random
+
+from hypothesis import strategies as st
 
 from byzrank.rankings import Profile, pairs_of
 
@@ -12,6 +15,35 @@ def rand_ranking(rng: random.Random, m: int) -> tuple:
 
 def rand_profile(rng: random.Random, n: int, m: int) -> Profile:
     return Profile.of([rand_ranking(rng, m) for _ in range(n)], m)
+
+
+def bloc_ballots(m: int, max_blocs: int = 4, max_size: int = 200):
+    """A hypothesis strategy for a ballot list of at most ``max_blocs``
+    distinct rankings over ``m`` candidates, each held by 1..``max_size``
+    ballots, shuffled into ballot order."""
+
+    def spread(blocs_and_rng):
+        blocs, rng = blocs_and_rng
+        ballots = [r for r, size in blocs for _ in range(size)]
+        rng.shuffle(ballots)
+        return ballots
+
+    bloc = st.tuples(st.permutations(range(m)).map(tuple), st.integers(1, max_size))
+    return st.tuples(
+        st.lists(bloc, min_size=1, max_size=max_blocs), st.randoms(use_true_random=False)
+    ).map(spread)
+
+
+def weight_matrix_per_ballot(rankings, m: int) -> list:
+    """Pairwise-preference counts with one pass per ballot: an oracle for
+    ``weight_matrix``, which adds each distinct ranking once."""
+    w = [[0] * m for _ in range(m)]
+    for r in rankings:
+        for i in range(m):
+            row = w[r[i]]
+            for j in range(i + 1, m):
+                row[r[j]] += 1
+    return w
 
 
 def tau_profile(r, profile: Profile) -> int:

@@ -1,19 +1,24 @@
 """End-to-end checks for the byzrank command-line interface."""
 
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import byzrank
 from byzrank import cli, kemeny, scenarios
-from byzrank.cli import main, scenario_record, simulate_record
+from byzrank.cli import kemeny_record, main, scenario_record, simulate_record
 from byzrank.rankings import Profile, validate_ranking
 
 CYCLE_PROFILE = "a > b > c\nb > c > a\nc > a > b\n"
@@ -383,6 +388,8 @@ def scenario(**changes):
     [
         ({"command": "simulate", "config": {"protocol": "alg1"}}, "config lacks strategy"),
         ([{"command": "simulate"}], "not a JSON object"),
+        # an unhashable command is unknown, not a TypeError from the lookup
+        ({"command": ["kemeny"], "config": {}}, "unknown command ['kemeny']"),
         (sim(n="x"), "bad values: n='x'"),
         (sim(t=True), "bad values: t=True"),
         (sim(seeds=1.0), "bad values: seeds=1.0"),
@@ -495,6 +502,81 @@ def test_simulate_without_seeds_exits_2(capsys, seeds):
     assert err == f"error: need at least one seed, got {seeds}\n"
 
 
+# --- untrusted input ------------------------------------------------------------
+
+
+def run_untrusted(argv) -> tuple[int, str]:
+    """Run the CLI in process; an exception escaping ``main`` fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+NAMES = st.sampled_from(["a", "b", "c", "d", "a b", "é", "-1", "0"])
+PROFILE_LINES = st.one_of(
+    # whole rankings, repeated, ragged, with duplicates within a line
+    st.lists(NAMES, min_size=1, max_size=5).map(" > ".join),
+    st.sampled_from(["", "   ", "# comment", "#", "a >", "> a", "a >> b", "a>b>c", "\t", "\x00"]),
+)
+PROFILE_TEXTS = st.one_of(
+    st.lists(PROFILE_LINES, max_size=12).map("\n".join),
+    st.lists(st.sampled_from(["#", "# x", "", " "]), max_size=4).map("\n".join),
+    st.text(st.sampled_from("ab >#\n\r\t\x1c\u2028"), max_size=40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PROFILE_TEXTS, st.sampled_from([[], ["--ties"], ["--verify"], ["--ties", "--verify"]]))
+def test_kemeny_profile_text_never_escapes(fuzz_file, text, flags):
+    fuzz_file.write_text(text, encoding="utf-8")
+    run_untrusted(["kemeny", "--profile", str(fuzz_file), *flags])
+
+
+DELETE = object()
+RECORD_VALUES = st.sampled_from([
+    DELETE, None, True, False, 0, -1, 2.5, float("nan"), 10**30, "", "kemeny", "simulate",
+    "a > b", "a >> b", "# only a comment\n", CYCLE_PROFILE, TIE_PROFILE, ALL_TIE_12,
+    WIDE_PROFILE, [], ["a > b"], [[0, 1]], {}, {"profile": "a > b"},
+])
+RECORD_PLACES = st.sampled_from([
+    (), ("command",), ("config",), ("config", "profile"), ("config", "ties"),
+    ("config", "verify"), ("config", "extra"), ("result",), ("result", "chosen"),
+    ("result", "cost"), ("result", "median_count"), ("result", "medians"), ("ok",),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(CYCLE_PROFILE, True, True), (TIE_PROFILE, False, False),
+                     ("x > y > z\nz > y > x\nx > y > z\n", True, False)]),
+    st.lists(st.tuples(RECORD_PLACES, RECORD_VALUES), min_size=1, max_size=3),
+)
+def test_mutated_kemeny_replay_never_escapes(fuzz_file, base, mutations):
+    record = {"record": {**kemeny_record(*base), "wall_ms": 0}}
+    for place, value in mutations:
+        holder, key = record, "record"
+        for step in place:
+            holder, key = holder.get(key), step
+            if not isinstance(holder, dict):
+                break
+        else:
+            if value is DELETE:
+                holder.pop(key, None)
+            else:
+                holder[key] = copy.deepcopy(value)
+    fuzz_file.write_text(json.dumps(record.get("record")), encoding="utf-8")
+    run_untrusted(["simulate", "--replay", str(fuzz_file)])
+
+
 def test_bool_profile_is_refused():
     # True/False compare equal to 1/0; accepted, they came back as the consensus
     with pytest.raises(ValueError):
@@ -519,6 +601,18 @@ def test_console_script_runs():
         input=TIE_PROFILE, capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
+    assert "median: x > y" in proc.stdout
+
+
+def test_python_dash_m_byzrank_runs(tmp_path):
+    # an uninstalled checkout runs the tool as `PYTHONPATH=src python -m byzrank`
+    profile = tmp_path / "profile.txt"
+    profile.write_text(TIE_PROFILE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "byzrank", "kemeny", "--profile", str(profile)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "median: x > y" in proc.stdout
 
 

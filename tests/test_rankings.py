@@ -17,7 +17,8 @@ from byzrank.rankings import (
     unanimous_pairs,
     validate_ranking,
 )
-from conftest import rand_profile, rand_ranking
+from byzrank.tournament import weight_matrix
+from conftest import bloc_ballots, rand_profile, rand_ranking
 
 rankings_st = st.integers(min_value=1, max_value=7).flatmap(
     lambda m: st.permutations(range(m)).map(tuple)
@@ -152,6 +153,62 @@ def test_profile_requires_rankings():
 def test_profile_rejects_bad_ballot():
     with pytest.raises(ValueError):
         Profile.of([(0, 1), (0, 0)])
+
+
+def test_profile_refusals_keep_their_type_and_message():
+    # an unhashable entry is refused as a bad ballot, not by the hash
+    with pytest.raises(ValueError) as exc:
+        Profile.of([([0], 1)], 2)
+    assert str(exc.value) == "not a permutation of 0..1: ([0], 1)"
+    # a ballot equal to an earlier valid one, but holding a bool or a float
+    for alias in ((False, 1), (0.0, 1), (True, False)):
+        with pytest.raises(ValueError) as exc:
+            Profile(((0, 1), (1, 0), (0, 1), alias), 2)
+        assert str(exc.value) == f"not a permutation of 0..1: {alias!r}"
+    # the first bad ballot is named, whatever follows it
+    with pytest.raises(ValueError) as exc:
+        Profile(((0, 1), (1, 1), 5), 2)
+    assert str(exc.value) == "not a permutation of 0..1: (1, 1)"
+    with pytest.raises(TypeError, match="not iterable"):
+        Profile(((0, 1), 5, (1, 1)), 2)
+
+
+def test_profile_takes_list_ballots_as_tuples():
+    p = Profile(([0, 1], [1, 0], [0, 1]), 2)
+    assert p.rankings == ((0, 1), (1, 0), (0, 1))
+    assert p == Profile.of([(0, 1), (1, 0), (0, 1)])
+    assert weight_matrix(p.rankings, 2) == [[0, 2], [1, 0]]
+    assert unanimous_pairs(p) == frozenset()
+
+
+# ways to spoil a valid ranking; the last two stay equal to it by value
+SPOILERS = (
+    lambda r: r[:-1],
+    lambda r: r[:-1] + (r[0],),
+    lambda r: r + (len(r),),
+    lambda r: (list(r[:1]),) + r[1:],
+    lambda r: tuple(bool(c) if c < 2 else c for c in r),
+    lambda r: tuple(float(c) if c == 0 else c for c in r),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda m: st.tuples(st.just(m), bloc_ballots(m, max_size=20))
+), st.data())
+def test_profile_names_the_first_bad_ballot(case, data):
+    # spoiled ballots go anywhere, behind repeats of valid rankings and
+    # before repeats of their own value; the first in ballot order is named
+    m, valid = case
+    ballots, spoiled = list(valid), []
+    for _ in range(data.draw(st.integers(1, 3))):
+        spoil = data.draw(st.sampled_from(SPOILERS))
+        spoiled.append(spoil(data.draw(st.sampled_from(valid))))
+        ballots.insert(data.draw(st.integers(0, len(ballots))), spoiled[-1])
+    first = next(b for b in ballots if any(b is s for s in spoiled))
+    with pytest.raises(ValueError) as exc:
+        Profile(tuple(ballots), m)
+    assert str(exc.value) == f"not a permutation of 0..{m - 1}: {first!r}"
 
 
 def test_profile_preserves_order_and_multiplicity():

@@ -1,10 +1,20 @@
 """Pairwise-preference tallies built from rankings: weight matrices and packed lanes."""
 
+import math
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzrank.rankings import Profile, pairs_of
 from byzrank.tournament import pair_lanes, weight_matrix
-from conftest import rand_profile, rand_ranking, triangle_holds
+from conftest import (
+    bloc_ballots,
+    rand_profile,
+    rand_ranking,
+    triangle_holds,
+    weight_matrix_per_ballot,
+)
 
 CYCLE = Profile.of([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
 
@@ -90,3 +100,24 @@ def test_full_lanes_unpack_to_every_ordered_pair():
         tally = n * lanes.pairs(every)
         assert lanes.unpack(lanes.at_least(tally, n)) == every
         assert lanes.unpack(lanes.at_least(tally - lanes.pairs([(0, 1)]), n)) == every - {(0, 1)}
+
+
+def distinct_ballots(m: int):
+    # every ballot a different ranking, as in a profile of independent voters
+    return st.lists(
+        st.permutations(range(m)).map(tuple),
+        min_size=1, max_size=min(math.factorial(m), 40), unique=True,
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 8).flatmap(
+    lambda m: st.tuples(st.just(m), st.one_of(bloc_ballots(m), distinct_ballots(m)))
+))
+def test_weight_matrix_matches_the_per_ballot_tally(case):
+    # bloc profiles reach n = 800, so their lanes are two bytes wide
+    m, ballots = case
+    w = weight_matrix(ballots, m)
+    assert w == weight_matrix_per_ballot(ballots, m)
+    lanes = pair_lanes(len(ballots), m)
+    assert lanes.matrix(w) == sum(map(lanes.ranking, ballots))
