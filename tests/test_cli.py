@@ -388,8 +388,6 @@ def scenario(**changes):
     [
         ({"command": "simulate", "config": {"protocol": "alg1"}}, "config lacks strategy"),
         ([{"command": "simulate"}], "not a JSON object"),
-        # an unhashable command is unknown, not a TypeError from the lookup
-        ({"command": ["kemeny"], "config": {}}, "unknown command ['kemeny']"),
         (sim(n="x"), "bad values: n='x'"),
         (sim(t=True), "bad values: t=True"),
         (sim(seeds=1.0), "bad values: seeds=1.0"),
@@ -429,6 +427,8 @@ def scenario(**changes):
         (sim(strategy="random", m=259), "asks for 56 messages at m=259, 3,756,536 messages·m²"),
         # appendix-c searches three candidates; "m": 9 would be rewritten as 3
         (scenario(name="appendix-c", m=9, case="C231"), "appendix-c has three candidates, got m=9"),
+        # an unhashable command is unknown, not a TypeError from the lookup
+        ({"command": ["kemeny"], "config": {}}, "unknown command ['kemeny']"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
