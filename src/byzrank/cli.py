@@ -38,12 +38,17 @@ from .scenarios import (
 from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, random_ranking, run_sync
 
 SCHEMA = "byzrank-run/1"
-# the most correct-sender messages times m² a replayed simulate record may ask
-# for, summed over its seeds, as a message's replay cost grows about as m²:
-# 234,375 · 4², over five times the largest record the tests and the benchmark
-# write (43,989 at n=31, t=10, m=4).  Slowest equivocate replays it admits, on a
-# 2-core VM: alg2 (4,1,2) × 13,786 seeds 9-12 s, alg1 (4,1,258) 2.6 s, alg2 (30,9,16) 3-5 s
+# the most work a replayed simulate record may ask for, summed over its seeds:
+# each run's correct-sender messages times m², as a message's replay cost grows
+# about as m², plus REPLAY_RUN_WORK.  That is over five times the largest record
+# the tests and the benchmark write (43,989 messages at n=31, t=10, m=4: 705,324).
+# Slowest equivocate replays it admits, on a 2-core VM: alg1 (4,1,258) 1.5 s,
+# alg2 (7,2,2) × 1,462 seeds 1.4 s, alg2 (4,1,2) × 2,116 seeds 1.2 s, alg2
+# (30,9,16) 3.6 s
 REPLAY_WORK_MAX = 3_750_000
+# a run's fixed work, in the same units: a one-seed m = 2 run costs 0.2-1 ms
+# whatever its message count, which is what 500-3,000 messages·m² cost at m = 258
+REPLAY_RUN_WORK = 1_500
 # the most cells an appendix-c replay's weight grid may hold, the cube of the
 # weights' range n - t - ⌈n/2⌉ + 1: a 10⁶-cell grid (n=200, t=1) took 0.02 s,
 # and the largest record the tests and the benchmark write has 2,197 cells
@@ -333,24 +338,28 @@ RECORDS = {"simulate": simulate_record, "scenario": scenario_record, "kemeny": k
 def _price(protocol: str, n: int, t: int, m: int, seeds: int) -> None:
     """Refuse, before any of it runs, a replay that costs too much.
 
-    The cost is the closed-form message count over the seeds, times m²;
-    every built-in strategy corrupts the last t ids.  The count needs a
-    t+1-entry schedule, so the bound ``seeds·n²`` is checked first: every
-    run has a king round whose n-t > 2n/3 correct senders send over n²
-    messages, so the bound refuses only records the count refuses too.
+    The cost of a run is its closed-form message count times m², plus
+    :data:`REPLAY_RUN_WORK`; every built-in strategy corrupts the last t
+    ids.  The count needs a t+1-entry schedule, so the bound n² per run is
+    checked first: every run has a king round whose n-t > 2n/3 correct
+    senders send over n² messages, so the bound refuses only records the
+    count refuses too.
     """
-    _refuse_above(seeds * n * n, m, "over ")
+    _refuse_above(seeds, n * n, m, "over ")
     schedule = ProtocolConfig(n, t, m).dictator_schedule
     byz = frozenset(range(n - t, n))
-    _refuse_above(seeds * sum(expected_messages(protocol, n, t, m, byz, schedule)), m)
+    _refuse_above(seeds, sum(expected_messages(protocol, n, t, m, byz, schedule)), m)
 
 
-def _refuse_above(total: int, m: int, over: str = "") -> None:
-    """Refuse ``total`` messages at ``m`` candidates above the replay cap."""
-    if total * m * m > REPLAY_WORK_MAX:
+def _refuse_above(seeds: int, messages: int, m: int, over: str = "") -> None:
+    """Refuse ``seeds`` runs of ``messages`` messages at ``m`` candidates above the replay cap."""
+    total = seeds * messages
+    work = total * m * m + seeds * REPLAY_RUN_WORK
+    if work > REPLAY_WORK_MAX:
         raise ValueError(
-            f"record asks for {over}{total:,} messages at m={m},"
-            f" {over}{total * m * m:,} messages·m²; replay stops at {REPLAY_WORK_MAX:,}"
+            f"record asks for {over}{total:,} messages at m={m}, {over}{total * m * m:,}"
+            f" messages·m² plus {seeds:,} run(s) at {REPLAY_RUN_WORK:,} each, {over}{work:,}"
+            f" in all; replay stops at {REPLAY_WORK_MAX:,}"
         )
 
 
@@ -361,7 +370,8 @@ def replay(path: str) -> tuple[dict, bool]:
     when it is not an object with a known command
     and every config key that command needs, each with a valid value, or
     when a simulate record asks for more seeds than it holds runs or for
-    more than :data:`REPLAY_WORK_MAX` messages times m² in all.  A two-sided
+    more than :data:`REPLAY_WORK_MAX` in all, counting messages times m²
+    and :data:`REPLAY_RUN_WORK` per run.  A two-sided
     scenario record is priced as its cell's one-seed alg2 simulate record, a
     bound on n and m, and an appendix-c record by its grid against
     :data:`REPLAY_GRID_MAX`.

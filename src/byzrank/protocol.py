@@ -40,7 +40,7 @@ from .simnet import (
     RunStats,
     SyncNetwork,
 )
-from .tournament import pair_lanes, weight_matrix
+from .tournament import pair_lanes
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,12 @@ def expected_messages(
     t+1 for alg1, t+3 for alg2 and (m-1)(t+1) for stv-baseline.
     """
     c = n - len(byz_ids)
-
-    def king(dictator: int) -> int:
-        return 2 * c * n + (n if dictator not in byz_ids else 0)
-
+    kings = [2 * c * n + (n if d not in byz_ids else 0) for d in schedule[: t + 1]]
     if protocol == "alg1":
-        return [king(schedule[r]) for r in range(t + 1)]
+        return kings
     if protocol == "alg2":
-        return [c * n, 0] + [king(schedule[r]) for r in range(t + 1)]
-    return [king(schedule[r % (t + 1)]) for r in range((m - 1) * (t + 1))]
+        return [c * n, 0] + kings
+    return kings * (m - 1)
 
 
 # --- pure per-node steps ------------------------------------------------------
@@ -284,15 +281,14 @@ def _king_rounds(
     honest shadow ranking (fed by real inboxes) so the network can answer
     exactly what they would have sent.  Every recipient gets each correct
     sender's payload unchanged, so a phase tallies the correct payloads
-    once (the ranking phase through :func:`weight_matrix`) into one packed
-    int of per-pair lanes (:class:`PairLanes`), and each view adds one
-    big-int per Byzantine slot, None slots counting nothing.  A ballot or
-    batch is packed once per round, and forgotten with it.  A node's steps
-    depend only on its view, so :func:`_each_view` runs the proposal and
-    fixing steps once per distinct view; fixed sets are resolved once per
-    run, and the ranking adjustments and dictator decisions are shared
-    run-wide too.  Each dropped edge becomes one integrity event per
-    correct node that holds it.
+    once into one packed int of per-pair lanes (:class:`PairLanes`), and
+    each view adds one big-int per Byzantine slot, None slots counting
+    nothing.  Both phases tally through :func:`_tally`, which packs each
+    distinct ballot or batch once per round.  A node's steps depend only on
+    its view, so :func:`_each_view` runs the proposal and fixing steps once
+    per distinct view; fixed sets are resolved once per run, and the ranking
+    adjustments and dictator decisions are shared run-wide too.  Each
+    dropped edge becomes one integrity event per correct node that holds it.
     """
     n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
     correct = [v for v in range(n) if v not in byz_ids]
@@ -305,7 +301,7 @@ def _king_rounds(
     for ground, dict_id in enumerate(cfg.dictator_schedule, start_round):
         packed: dict[object, int] = {}  # this round's ballots and batches
         inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs)
-        base = lanes.matrix(weight_matrix([rankings[u] for u in correct], m))
+        base = _tally(0, [rankings[u] for u in correct], lanes.ranking, packed)
         proposals = dict(enumerate(_each_view(inboxes, byz_ids, lambda view: compute_proposals(
             _tally(base, view, lanes.ranking, packed), n, t, m))))
 
@@ -428,17 +424,12 @@ def run_baseline_stv(
 
     for stage in range(cfg.m - 1):
         rankings: dict[int, Ranking] = {}
-        old_ids: dict[int, list[int]] = {}
         for v in range(cfg.n):
-            olds = sorted(remaining[v])
-            old_ids[v] = olds
-            to_new = {c: i for i, c in enumerate(olds)}
+            to_new = {c: i for i, c in enumerate(remaining[v])}  # `remaining` stays ascending
             rankings[v] = tuple(to_new[c] for c in inputs[v] if c in to_new)
         events += _king_rounds(net, cfg, cfg.m - stage, rankings, stage * (cfg.t + 1) + 1)
         for v in range(cfg.n):
-            winner = old_ids[v][rankings[v][0]]
-            prefix[v].append(winner)
-            remaining[v].remove(winner)
+            prefix[v].append(remaining[v].pop(rankings[v][0]))
 
     final = {v: tuple(prefix[v] + remaining[v]) for v in range(cfg.n)}
     return _finish(net, final, inputs, events)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .rankings import Pair, Ranking
@@ -71,12 +71,6 @@ class PairLanes:
         for a, b in pairs:
             buf[(a * m + b) * width] = 1
         return int.from_bytes(buf, "little")
-
-    def matrix(self, w: Sequence[Sequence[int]]) -> int:
-        """A weight matrix's counts, each at most ``n``, as one tally."""
-        width = self.width
-        lanes = b"".join(c.to_bytes(width, "little") for c in chain.from_iterable(w))
-        return int.from_bytes(lanes, "little")
 
     def at_least(self, tally: int, need: int) -> int:
         """The pair set of the lanes whose count is ``need`` or more (1 <= need <= n).

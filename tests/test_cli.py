@@ -407,8 +407,8 @@ def scenario(**changes):
         ({"command": "simulate", "config": SIM_CONFIG}, "asks for 1 seeds but holds 0 run(s)"),
         # 400 million messages, refused on their lower bound seeds·n²
         (sim(n=10_000),
-         "record asks for over 100,000,000 messages at m=2, over 400,000,000 messages·m²;"
-         " replay stops at 3,750,000"),
+         "record asks for over 100,000,000 messages at m=2, over 400,000,000 messages·m²"
+         " plus 1 run(s) at 1,500 each, over 400,001,500 in all; replay stops at 3,750,000"),
         (sim(t=2), "resilience requires 3t < n"),
         # 56 messages, but each costs about m²
         (sim(strategy="random", m=400), "asks for 56 messages at m=400, 8,960,000 messages·m²"),
@@ -429,6 +429,12 @@ def scenario(**changes):
         (scenario(name="appendix-c", m=9, case="C231"), "appendix-c has three candidates, got m=9"),
         # an unhashable command is unknown, not a TypeError from the lookup
         ({"command": ["kemeny"], "config": {}}, "unknown command ['kemeny']"),
+        # 937,448 messages at m=2 sat on the cap of messages·m² alone, yet its
+        # runs' fixed work took 8-12 s to replay, against 1.5 s for a one-seed
+        # (4,1,258) record; it is now refused on its lower bound
+        ({**sim(protocol="alg2", strategy="equivocate", seeds=13_786), "runs": [{}] * 13_786},
+         "asks for over 220,576 messages at m=2, over 882,304 messages·m² plus 13,786 run(s)"
+         " at 1,500 each, over 21,561,304 in all"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
@@ -486,10 +492,14 @@ def test_replay_is_priced_before_it_allocates(tmp_path, capsys, monkeypatch, rec
 
 
 def test_replay_cap_prices_messages_times_m_squared():
-    # 234,375 messages at m = 4 sit exactly on the cap
-    cli._refuse_above(234_375, 4)
-    with pytest.raises(ValueError, match="234,376 messages at m=4, 3,750,016 messages·m²"):
-        cli._refuse_above(234_376, 4)
+    # one run of 937,125 messages at m = 2 sits exactly on the cap
+    cli._refuse_above(1, 937_125, 2)
+    with pytest.raises(ValueError, match="937,126 messages at m=2, 3,748,504 messages·m²"):
+        cli._refuse_above(1, 937_126, 2)
+    # and so do 2,500 runs of fixed work alone
+    cli._refuse_above(2_500, 0, 2)
+    with pytest.raises(ValueError, match="2,501 run\\(s\\) at 1,500 each, 3,751,500 in all"):
+        cli._refuse_above(2_501, 0, 2)
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])

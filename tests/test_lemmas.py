@@ -6,6 +6,11 @@ more than 2/3 of the ballots at m = 3, or by more than 3/4 at m = 4 and
 above (Betzler et al., AAMAS 2014), is kept by every median.  A correct
 node's median view holds a unanimous pair with weight at least n − t of n,
 which clears those thresholds where n > 3t and n > 4t respectively.
+
+(c) The counting behind alg1's Pareto proof and the cycle region: an L-cycle
+of fixed pairs through a unanimous edge needs n <= L·t, and any L-cycle of
+fixed pairs needs n <= (L+1)·t, which is exactly where
+``cycle_lock_attack`` builds one.
 """
 
 from fractions import Fraction
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 
 from byzrank.kemeny import kemeny_exact
 from byzrank.rankings import Profile, pairs_of
+from byzrank.simnet import cycle_lock_attack
 from byzrank.tournament import weight_matrix
 from conftest import bloc_ballots
 
@@ -95,3 +101,33 @@ def test_four_rotations_break_the_m4_lemma_at_two_thirds():
 def test_three_quarter_pairs_are_kept_by_every_median_at_m5_to_7(case):
     m, ballots = case
     assert dropped_strong_pairs(Profile.of(ballots, m), Fraction(3, 4))[1] == []
+
+
+# --- (c) the cycle-region counting inequalities --------------------------------
+
+
+def test_cycle_counting_inequalities_reduce_to_their_closed_forms():
+    # the unanimous edge has n−t receipts and each other cycle edge at least
+    # n−2t, while the n−t correct ballots back at most L−1 of the L edges each
+    for t in range(0, 14):
+        for n in range(1, 41):
+            for L in range(1, 11):
+                assert ((n - t) + (L - 1) * (n - 2 * t) <= (L - 1) * (n - t)) == (n <= L * t)
+                assert (L * (n - 2 * t) <= (L - 1) * (n - t)) == (n <= (L + 1) * t)
+
+
+def test_cycle_lock_attack_exists_exactly_where_the_count_allows_a_cycle():
+    for n in range(2, 41):
+        for t in range(0, (n - 1) // 3 + 1):
+            for m in range(2, 9):
+                lengths = [
+                    L for L in range(3, min(m, n - t) + 1)
+                    if L * (n - 2 * t) <= (L - 1) * (n - t)
+                ]
+                attack = cycle_lock_attack(n, t, m)
+                assert (attack is not None) == bool(lengths), (n, t, m)
+                if attack is not None:
+                    _inputs, _script, info = attack
+                    assert info["cycle_len"] == lengths[0]
+                    assert sum(info["groups"]) == n - t
+                    assert all(1 <= g <= t for g in info["groups"])

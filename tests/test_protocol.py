@@ -34,19 +34,20 @@ from byzrank.simnet import (
     OppositeMedian,
     ScriptedViews,
     Silent,
+    SyncNetwork,
     adversary_search,
     cycle_lock_attack,
     make_strategy,
     run_sync,
     sanitize_batch,
 )
-from byzrank.tournament import pair_lanes, weight_matrix
+from byzrank.tournament import PairLanes, pair_lanes
 from conftest import rand_ranking, resolve_per_pair
 
 
 def tallied(rankings, n, m):
     """The rankings' pair counts, packed as a node's ranking tally."""
-    return pair_lanes(n, m).matrix(weight_matrix(rankings, m))
+    return sum(map(pair_lanes(n, m).ranking, rankings))
 
 
 def receipts(counts, n, m):
@@ -227,9 +228,9 @@ TALLY_CELLS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(TALLY_CELLS, st.integers(2, 5), st.data())
 def test_packed_proposals_match_per_pair_counts(cell, m, data):
-    # the engine's ranking tally: the correct ballots' weight matrix, packed,
-    # plus one packed ranking per Byzantine slot; the oracle counts each
-    # pair's supporters one ballot at a time
+    # the engine's ranking tally: one packed ranking per correct ballot,
+    # plus one per Byzantine slot; the oracle counts each pair's supporters
+    # one ballot at a time
     n, t = cell
     byz = data.draw(st.integers(0, t))
     ranking = st.permutations(range(m)).map(tuple)
@@ -241,7 +242,7 @@ def test_packed_proposals_match_per_pair_counts(cell, m, data):
     slots = [data.draw(st.none() | st.just(first) | ranking) for _ in range(byz)]
     ballots = correct + [r for r in slots if r is not None]
     lanes = pair_lanes(n, m)
-    tally = lanes.matrix(weight_matrix(correct, m))
+    tally = sum(map(lanes.ranking, correct))
     for r in slots:
         if r is not None:
             tally += lanes.ranking(r)
@@ -732,3 +733,27 @@ def test_fixed_sets_resolve_once_per_run(monkeypatch):
     run_algorithm1(inputs, Equivocate(), ProtocolConfig(n, t, m), seed=0)
     assert len(resolved) == len(set(resolved)) == len(set(seen)) < len(seen)
     assert set(resolved) == set(seen)
+
+
+def test_ranking_phase_packs_each_distinct_ballot_once_per_round(monkeypatch):
+    # both king-round phases tally through one packer with a per-round cache:
+    # a ballot held by several nodes is packed once per round
+    packs, rounds = [], [0]
+    real_ranking, real_end = PairLanes.ranking, SyncNetwork.end_round
+
+    def ranking(self, r):
+        packs.append((rounds[0], r))
+        return real_ranking(self, r)
+
+    def end_round(self):
+        rounds[0] += 1
+        real_end(self)
+
+    monkeypatch.setattr(PairLanes, "ranking", ranking)
+    monkeypatch.setattr(SyncNetwork, "end_round", end_round)
+    n, t, m = 7, 2, 3
+    inputs = [(0, 1, 2)] * 3 + [(2, 1, 0)] * 2 + [(1, 0, 2), (0, 1, 2)]
+    run_algorithm1(inputs, Honest(), ProtocolConfig(n, t, m), seed=0)
+    assert len(packs) == len(set(packs))
+    assert {r for r, _ in packs} == set(range(t + 1))
+    assert sum(r == 0 for r, _ in packs) == len(set(inputs))
