@@ -35,20 +35,24 @@ from .scenarios import (
     appendix_c_search,
     measure_scenario,
 )
-from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, random_ranking, run_sync
+from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, random_rankings, run_sync
 
 SCHEMA = "byzrank-run/1"
 # the most work a replayed simulate record may ask for, summed over its seeds:
 # each run's correct-sender messages times m², as a message's replay cost grows
-# about as m², plus REPLAY_RUN_WORK.  That is over five times the largest record
-# the tests and the benchmark write (43,989 messages at n=31, t=10, m=4: 705,324).
-# Slowest equivocate replays it admits, on a 2-core VM: alg1 (4,1,258) 1.5 s,
-# alg2 (7,2,2) × 1,462 seeds 1.4 s, alg2 (4,1,2) × 2,116 seeds 1.2 s, alg2
-# (30,9,16) 3.6 s
+# about as m², plus REPLAY_RUN_WORK and its Kemeny solves.  That is over five
+# times the largest record the tests and the benchmark write (43,989 messages at
+# n=31, t=10, m=4: 705,345).  Slowest equivocate replays it admits, on a 2-core
+# VM: alg1 (4,1,258) 1.5 s, alg2 (7,2,2) × 1,462 seeds 1.4 s, alg2 (4,1,2) ×
+# 2,116 seeds 1.2 s, alg2 (4,1,16) × 2 seeds 1.1-1.6 s
 REPLAY_WORK_MAX = 3_750_000
 # a run's fixed work, in the same units: a one-seed m = 2 run costs 0.2-1 ms
 # whatever its message count, which is what 500-3,000 messages·m² cost at m = 258
 REPLAY_RUN_WORK = 1_500
+# a Kemeny solve at m <= EXACT_MAX_M runs a subset DP of up to 2^m·m steps, and
+# this many steps take about what one unit does: one all-tie solve at m = 16
+# took 0.18-0.21 s against 0.50-0.60 µs per unit of a (4,1,258) replay
+REPLAY_DP_STEPS = 3
 # the most cells an appendix-c replay's weight grid may hold, the cube of the
 # weights' range n - t - ⌈n/2⌉ + 1: a 10⁶-cell grid (n=200, t=1) took 0.02 s,
 # and the largest record the tests and the benchmark write has 2,197 cells
@@ -140,7 +144,7 @@ def simulate_record(
             inputs = [tuple(r) for r in profile_rankings]
         else:
             rng = random.Random(f"{n}/{t}/{m}/{strategy_name}/{seed}/inputs")
-            inputs = [random_ranking(rng, m) for _ in range(n)]
+            inputs = random_rankings(rng, m, n)
         result = run_sync(protocol, inputs, strategy, cfg, seed=seed)
         per_round = list(result.stats.messages_per_round)
         expected = expected_messages(protocol, n, t, m, result.byz_ids, cfg.dictator_schedule)
@@ -335,30 +339,34 @@ REPLAY_KEYS = {
 RECORDS = {"simulate": simulate_record, "scenario": scenario_record, "kemeny": kemeny_record}
 
 
-def _price(protocol: str, n: int, t: int, m: int, seeds: int) -> None:
+def _price(protocol: str, n: int, t: int, m: int, seeds: int, solves: int) -> None:
     """Refuse, before any of it runs, a replay that costs too much.
 
     The cost of a run is its closed-form message count times m², plus
-    :data:`REPLAY_RUN_WORK`; every built-in strategy corrupts the last t
-    ids.  The count needs a t+1-entry schedule, so the bound n² per run is
-    checked first: every run has a king round whose n-t > 2n/3 correct
-    senders send over n² messages, so the bound refuses only records the
-    count refuses too.
+    :data:`REPLAY_RUN_WORK`, plus ``solves`` Kemeny solves where m allows
+    them; every built-in strategy corrupts the last t ids.  The count needs
+    a t+1-entry schedule, so the bound n² per run is checked first: every
+    run has a king round whose n-t > 2n/3 correct senders send over n²
+    messages, so the bound refuses only records the count refuses too.
     """
     _refuse_above(seeds, n * n, m, "over ")
     schedule = ProtocolConfig(n, t, m).dictator_schedule
     byz = frozenset(range(n - t, n))
-    _refuse_above(seeds, sum(expected_messages(protocol, n, t, m, byz, schedule)), m)
+    messages = sum(expected_messages(protocol, n, t, m, byz, schedule))
+    _refuse_above(seeds, messages, m, solves=solves if m <= EXACT_MAX_M else 0)
 
 
-def _refuse_above(seeds: int, messages: int, m: int, over: str = "") -> None:
-    """Refuse ``seeds`` runs of ``messages`` messages at ``m`` candidates above the replay cap."""
+def _refuse_above(seeds: int, messages: int, m: int, over: str = "", solves: int = 0) -> None:
+    """Refuse ``seeds`` runs of ``messages`` messages and ``solves`` Kemeny
+    solves at ``m`` candidates above the replay cap."""
     total = seeds * messages
-    work = total * m * m + seeds * REPLAY_RUN_WORK
+    each = 2**m * m // REPLAY_DP_STEPS if solves else 0
+    work = total * m * m + seeds * (REPLAY_RUN_WORK + solves * each)
     if work > REPLAY_WORK_MAX:
+        dp = f" plus {seeds * solves:,} Kemeny solve(s) at {each:,} each" if solves else ""
         raise ValueError(
             f"record asks for {over}{total:,} messages at m={m}, {over}{total * m * m:,}"
-            f" messages·m² plus {seeds:,} run(s) at {REPLAY_RUN_WORK:,} each, {over}{work:,}"
+            f" messages·m² plus {seeds:,} run(s) at {REPLAY_RUN_WORK:,} each{dp}, {over}{work:,}"
             f" in all; replay stops at {REPLAY_WORK_MAX:,}"
         )
 
@@ -370,11 +378,13 @@ def replay(path: str) -> tuple[dict, bool]:
     when it is not an object with a known command
     and every config key that command needs, each with a valid value, or
     when a simulate record asks for more seeds than it holds runs or for
-    more than :data:`REPLAY_WORK_MAX` in all, counting messages times m²
-    and :data:`REPLAY_RUN_WORK` per run.  A two-sided
+    more than :data:`REPLAY_WORK_MAX` in all, counting messages times m²,
+    :data:`REPLAY_RUN_WORK` per run and 2^m·m / :data:`REPLAY_DP_STEPS` per
+    Kemeny solve: one per run for its ratio, and for alg2 one more per
+    distinct round-1 view, of which there are at most n.  A two-sided
     scenario record is priced as its cell's one-seed alg2 simulate record, a
-    bound on n and m, and an appendix-c record by its grid against
-    :data:`REPLAY_GRID_MAX`.
+    bound on n and m, with three solves, and an appendix-c record by its
+    grid against :data:`REPLAY_GRID_MAX`.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -401,7 +411,9 @@ def replay(path: str) -> tuple[dict, bool]:
         held = len(stored["runs"]) if isinstance(stored.get("runs"), list) else 0
         if cfg["seeds"] > held:
             raise ValueError(f"record asks for {cfg['seeds']} seeds but holds {held} run(s)")
-        _price(cfg["protocol"], cfg["n"], cfg["t"], cfg["m"], cfg["seeds"])
+        # the record's ratio, and alg2's median of each distinct round-1 view
+        solves = 1 + (cfg["n"] if cfg["protocol"] == "alg2" else 0)
+        _price(cfg["protocol"], cfg["n"], cfg["t"], cfg["m"], cfg["seeds"], solves)
     elif command == "scenario" and cfg["name"] == "appendix-c":
         n, t = cfg["n"], cfg["t"]
         grid = (n - t - (n + 1) // 2 + 1) ** 3
@@ -410,8 +422,9 @@ def replay(path: str) -> tuple[dict, bool]:
                 f"record asks for a {grid:,}-cell weight grid; replay stops at {REPLAY_GRID_MAX:,}"
             )
     elif command == "scenario":
-        # no run, but its cell's one-seed alg2 record bounds n and m
-        _price("alg2", cfg["n"], cfg["t"], cfg["m"], 1)
+        # no run, but its cell's one-seed alg2 record bounds n and m; it
+        # solves the completed view and both sides
+        _price("alg2", cfg["n"], cfg["t"], cfg["m"], 1, 3)
     fresh = RECORDS[command](*(cfg[k] for k in REPLAY_KEYS[command]))
 
     def strip(rec: dict) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -127,23 +128,29 @@ class AdversaryStrategy:
         raise NotImplementedError
 
 
-def random_ranking(rng: random.Random, m: int) -> Ranking:
-    """``tuple(rng.sample(range(m), m))``, drawing the same bits call for call.
+def random_rankings(rng: random.Random, m: int, count: int) -> list[Ranking]:
+    """``count`` draws of ``tuple(rng.sample(range(m), m))``, bit for bit.
 
-    ``sample`` takes its pool branch for every full permutation, one
-    ``getrandbits(k)`` rejection loop per position; this inlines it.
+    ``sample`` takes its pool branch for every full permutation: one
+    ``getrandbits(k)`` rejection loop per position, whose pick leaves the
+    pool's live part.  This inlines it over one step table, so the batch
+    draws exactly the words those calls draw; each pick is swapped to the
+    pool's end, where the picks end up in reverse order.
     """
     getrandbits = rng.getrandbits
-    pool = list(range(m))
+    steps = [(size, size.bit_length(), size - 1) for size in range(m, 0, -1)]
+    start = list(range(m))
     out = []
-    for size in range(m, 0, -1):
-        k = size.bit_length()
-        j = getrandbits(k)
-        while j >= size:
+    for _ in range(count):
+        pool = start.copy()
+        for size, k, last in steps:
             j = getrandbits(k)
-        out.append(pool[j])
-        pool[j] = pool[size - 1]
-    return tuple(out)
+            while j >= size:
+                j = getrandbits(k)
+            pool[j], pool[last] = pool[last], pool[j]
+        pool.reverse()
+        out.append(tuple(pool))
+    return out
 
 
 def _phase_payload(ranking: Ranking, phase: str) -> Payload:
@@ -182,43 +189,43 @@ class OppositeMedian(AdversaryStrategy):
     def __init__(self):
         self._memo: dict = {}
 
-    def _target(self, ctx) -> Ranking:
-        key = (ctx.m, tuple(sorted(ctx.correct_inputs.items())))
-        if key not in self._memo:
-            med = kemeny_exact(Profile.of(list(ctx.correct_inputs.values()), ctx.m))
-            self._memo[key] = tuple(reversed(med.chosen))
-        return self._memo[key]
-
     def send(self, ctx, sender):
-        return _phase_payload(self._target(ctx), ctx.phase)
+        # one payload object per phase, so the network sanitizes it once
+        key = (ctx.m, tuple(sorted(ctx.correct_inputs.items())))
+        payloads = self._memo.get(key)
+        if payloads is None:
+            med = kemeny_exact(Profile.of(list(ctx.correct_inputs.values()), ctx.m))
+            target = tuple(reversed(med.chosen))
+            payloads = self._memo[key] = {
+                phase: _phase_payload(target, phase) for phase in (RANKING, PROPOSE, DICTATOR)
+            }
+        return payloads[ctx.phase]
 
 
 class Equivocate(AdversaryStrategy):
     """Every message is a fresh random value, chosen per recipient.
 
-    Equal values of one phase go out as one interned object, so the network
-    sanitizes each once; the table holds the current phase's values only.
+    Each sender's values are one batch from its own seed.  Equal values of
+    one phase go out as one interned object, so the network sanitizes each
+    once; the table holds the current phase's values only.
     """
 
     name = "equivocate"
 
     def __init__(self):
+        self._rng = random.Random()  # reseeded per sender: seed() leaves a fresh object's state
         self._phase: tuple[int, str] | None = None
         self._payloads: dict[Ranking, Payload] = {}
 
     def send(self, ctx, sender):
         if self._phase != (ctx.round, ctx.phase):
             self._phase, self._payloads = (ctx.round, ctx.phase), {}
-        rnd = random.Random(f"{ctx.seed}/equivocate/{ctx.round}/{ctx.phase}/{sender}")
+        self._rng.seed(f"{ctx.seed}/equivocate/{ctx.round}/{ctx.phase}/{sender}")
+        rankings = random_rankings(self._rng, ctx.m, ctx.n)
         table = self._payloads
-        out = {}
-        for v in range(ctx.n):
-            ranking = random_ranking(rnd, ctx.m)
-            payload = table.get(ranking)
-            if payload is None:
-                payload = table[ranking] = _phase_payload(ranking, ctx.phase)
-            out[v] = payload
-        return out
+        for ranking in set(rankings).difference(table):
+            table[ranking] = _phase_payload(ranking, ctx.phase)
+        return dict(enumerate(map(table.__getitem__, rankings)))
 
 
 class RandomRankings(AdversaryStrategy):
@@ -226,9 +233,19 @@ class RandomRankings(AdversaryStrategy):
 
     name = "random"
 
+    def __init__(self):
+        self._round: tuple[str, int] | None = None  # the seed string and m of the round's draws
+        self._rankings: dict[int, Ranking] = {}
+
     def send(self, ctx, sender):
-        rnd = random.Random(f"{ctx.seed}/random/{ctx.round}/{sender}")
-        return _phase_payload(random_ranking(rnd, ctx.m), ctx.phase)
+        key = (f"{ctx.seed}/random/{ctx.round}", ctx.m)
+        if self._round != key:
+            self._round, self._rankings = key, {}
+        ranking = self._rankings.get(sender)
+        if ranking is None:
+            rnd = random.Random(f"{key[0]}/{sender}")
+            ranking = self._rankings[sender] = random_rankings(rnd, ctx.m, 1)[0]
+        return _phase_payload(ranking, ctx.phase)
 
 
 class ScriptedViews(AdversaryStrategy):
@@ -372,14 +389,18 @@ class SyncNetwork:
         sanitize = sanitize_batch if phase == PROPOSE else sanitize_ranking
         # id(raw) -> (raw, clean); holding raw keeps its id unique for the call
         checked: dict[int, tuple[Payload, Payload | None]] = {}
-        own: dict[int, dict[int, Payload]] = {}  # equivocated deliveries
+        own: defaultdict[int, dict[int, Payload]] = defaultdict(dict)  # equivocated deliveries
         for sender in byz_senders:
             out = self.adversary.send(ctx, sender)
             # (recipient, raw) per delivery, recipient None for a broadcast
             if isinstance(out, dict):
-                # True or 1.0 would alias node 1, and mixed keys would not sort
-                keys = sorted(v for v in out if type(v) is int and 0 <= v < n)
-                deliveries = [(v, out[v]) for v in keys]
+                # True or 1.0 would alias node 1, and mixed keys would not sort;
+                # n distinct plain ints from 0 to n-1 are every node id
+                if len(out) == n and set(map(type, out)) == {int} and min(out) == 0 and max(out) == n - 1:
+                    keys = range(n)
+                else:
+                    keys = sorted(v for v in out if type(v) is int and 0 <= v < n)
+                deliveries = zip(keys, map(out.__getitem__, keys))
             else:
                 deliveries = [(None, out)]  # None is silence
             for v, raw in deliveries:
@@ -391,8 +412,12 @@ class SyncNetwork:
                 hit = checked.get(id(raw))
                 if hit is None:
                     hit = checked[id(raw)] = (raw, sanitize(raw, m))
-                if hit[1] is not None:
-                    (shared if v is None else own.setdefault(v, {}))[sender] = hit[1]
+                if hit[1] is None:
+                    continue
+                if v is None:
+                    shared[sender] = hit[1]
+                else:
+                    own[v][sender] = hit[1]
         return [shared | own[v] if v in own else shared for v in range(n)]
 
     def end_round(self) -> None:
@@ -486,15 +511,14 @@ def split_lock_script(n: int, t: int, m: int, rng: random.Random) -> ScriptedVie
     script: dict = {}
     planted = tuple(rng.sample(range(m), 2))
     for sender in range(n - t, n):
-        rankings = {v: random_ranking(rng, m) for v in range(n)}
-        script[(1, RANKING, sender)] = rankings
+        script[(1, RANKING, sender)] = dict(enumerate(random_rankings(rng, m, n)))
         favored = {v for v in range(n) if rng.random() < 0.5}
         script[(1, PROPOSE, sender)] = {
             v: frozenset({planted}) if v in favored else None for v in range(n)
         }
         for r in range(2, t + 2):
             if rng.random() < 0.5:
-                script[(r, DICTATOR, sender)] = {v: random_ranking(rng, m) for v in range(n)}
+                script[(r, DICTATOR, sender)] = dict(enumerate(random_rankings(rng, m, n)))
     return ScriptedViews(script)
 
 
@@ -561,7 +585,7 @@ def _trials(protocol: str, cfg, seed: int | str, inputs: tuple[Ranking, ...] | N
         rng = random.Random(f"{seed}/search/{i - 1}")
         run_inputs = inputs
         if inputs is None:
-            run_inputs = [random_ranking(rng, m) for _ in range(n)]
+            run_inputs = random_rankings(rng, m, n)
         strategy = Equivocate() if rng.random() < 0.5 else split_lock_script(n, t, m, rng)
         if rng.random() < 0.5:
             schedule = cfg.dictator_schedule

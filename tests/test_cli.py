@@ -435,6 +435,11 @@ def scenario(**changes):
         ({**sim(protocol="alg2", strategy="equivocate", seeds=13_786), "runs": [{}] * 13_786},
          "asks for over 220,576 messages at m=2, over 882,304 messages·m² plus 13,786 run(s)"
          " at 1,500 each, over 21,561,304 in all"),
+        # 198 seeds sat under the cap on messages and runs alone, yet each
+        # seed's five m = 16 Kemeny solves took 0.37-0.73 s, about 74 s in all
+        ({**sim(protocol="alg2", strategy="equivocate", m=16, seeds=198), "runs": [{}] * 198},
+         "asks for 13,464 messages at m=16, 3,446,784 messages·m² plus 198 run(s) at 1,500"
+         " each plus 990 Kemeny solve(s) at 349,525 each, 349,773,534 in all"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
@@ -500,6 +505,20 @@ def test_replay_cap_prices_messages_times_m_squared():
     cli._refuse_above(2_500, 0, 2)
     with pytest.raises(ValueError, match="2,501 run\\(s\\) at 1,500 each, 3,751,500 in all"):
         cli._refuse_above(2_501, 0, 2)
+
+
+def test_replay_cap_prices_each_kemeny_solve():
+    # a solve at m = 16 costs 2^16·16 / 3 units: ten of them and one run's
+    # fixed work fit under the cap, eleven do not
+    cli._refuse_above(1, 0, 16, solves=10)
+    with pytest.raises(ValueError, match="11 Kemeny solve\\(s\\) at 349,525 each, 3,846,275 in all"):
+        cli._refuse_above(1, 0, 16, solves=11)
+    # a one-seed alg2 record solves its ratio and up to n views; above
+    # EXACT_MAX_M nothing is solved, so nothing is charged
+    cli._price("alg2", 4, 1, 16, 2, 5)
+    with pytest.raises(ValueError, match="15 Kemeny solve"):
+        cli._price("alg2", 4, 1, 16, 3, 5)
+    cli._price("alg1", 4, 1, 17, 1, 1)
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])

@@ -1,5 +1,6 @@
 """Deterministic network engine, adversary strategies, and the attack search."""
 
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from byzrank.simnet import (
     DICTATOR,
     PROPOSE,
     RANKING,
+    AdversaryContext,
     Equivocate,
     Honest,
     OppositeMedian,
@@ -28,7 +30,9 @@ from byzrank.simnet import (
     sanitize_batch,
     sanitize_ranking,
 )
+import reference
 from conftest import rand_ranking
+from test_transcript_pin import canonical, run_form
 
 INPUTS4 = [(0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1)]
 
@@ -197,6 +201,39 @@ def test_random_strategy_is_uniform_within_a_round():
     assert per_round and all(len(v) == 1 for v in per_round.values())
 
 
+# (protocol, n, t, m, seed): seeds and cells change from run to run; the t = 0
+# runs call no strategy, so a memo kept from the run before would leak into
+# the next one's round 1, and stv-baseline shrinks m every stage
+MEMO_RUNS = (
+    ("alg1", 4, 1, 3, 0), ("alg1", 4, 1, 3, 1), ("alg1", 4, 0, 3, 2), ("alg1", 4, 1, 3, 2),
+    ("alg1", 4, 1, 4, 2), ("alg1", 1, 0, 3, 3), ("alg2", 7, 2, 3, 3), ("alg2", 7, 2, 3, 4),
+    ("stv-baseline", 7, 2, 4, 4), ("stv-baseline", 7, 2, 4, 5), ("stv-baseline", 7, 2, 5, "5"),
+    ("alg1", 7, 2, 4, 5), ("alg1", 4, 1, 3, 0),
+)
+
+
+@pytest.mark.parametrize("strategy", [RandomRankings, Equivocate, OppositeMedian])
+def test_reused_strategy_runs_like_a_fresh_one(strategy):
+    shared = strategy()
+    for protocol, n, t, m, seed in MEMO_RUNS:
+        rng = random.Random(f"memo/{protocol}/{n}/{t}/{m}/{seed}")
+        inputs = [rand_ranking(rng, m) for _ in range(n)]
+        cfg = ProtocolConfig(n, t, m)
+        reused, fresh = (
+            run_form(run_sync(protocol, inputs, s, cfg, seed=seed, record_transcript=True))
+            for s in (shared, strategy())
+        )
+        assert json.dumps(reused, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+    # each run starts at round 1, after the last round of the run before, so
+    # runs never reach the one round a memo holds; direct sends do, under a
+    # new seed, then a new m
+    for seed, m in ((0, 3), (1, 3), (1, 4), ("1", 4), (0, 3)):
+        inputs = {v: tuple(range(v, m)) + tuple(range(v)) for v in range(3)}
+        for phase in (RANKING, PROPOSE, DICTATOR):
+            ctx = AdversaryContext(seed, 1, phase, 4, m, inputs, inputs.__getitem__)
+            assert shared.send(ctx, 3) == strategy().send(ctx, 3)
+
+
 def test_scripted_views_follows_script_and_defaults_to_silence():
     script = {
         (1, "ranking", 3): (2, 1, 0),
@@ -228,15 +265,23 @@ def test_default_script_round_one_ballots():
         assert sorted(ballot) == [0, 1, 2]
 
 
-def test_random_ranking_draws_what_sample_draws():
+def test_random_rankings_draws_what_sample_draws():
     # the engine's draw must stay stdlib's full-permutation sample, bit for
-    # bit, or every seeded transcript moves
+    # bit, or every seeded transcript moves: a batch of k rankings is k
+    # samples, and the generator's state matches after every call, also
+    # between the other draws that _trials and split_lock_script make
     for m in range(41):
-        for k in range(100):
+        for k in range(30):
             rng, twin = random.Random(f"draw/{m}/{k}"), random.Random(f"draw/{m}/{k}")
-            for _ in range(2):
-                assert simnet.random_ranking(rng, m) == tuple(twin.sample(range(m), m))
+            for count in (k % 6, 1, 0, 5):
+                batch = simnet.random_rankings(rng, m, count)
+                assert batch == [tuple(twin.sample(range(m), m)) for _ in range(count)]
                 assert rng.getstate() == twin.getstate()
+                assert rng.random() == twin.random()
+                ids, twin_ids = list(range(m + 3)), list(range(m + 3))
+                rng.shuffle(ids)
+                twin.shuffle(twin_ids)
+                assert ids == twin_ids and rng.getstate() == twin.getstate()
 
 
 # --- payload sanitizing -----------------------------------------------------------
@@ -491,6 +536,48 @@ def test_equivocation_reaches_only_plain_int_node_ids():
     net = simnet.SyncNetwork(4, ScriptedViews(script), seed=0, byz_ids=frozenset({3}))
     boxes = net.exchange(1, RANKING, 3, {v: (0, 1, 2) for v in range(4)}, {})
     assert [3 in box for box in boxes] == [True, False, False, False]
+
+
+@pytest.mark.parametrize("phase", [RANKING, PROPOSE])
+@pytest.mark.parametrize(
+    "keys",
+    [
+        (0, 1, 2, 3),
+        (3, 2, 1, 0),  # every node id, inserted out of order
+        (0, True, 2, 3),
+        (0, 1.0, 2, 3),
+        (-1, 0, 1, 2),
+        (-1, 0, 1, 3),
+        (1, 2, 3, 4),
+        (0, 1, 2, 4),
+        ("0", 1, 2, 3),
+        (0, 1, 3),
+        (0, 1, 2, 3, 4),
+    ],
+)
+def test_equivocation_keys_deliver_what_the_reference_network_delivers(keys, phase):
+    # n keys that are exactly the plain ints 0..n-1 are walked as every node
+    # id; any other key set goes through the filter, and both must deliver
+    # what the naive network does
+    r = (2, 1, 0)
+    values = [r, None, [0, 1, 2], (0, True, 2), (0, 2, 1), pairs_of(r), {(0, 1), (1, 0), (0, 2)}]
+    script = {
+        (1, phase, u): {k: values[(i + u) % len(values)] for i, k in enumerate(keys)}
+        for u in (2, 3)
+    }
+    payloads = {v: (0, 1, 2) if phase == RANKING else pairs_of((0, 1, 2)) for v in range(4)}
+    if phase == RANKING:
+        script[1, phase, 2] = {k: r for k in keys}  # one object to every recipient
+    nets = (
+        simnet.SyncNetwork(4, ScriptedViews(script), 0, frozenset({2, 3}), record_transcript=True),
+        reference.Network(4, ScriptedViews(script), 0, frozenset({2, 3})),
+    )
+    (boxes, transcript), (ref_boxes, ref_transcript) = (
+        (net.exchange(1, phase, 3, payloads, {}), net.transcript) for net in nets
+    )
+    # as JSON, so that True and 1 stay apart
+    assert json.dumps(canonical(boxes)) == json.dumps(canonical(ref_boxes))
+    assert json.dumps(canonical(transcript)) == json.dumps(canonical(ref_transcript))
 
 
 # --- scripted cycle attack ---------------------------------------------------------
