@@ -3,9 +3,16 @@ multiset profile, with the witnesses that break them at weaker thresholds.
 
 The README's alg2 proof needs one fact about Kemeny medians: a pair backed by
 more than 2/3 of the ballots at m = 3, or by more than 3/4 at m = 4 and
-above (Betzler et al., AAMAS 2014), is kept by every median.  A correct
-node's median view holds a unanimous pair with weight at least n − t of n,
-which clears those thresholds where n > 3t and n > 4t respectively.
+above, is kept by every median.  A correct node's median view holds a
+unanimous pair with weight at least n − t of n, which clears those
+thresholds where n > 3t and n > 4t respectively.
+
+The m = 3 fact holds on every profile checked.  At m >= 4 it holds only for
+small n: the 3/4-majority rule (Betzler et al., AAMAS 2014) is about
+non-dirty candidates, those whose every pair is backed by more than 3/4 one
+way, and a 3/4 pair between two dirty candidates can be dropped.  The m = 6
+witness below drops one, and relabelled it makes alg2 lose Pareto at
+n > 4t, so the README's alg2 argument is open for m >= 4.
 
 (c) The counting behind alg1's Pareto proof and the cycle region: an L-cycle
 of fixed pairs through a unanimous edge needs n <= L·t, and any L-cycle of
@@ -20,18 +27,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzrank.kemeny import kemeny_exact
-from byzrank.rankings import Profile, pairs_of
-from byzrank.simnet import cycle_lock_attack
+from byzrank.protocol import ProtocolConfig
+from byzrank.rankings import Profile, pairs_of, unanimous_pairs
+from byzrank.simnet import completion_script, cycle_lock_attack, run_sync
 from byzrank.tournament import weight_matrix
 from conftest import bloc_ballots
 
 
-def dropped_strong_pairs(profile: Profile, above: Fraction) -> tuple[int, list]:
-    """How many pairs hold more than ``above`` of the ballots, and each
-    (pair, median) where a Kemeny median orders such a pair the other way."""
+def non_dirty(profile: Profile, above: Fraction) -> set[int]:
+    """The candidates whose every pair holds more than ``above`` of the
+    ballots one way or the other."""
     m, n = profile.m, len(profile)
     w = weight_matrix(profile.rankings, m)
-    strong = {(a, b) for a in range(m) for b in range(m) if a != b and w[a][b] > above * n}
+    return {
+        c for c in range(m)
+        if all(max(w[c][x], w[x][c]) > above * n for x in range(m) if x != c)
+    }
+
+
+def dropped_strong_pairs(
+    profile: Profile, above: Fraction, at: set[int] | None = None
+) -> tuple[int, list]:
+    """How many pairs hold more than ``above`` of the ballots (only those
+    touching a candidate in ``at``, if given), and each (pair, median) where
+    a Kemeny median orders such a pair the other way."""
+    m, n = profile.m, len(profile)
+    w = weight_matrix(profile.rankings, m)
+    strong = {
+        (a, b) for a in range(m) for b in range(m)
+        if a != b and w[a][b] > above * n and (at is None or a in at or b in at)
+    }
     if not strong:
         return 0, []
     return len(strong), [
@@ -99,8 +124,45 @@ def test_four_rotations_break_the_m4_lemma_at_two_thirds():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(5, 7).flatmap(lambda m: st.tuples(st.just(m), bloc_ballots(m, max_size=30))))
 def test_three_quarter_pairs_are_kept_by_every_median_at_m5_to_7(case):
+    # the 3/4-majority rule: every 3/4 pair at a non-dirty candidate is kept
     m, ballots = case
-    assert dropped_strong_pairs(Profile.of(ballots, m), Fraction(3, 4))[1] == []
+    profile = Profile.of(ballots, m)
+    at = non_dirty(profile, Fraction(3, 4))
+    assert dropped_strong_pairs(profile, Fraction(3, 4), at)[1] == []
+
+
+# 41 ballots at m = 6; 31 of them put 4 above 3, and 10 put 3 above 4
+M6_WITNESS = (
+    [(0, 1, 2, 5, 4, 3)] * 12
+    + [(1, 2, 4, 3, 0, 5)] * 4
+    + [(4, 3, 2, 1, 0, 5)] * 15
+    + [(0, 3, 2, 1, 5, 4)] * 10
+)
+
+
+def test_the_m6_witness_breaks_the_pair_rule_at_three_quarters():
+    # a pair over 3/4 between two dirty candidates need not be kept
+    profile = Profile.of(M6_WITNESS, 6)
+    assert weight_matrix(profile.rankings, 6)[4][3] == 31
+    result = kemeny_exact(profile)
+    assert result.cost == 216
+    assert set(result.medians) == {(0, 2, 1, 4, 3, 5), (0, 3, 2, 1, 5, 4)}
+    assert dropped_strong_pairs(profile, Fraction(3, 4))[1] == [((4, 3), (0, 3, 2, 1, 5, 4))]
+    assert not {3, 4} & non_dirty(profile, Fraction(3, 4))
+
+
+def test_alg2_loses_pareto_on_the_relabelled_m6_witness():
+    # relabel so the dropping median is the identity, which the first-median
+    # choice then outputs; the ten (0,3,2,1,5,4) ballots are Byzantine
+    n, t, m = 41, 10, 6
+    assert n > 4 * t
+    label = {c: i for i, c in enumerate((0, 3, 2, 1, 5, 4))}
+    ballots = [tuple(label[c] for c in r) for r in M6_WITNESS]
+    byz = ballots[n - t:]
+    result = run_sync("alg2", ballots, completion_script(byz, n), ProtocolConfig(n, t, m))
+    assert set(result.outputs.values()) == {tuple(range(m))}
+    assert (label[4], label[3]) in unanimous_pairs(Profile.of(ballots[: n - t], m))
+    assert not result.pareto
 
 
 # --- (c) the cycle-region counting inequalities --------------------------------
