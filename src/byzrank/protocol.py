@@ -237,10 +237,10 @@ def _each_view(
     """``step(view)`` for every recipient, run once per distinct view.
 
     A view is the tuple of a recipient's Byzantine senders' slots, in sender
-    id order, None where nothing came, built once per inbox object.  It is
-    all that can tell two recipients' inboxes apart, because
-    :meth:`SyncNetwork.exchange` delivers each correct sender's payload
-    unchanged to every recipient.
+    id order, None where nothing came, built once per inbox object.  An
+    inbox from :meth:`SyncNetwork.exchange` maps Byzantine senders to their
+    sanitized payloads; correct senders broadcast, so the caller adds their
+    payloads from its own state.
     """
     byz = sorted(byz_ids)
     by_view: dict[tuple, object] = {}
@@ -279,16 +279,18 @@ def _king_rounds(
     The instance inputs the adversary sees are the correct nodes' rankings
     on entry.  Rankings are kept for every node: corrupted nodes keep an
     honest shadow ranking (fed by real inboxes) so the network can answer
-    exactly what they would have sent.  Every recipient gets each correct
-    sender's payload unchanged, so a phase tallies the correct payloads
-    once into one packed int of per-pair lanes (:class:`PairLanes`), and
-    each view adds one big-int per Byzantine slot, None slots counting
-    nothing.  Both phases tally through :func:`_tally`, which packs each
-    distinct ballot or batch once per round.  A node's steps depend only on
-    its view, so :func:`_each_view` runs the proposal and fixing steps once
-    per distinct view; fixed sets are resolved once per run, and the ranking
-    adjustments and dictator decisions are shared run-wide too.  Each
-    dropped edge becomes one integrity event per correct node that holds it.
+    exactly what they would have sent.  An inbox holds only the Byzantine
+    deliveries, since correct senders broadcast: a phase tallies the correct
+    payloads from its own maps once into one packed int of per-pair lanes
+    (:class:`PairLanes`), each view adds one big-int per Byzantine slot,
+    None slots counting nothing, and a correct dictator's ranking is read
+    from ``rankings``.  Both phases tally through :func:`_tally`, which
+    packs each distinct ballot or batch once per round.  A node's steps
+    depend only on its view, so :func:`_each_view` runs the proposal and
+    fixing steps once per distinct view; fixed sets are resolved once per
+    run, and the ranking adjustments and dictator decisions are shared
+    run-wide too.  Each dropped edge becomes one integrity event per correct
+    node that holds it.
     """
     n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
     correct = [v for v in range(n) if v not in byz_ids]
@@ -321,9 +323,10 @@ def _king_rounds(
                 adjusted[key] = adjust_ranking(*key)
             rankings[v] = adjusted[key]
 
-        inboxes = net.exchange(ground, DICTATOR, m, {dict_id: rankings[dict_id]}, instance_inputs)
+        sent = rankings[dict_id]
+        inboxes = net.exchange(ground, DICTATOR, m, {dict_id: sent}, instance_inputs)
         for v in range(n):
-            key = (rankings[v], locks[v], inboxes[v].get(dict_id))
+            key = (rankings[v], locks[v], inboxes[v].get(dict_id) if dict_id in byz_ids else sent)
             if key not in decided:
                 decided[key] = decide_dictator(*key)
             rankings[v] = decided[key]

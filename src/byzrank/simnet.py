@@ -315,11 +315,12 @@ class SyncNetwork:
     """Round/phase message fabric: delivery, counting, transcript, adversary.
 
     The network holds the corruption set ``byz_ids``.  Correct-sender
-    messages are counted (a broadcast is n point-to-point copies, self
-    included); Byzantine messages are delivered and logged but never
-    counted.  Byzantine payloads are sanitized at delivery: the transcript
-    logs them raw, the inbox gets the clean value, and a malformed one is
-    left out, exactly as if it were never sent.
+    messages are logged and counted (a broadcast is n point-to-point copies,
+    self included) but filed in no inbox, as every recipient gets the same
+    payload; Byzantine messages are delivered and logged but never counted.
+    Byzantine payloads are sanitized at delivery: the transcript logs them
+    raw, the inbox gets the clean value, and a malformed one is left out,
+    exactly as if it were never sent.
     """
 
     def __init__(
@@ -349,33 +350,30 @@ class SyncNetwork:
         """Deliver one phase; returns per-recipient inboxes (sender->payload).
 
         ``payloads`` maps each sender of the phase to what it sends when
-        correct: correct senders' entries are delivered, and the adversary
-        chooses for the Byzantine ones (``ctx.honest`` looks them up here).
+        correct.  Correct senders broadcast: their payloads are logged and
+        counted but filed in no inbox, since every recipient gets the same
+        one and the caller already holds it.  The adversary chooses for the
+        Byzantine senders (``ctx.honest`` looks them up here), so an inbox
+        maps each Byzantine sender that delivered to its sanitized payload.
         A Byzantine payload is sanitized once per distinct payload object per
         phase, so a value sent to many recipients as one object, or broadcast
         by several senders, is checked once; every delivered slot still
         equals the sanitizer applied to its own transcript row.  One loop
         logs, sanitizes and files every delivery: a broadcast's, and one per
         plain-int node id of an equivocation (its other keys are skipped).
-        Every inbox holds each correct sender's payload exactly as given in
-        ``payloads``, so only the Byzantine senders' entries can differ
-        between recipients; the round engine tallies the correct payloads
-        once per phase on this guarantee.
         Recipients with equal deliveries share one inbox object (every one
         of them when nobody equivocates), so callers must not mutate it.
         """
         n = self.n
         transcript = self.transcript
-        shared: dict[int, Payload] = {}
         byz_senders = []
         for sender in sorted(payloads):
             if sender in self.byz_ids:
                 byz_senders.append(sender)
-                continue
-            payload = shared[sender] = payloads[sender]
-            if transcript is not None:
+            elif transcript is not None:
+                payload = payloads[sender]
                 transcript.extend((round_no, phase, sender, v, payload) for v in range(n))
-        self._current_round_messages += n * len(shared)
+        self._current_round_messages += n * (len(payloads) - len(byz_senders))
         # the adversary moves last (rushing)
         ctx = AdversaryContext(
             seed=self.seed,
@@ -389,17 +387,14 @@ class SyncNetwork:
         sanitize = sanitize_batch if phase == PROPOSE else sanitize_ranking
         # id(raw) -> (raw, clean); holding raw keeps its id unique for the call
         checked: dict[int, tuple[Payload, Payload | None]] = {}
+        shared: dict[int, Payload] = {}  # broadcast deliveries
         own: defaultdict[int, dict[int, Payload]] = defaultdict(dict)  # equivocated deliveries
         for sender in byz_senders:
             out = self.adversary.send(ctx, sender)
             # (recipient, raw) per delivery, recipient None for a broadcast
             if isinstance(out, dict):
-                # True or 1.0 would alias node 1, and mixed keys would not sort;
-                # n distinct plain ints from 0 to n-1 are every node id
-                if len(out) == n and set(map(type, out)) == {int} and min(out) == 0 and max(out) == n - 1:
-                    keys = range(n)
-                else:
-                    keys = sorted(v for v in out if type(v) is int and 0 <= v < n)
+                # True or 1.0 would alias node 1, and mixed keys would not sort
+                keys = sorted(v for v in out if type(v) is int and 0 <= v < n)
                 deliveries = zip(keys, map(out.__getitem__, keys))
             else:
                 deliveries = [(None, out)]  # None is silence
@@ -470,23 +465,19 @@ def cycle_lock_attack(n: int, t: int, m: int):
     the full cycle as their proposal batch.  Returns
     ``(inputs, ScriptedViews, info)`` or None when no L is feasible.
     """
-    if t < 1 or m < 3:
-        return None
     feasible = [L for L in range(3, min(m, n - t) + 1) if n <= (L + 1) * t]
     if not feasible:
         return None
     L = feasible[0]
     tail = tuple(range(L, m))
     rotations = [tuple((s + i) % L for i in range(L)) + tail for s in range(L)]
-    # group sizes: 1 <= g_i <= t, sum = n - t
+    # group sizes: 1 <= g_i <= t, sum = n - t, which fits as n - t <= L*t
     g = [1] * L
     extra = (n - t) - L
     for i in range(L):
         take = min(t - g[i], extra)
         g[i] += take
         extra -= take
-    if extra > 0:
-        return None
     inputs: list[Ranking] = []
     for i in range(L):
         inputs.extend([rotations[(i + 1) % L]] * g[i])

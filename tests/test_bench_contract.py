@@ -7,12 +7,15 @@ rename in ``src/`` would break ``bench/run.py``, so the names are checked here.
 
 import importlib
 import importlib.util
+import random
 import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+import reference
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -100,6 +103,34 @@ def test_tracer_counts_shared_inboxes():
         if name == "tournament.weight_matrix"
     ]
     assert in_run and sum(in_run) == 0
+
+
+def test_tracer_counts_distinct_full_inboxes(monkeypatch):
+    # an inbox holds only the Byzantine deliveries; full inboxes, which add
+    # every correct sender's broadcast, differ exactly where those do, so
+    # distinct_inbox_frac keeps counting what the naive network delivers
+    tracer_module = load_bench("tracer")
+    modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
+    prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
+    rng = random.Random("full-inboxes")
+    inputs = [rng.sample(range(3), 3) for _ in range(7)]
+    tracer = tracer_module.Tracer(prog)
+    with tracer.installed(0):
+        prog.cli.simulate_record("alg1", "equivocate", 7, 2, 3, 1, 0, inputs)
+    distinct = []
+    exchange = reference.Network.exchange
+
+    def counted(net, *args):
+        boxes = exchange(net, *args)
+        distinct.append(len({frozenset(box.items()) for box in boxes}))
+        return boxes
+
+    monkeypatch.setattr(reference.Network, "exchange", counted)
+    strategy = prog.simnet.make_strategy("equivocate", n=7, t=2, m=3)
+    cfg = prog.protocol.ProtocolConfig(7, 2, 3)
+    reference.run("alg1", [tuple(r) for r in inputs], strategy, cfg, seed=0)
+    assert len(distinct) == tracer.calls["simnet.exchange"]
+    assert sum(distinct) == tracer.counts["distinct_inboxes"] > len(distinct)
 
 
 def test_tracer_reads_medians_as_a_sized_tuple():

@@ -583,14 +583,13 @@ RECORD_PLACES = st.sampled_from([
 ])
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from([(CYCLE_PROFILE, True, True), (TIE_PROFILE, False, False),
-                     ("x > y > z\nz > y > x\nx > y > z\n", True, False)]),
-    st.lists(st.tuples(RECORD_PLACES, RECORD_VALUES), min_size=1, max_size=3),
-)
-def test_mutated_kemeny_replay_never_escapes(fuzz_file, base, mutations):
-    record = {"record": {**kemeny_record(*base), "wall_ms": 0}}
+def replay_mutated(fuzz_file, stored: dict, mutations) -> None:
+    """Replay ``stored`` with each ``(place, value)`` written at its key path.
+
+    A place is a path of keys into the record; ``DELETE`` removes the key,
+    and a path through a value that is no longer an object changes nothing.
+    """
+    record = {"record": stored}
     for place, value in mutations:
         holder, key = record, "record"
         for step in place:
@@ -604,6 +603,52 @@ def test_mutated_kemeny_replay_never_escapes(fuzz_file, base, mutations):
                 holder[key] = copy.deepcopy(value)
     fuzz_file.write_text(json.dumps(record.get("record")), encoding="utf-8")
     run_untrusted(["simulate", "--replay", str(fuzz_file)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(CYCLE_PROFILE, True, True), (TIE_PROFILE, False, False),
+                     ("x > y > z\nz > y > x\nx > y > z\n", True, False)]),
+    st.lists(st.tuples(RECORD_PLACES, RECORD_VALUES), min_size=1, max_size=3),
+)
+def test_mutated_kemeny_replay_never_escapes(fuzz_file, base, mutations):
+    replay_mutated(fuzz_file, {**kemeny_record(*base), "wall_ms": 0}, mutations)
+
+
+@pytest.fixture(scope="module")
+def run_records():
+    """One simulate or scenario record of each kind a replay can hold."""
+    profile = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]]
+    return [
+        simulate_record("alg1", "equivocate", 7, 2, 3, 2, 0),
+        simulate_record("stv-baseline", "scripted", 4, 1, 3, 1, 0, profile),
+        scenario_record("cycle-worst", 18, 2, 3, "both", None),
+        scenario_record("appendix-c", 12, 2, 3, "both", "C231"),
+        scenario_record("binary-worst", 12, 3, 2, "left", None),
+    ]
+
+
+RUN_RECORD_VALUES = st.sampled_from([
+    DELETE, None, True, False, 0, 1, -1, 2, 3, 7, 2.5, float("nan"), 10**30, "", "3",
+    "alg1", "alg3", "stv-baseline", "equivocate", "byzantine", "simulate", "scenario", "kemeny",
+    "cycle-worst", "appendix-c", "worst", "left", "both", "top", "C231", "C999", 16, 17, 40,
+    [], {}, [[0, 1, 2]], [[0, 1, 2], [0, 1]] * 2, [[True, False, 2]] * 4, [[0.0, 1, 2]] * 4,
+    [[0, 1, 2]] * 7, [list(range(16))] * 7, [[0, 1, 2]] * 3 + ["abc"], [{}],
+])
+RUN_RECORD_PLACES = st.sampled_from([
+    ("command",), ("runs",), ("report",), ("config",),
+    *(("config", key) for key in dict.fromkeys([*cli.REPLAY_KEYS["simulate"],
+                                                *cli.REPLAY_KEYS["scenario"]])),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.lists(st.tuples(RUN_RECORD_PLACES, RUN_RECORD_VALUES), min_size=1, max_size=3),
+)
+def test_mutated_run_replay_never_escapes(fuzz_file, run_records, base, mutations):
+    replay_mutated(fuzz_file, copy.deepcopy(run_records[base]), mutations)
 
 
 def test_bool_profile_is_refused():

@@ -405,7 +405,7 @@ def test_malformed_byzantine_payload_is_logged_raw_and_ignored():
     assert run_sync("alg2", inputs, alias, cfg, seed=0).consensus != res.consensus
     net = simnet.SyncNetwork(4, ScriptedViews(junk), seed=0, byz_ids=frozenset({3}))
     boxes = net.exchange(1, RANKING, 3, {0: (0, 1, 2), 3: (0, 1, 2)}, {})
-    assert boxes == [{0: (0, 1, 2)}] * 4
+    assert boxes == [{}] * 4
 
 
 def test_uniform_phase_shares_one_inbox():
@@ -413,7 +413,7 @@ def test_uniform_phase_shares_one_inbox():
     correct = {v: (0, 1, 2) for v in range(3)}
     boxes = net.exchange(1, RANKING, 3, {**correct, 3: (0, 1, 2)}, correct)
     assert len({id(b) for b in boxes}) == 1
-    assert boxes[0] == {**correct, 3: boxes[0][3]}
+    assert boxes[0] == {3: boxes[0][3]}
 
 
 def test_equivocated_deliveries_stay_per_recipient():
@@ -425,7 +425,7 @@ def test_equivocated_deliveries_stay_per_recipient():
     correct = {v: (0, 1, 2) for v in range(5)}
     boxes = net.exchange(1, RANKING, 3, {v: (0, 1, 2) for v in range(n)}, correct)
     for v in range(n):
-        expected = {**correct, 6: (0, 2, 1)}
+        expected = {6: (0, 2, 1)}
         if v in to_some:
             expected[5] = to_some[v]
         assert boxes[v] == expected
@@ -459,17 +459,17 @@ def test_one_object_broadcast_and_equivocated_is_sanitized_once(monkeypatch):
     clean = frozenset({(2, 1), (1, 0)})
     from_six = {0: clean, 2: clean, 4: frozenset({(0, 1)})}
     for v, box in enumerate(boxes):
-        assert box == {**correct, 5: clean, **({6: from_six[v]} if v in from_six else {})}
+        assert box == {5: clean, **({6: from_six[v]} if v in from_six else {})}
     assert boxes[1] is boxes[3] is boxes[5] is boxes[6]
     assert boxes[6][5] is boxes[0][5] is boxes[0][6]
 
 
 @pytest.mark.parametrize("strategy_name", [*simnet.STRATEGY_NAMES, "mixed-keys"])
 @pytest.mark.parametrize("phase", [RANKING, PROPOSE, DICTATOR])
-def test_correct_payloads_reach_every_inbox_unchanged(strategy_name, phase):
-    # the round engine tallies the correct senders once per phase and keys
-    # each recipient's work on its Byzantine slots alone, which holds only
-    # if every inbox holds every correct sender's payload as it was given
+def test_inboxes_hold_only_byzantine_deliveries(strategy_name, phase):
+    # correct senders broadcast, so the round engine reads their payloads
+    # from its own maps: an inbox files only what the Byzantine senders
+    # delivered, while the transcript still logs every correct copy
     n, t, m = 7, 2, 3
     rng = random.Random(f"{strategy_name}/{phase}")
     rankings = {v: rand_ranking(rng, m) for v in range(n)}
@@ -481,11 +481,14 @@ def test_correct_payloads_reach_every_inbox_unchanged(strategy_name, phase):
         strategy = ScriptedViews(script)
     else:
         strategy = make_strategy(strategy_name, n=n, t=t, m=m)
-    net = simnet.SyncNetwork(n, strategy, seed=0, byz_ids=frozenset({5, 6}))
+    byz = frozenset({5, 6})
+    net = simnet.SyncNetwork(n, strategy, seed=0, byz_ids=byz, record_transcript=True)
     correct = range(n - t)
     boxes = net.exchange(1, phase, m, payloads, {v: rankings[v] for v in correct})
-    for box in boxes:
-        assert {u: box[u] for u in correct} == {u: payloads[u] for u in correct}
+    assert all(set(box) <= byz for box in boxes)
+    rows = [(sender, to, raw) for _r, _p, sender, to, raw in net.transcript if sender not in byz]
+    assert rows == [(u, v, payloads[u]) for u in correct for v in range(n)]
+    assert all(raw is payloads[u] for u, _to, raw in rows)
 
 
 @pytest.mark.parametrize("strategy_name", [*simnet.STRATEGY_NAMES, "shared-objects"])
@@ -556,9 +559,9 @@ def test_equivocation_reaches_only_plain_int_node_ids():
     ],
 )
 def test_equivocation_keys_deliver_what_the_reference_network_delivers(keys, phase):
-    # n keys that are exactly the plain ints 0..n-1 are walked as every node
-    # id; any other key set goes through the filter, and both must deliver
-    # what the naive network does
+    # every key set goes through one filter and must deliver what the naive
+    # network does; its inboxes also hold the correct senders, which the
+    # engine's leave out
     r = (2, 1, 0)
     values = [r, None, [0, 1, 2], (0, True, 2), (0, 2, 1), pairs_of(r), {(0, 1), (1, 0), (0, 2)}]
     script = {
@@ -575,6 +578,7 @@ def test_equivocation_keys_deliver_what_the_reference_network_delivers(keys, pha
     (boxes, transcript), (ref_boxes, ref_transcript) = (
         (net.exchange(1, phase, 3, payloads, {}), net.transcript) for net in nets
     )
+    ref_boxes = [{u: x for u, x in box.items() if u in (2, 3)} for box in ref_boxes]
     # as JSON, so that True and 1 stay apart
     assert json.dumps(canonical(boxes)) == json.dumps(canonical(ref_boxes))
     assert json.dumps(canonical(transcript)) == json.dumps(canonical(ref_transcript))
