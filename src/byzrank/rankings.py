@@ -12,7 +12,7 @@ value and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 Ranking = tuple[int, ...]
@@ -35,7 +35,7 @@ def is_ranking(r: object, m: int) -> bool:
     return (
         isinstance(r, tuple)
         and len(r) == m
-        and all(type(c) is int for c in r)
+        and {int}.issuperset(map(type, r))
         and sorted(r) == list(range(m))
     )
 
@@ -59,9 +59,9 @@ class Profile:
     """An ordered multiset of rankings over a common candidate universe.
 
     Voter order and multiplicity are preserved: the simulator attributes
-    ballots to nodes by position.  Rankings are stored as tuples, and each
-    distinct one is validated once, in first-occurrence order, so the
-    ballot a refusal names is the first bad one.
+    ballots to nodes by position.  Rankings are stored as tuples; plain
+    tuples of plain ints are validated together, each distinct one once, and
+    a refusal names the first bad ballot.
     """
 
     rankings: tuple[Ranking, ...]
@@ -70,21 +70,22 @@ class Profile:
     def __post_init__(self) -> None:
         if not self.rankings:
             raise ValueError("profile must contain at least one ranking")
-        rankings = tuple(self.rankings)
-        # A repeated tuple is checked once, at its first occurrence, unless
-        # a repeat may alias it (a bool or float entry equals an int).  Lists,
-        # unhashable entries and possible aliases are checked ballot by ballot.
+        rankings, m = tuple(self.rankings), self.m
+        # Plain tuples of plain ints are checked together, each distinct one
+        # once: with no bool or float entry, no repeat can alias a ballot.
+        # Lists, unhashable entries and a failed check go ballot by ballot,
+        # which turns list ballots into tuples and names the first bad ballot.
         try:
-            distinct = dict.fromkeys(rankings) if {tuple} >= set(map(type, rankings)) else rankings
+            distinct = dict.fromkeys(rankings) if {tuple} >= set(map(type, rankings)) else ()
         except TypeError:  # an unhashable entry
-            distinct = rankings
-        if len(distinct) < len(rankings) and not {int} >= set(
-            map(type, chain.from_iterable(rankings))
+            distinct = ()
+        if not (
+            distinct
+            and set(map(len, distinct)) <= {m}
+            and {int}.issuperset(map(type, chain.from_iterable(rankings)))
+            and all(map(frozenset(range(m)).__eq__, map(frozenset, distinct)))
         ):
-            distinct = rankings
-        checked = [validate_ranking(r, self.m) for r in distinct]
-        if distinct is rankings:
-            rankings = tuple(checked)
+            rankings = tuple([validate_ranking(r, m) for r in rankings])
         object.__setattr__(self, "rankings", rankings)
 
     @classmethod
@@ -130,34 +131,44 @@ def unanimous_pairs(profile: Profile) -> frozenset[Pair]:
 
 
 def parse_profile(text: str) -> tuple[Profile, list[str]]:
-    """Parse the profile text format; returns (profile, candidate names)."""
-    names: list[str] = []
-    index: dict[str, int] = {}
-    raw: list[tuple[int, list[str]]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = [p.strip() for p in stripped.split(">")]
-        if any(not p for p in parts):
-            raise ParseError(line_no, f"empty candidate name in {stripped!r}")
-        if len(set(parts)) != len(parts):
-            raise ParseError(line_no, f"duplicate candidate in {stripped!r}")
-        for name in parts:
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-        raw.append((line_no, parts))
-    if not raw:
+    """Parse the profile text format; returns (profile, candidate names).
+
+    Each distinct ballot line is split and checked once, in whole-profile
+    passes, and equal lines share one ranking tuple.  A refusal names the
+    first line that holds the offending text.
+    """
+    lines = list(map(str.strip, text.splitlines()))
+    distinct = [s for s in dict.fromkeys(lines) if s and not s.startswith("#")]
+    if not distinct:
         raise ParseError(1, "no rankings found")
+    sizes = [s.count(">") + 1 for s in distinct]
+    # each distinct unstripped name is stripped once; names are indexed by
+    # first appearance
+    raw = ">".join(distinct).split(">")
+    tokens = dict.fromkeys(raw)
+    stripped = list(map(str.strip, tokens))
+    names = list(dict.fromkeys(stripped))
     m = len(names)
-    rankings = []
-    for line_no, parts in raw:
-        if len(parts) != m:
-            raise ParseError(
-                line_no,
-                f"ranking covers {len(parts)} of {m} candidates "
-                f"(every line must rank the full universe)",
-            )
-        rankings.append(tuple(map(index.__getitem__, parts)))
-    return Profile.of(rankings, m), names
+    index = dict(zip(names, range(m)))
+    id_of = dict(zip(tokens, map(index.__getitem__, stripped)))
+    rows = list(map(tuple, map(islice, repeat(map(id_of.__getitem__, raw)), sizes)))
+    if "" not in index and sizes.count(m) == len(sizes):
+        ranking_of = dict(zip(distinct, rows))
+        try:
+            return Profile(tuple(filter(None, map(ranking_of.get, lines))), m), names
+        except ValueError:  # a line repeats a name: named below
+            pass
+    # the first bad line in file order: an empty or repeated name anywhere
+    # comes before a line that misses a name
+    groups = map(list, map(islice, repeat(map(str.strip, raw)), sizes))
+    for line, parts in zip(distinct, groups):
+        if "" in parts:
+            raise ParseError(lines.index(line) + 1, f"empty candidate name in {line!r}")
+        if len(set(parts)) != len(parts):
+            raise ParseError(lines.index(line) + 1, f"duplicate candidate in {line!r}")
+    line, size = next((d, k) for d, k in zip(distinct, sizes) if k != m)
+    raise ParseError(
+        lines.index(line) + 1,
+        f"ranking covers {size} of {m} candidates "
+        f"(every line must rank the full universe)",
+    )

@@ -1,12 +1,12 @@
 """Shared helpers for the test suite: seeded random rankings and profiles,
 bloc profiles for hypothesis, and per-item oracles for the engine's bulk
-computations."""
+computations and the profile parser's whole-profile passes."""
 
 import random
 
 from hypothesis import strategies as st
 
-from byzrank.rankings import Profile, pairs_of
+from byzrank.rankings import ParseError, Profile, pairs_of
 
 
 def rand_ranking(rng: random.Random, m: int) -> tuple:
@@ -32,6 +32,41 @@ def bloc_ballots(m: int, max_blocs: int = 4, max_size: int = 200):
     return st.tuples(
         st.lists(bloc, min_size=1, max_size=max_blocs), st.randoms(use_true_random=False)
     ).map(spread)
+
+
+def parse_profile_per_line(text: str) -> tuple[Profile, list[str]]:
+    """The profile text format read line by line: an oracle for
+    ``parse_profile``, which splits and checks each distinct line once."""
+    names: list[str] = []
+    index: dict[str, int] = {}
+    raw: list[tuple[int, list[str]]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = [p.strip() for p in stripped.split(">")]
+        if any(not p for p in parts):
+            raise ParseError(line_no, f"empty candidate name in {stripped!r}")
+        if len(set(parts)) != len(parts):
+            raise ParseError(line_no, f"duplicate candidate in {stripped!r}")
+        for name in parts:
+            if name not in index:
+                index[name] = len(names)
+                names.append(name)
+        raw.append((line_no, parts))
+    if not raw:
+        raise ParseError(1, "no rankings found")
+    m = len(names)
+    rankings = []
+    for line_no, parts in raw:
+        if len(parts) != m:
+            raise ParseError(
+                line_no,
+                f"ranking covers {len(parts)} of {m} candidates "
+                f"(every line must rank the full universe)",
+            )
+        rankings.append(tuple(map(index.__getitem__, parts)))
+    return Profile.of(rankings, m), names
 
 
 def weight_matrix_per_ballot(rankings, m: int) -> list:

@@ -651,6 +651,32 @@ def test_mutated_run_replay_never_escapes(fuzz_file, run_records, base, mutation
     replay_mutated(fuzz_file, copy.deepcopy(run_records[base]), mutations)
 
 
+# any JSON value: scalars inside lists and objects inside each other
+NESTED_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=16,
+)
+NESTED_REPLAY_BUDGET_S = 5.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_nested_values_in_replay_never_escape(fuzz_file, run_records, base, data):
+    # bases 0-1 are kemeny records, 2-6 the simulate and scenario ones
+    if base < 2:
+        stored = {**kemeny_record(CYCLE_PROFILE if base else TIE_PROFILE, True, True),
+                  "wall_ms": 0}
+        places = RECORD_PLACES
+    else:
+        stored, places = copy.deepcopy(run_records[base - 2]), RUN_RECORD_PLACES
+    mutations = data.draw(st.lists(st.tuples(places, NESTED_VALUES), min_size=1, max_size=3))
+    started = time.monotonic()
+    replay_mutated(fuzz_file, stored, mutations)
+    assert time.monotonic() - started < NESTED_REPLAY_BUDGET_S
+
+
 def test_bool_profile_is_refused():
     # True/False compare equal to 1/0; accepted, they came back as the consensus
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byzrank.kemeny import approx_ratio
+from byzrank.cli import kemeny_record
+from byzrank.kemeny import approx_ratio, kemeny_exact
 from byzrank.rankings import (
     ParseError,
     Profile,
@@ -18,7 +19,7 @@ from byzrank.rankings import (
     validate_ranking,
 )
 from byzrank.tournament import weight_matrix
-from conftest import bloc_ballots, rand_profile, rand_ranking
+from conftest import bloc_ballots, parse_profile_per_line, rand_profile, rand_ranking
 
 rankings_st = st.integers(min_value=1, max_value=7).flatmap(
     lambda m: st.permutations(range(m)).map(tuple)
@@ -211,6 +212,53 @@ def test_profile_names_the_first_bad_ballot(case, data):
     assert str(exc.value) == f"not a permutation of 0..{m - 1}: {first!r}"
 
 
+class Row(tuple):
+    """A tuple subclass: a ballot that is a tuple, but not a plain one."""
+
+
+class Id(int):
+    """An int subclass: equal to a candidate id, but not a plain int."""
+
+
+# more ways to spoil a ranking, and two ballot types that keep it valid
+VARIANTS = SPOILERS + (
+    lambda r: (-1,) + r[1:],
+    lambda r: r[:-1] + (len(r),),
+    lambda r: tuple(map(Id, r)),
+    Row,
+    list,
+)
+
+
+def typed(rankings):
+    """Rankings with the type of each ballot and entry, which ``==`` ignores."""
+    return [(type(r), *((type(c), c) for c in r)) for r in rankings]
+
+
+def outcome(build):
+    try:
+        return typed(build())
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.permutations(range(m)).map(tuple), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(VARIANTS), st.integers(0, 2)), max_size=3),
+    st.sampled_from([m, m, m + 1, m - 1]),
+)), st.data())
+def test_profile_validates_as_the_per_ballot_loop_does(case, data):
+    # the whole-profile check of plain tuples accepts and refuses exactly
+    # what validate_ranking ballot by ballot does, with the same message
+    m, valid, variants, claimed = case
+    pool = valid + [vary(valid[i % len(valid)]) for vary, i in variants]
+    ballots = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    want = outcome(lambda: [validate_ranking(r, claimed) for r in ballots])
+    assert outcome(lambda: Profile(tuple(ballots), claimed).rankings) == want
+
+
 def test_profile_preserves_order_and_multiplicity():
     rows = [(0, 1), (1, 0), (0, 1)]
     p = Profile.of(rows)
@@ -272,6 +320,11 @@ def test_is_ranking_predicate():
     assert not is_ranking((0, 0, 1), 3)
     assert not is_ranking("012", 3)
     assert not is_ranking((True, False, 2), 3)  # bools would alias 1 and 0
+    assert not is_ranking((1.0, 0, 2), 3)  # and so would floats
+    assert not is_ranking((Id(1), 0, 2), 3)  # entries are plain ints
+    assert is_ranking(Row((1, 0, 2)), 3)  # a tuple subclass is a tuple
+    assert not is_ranking(Row((1, 1, 2)), 3)
+
 
 
 # --- text format ----------------------------------------------------------------
@@ -332,3 +385,66 @@ def test_format_parse_roundtrip():
         back = [tuple(got_names[c] for c in r) for r in profile]
         want = [tuple(names[c] for c in r) for r in rows]
         assert back == want
+
+
+# every boundary str.splitlines knows, and whitespace str.strip removes
+LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+PADS = st.sampled_from(["", "", " ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"])
+NAME_POOL = ["a", "b", "c", "d", "a b", "é", "#x"]
+NOT_BALLOTS = ["", "   ", "\xa0", "#", "# a > b", "a >> b", "> a"]
+
+
+@st.composite
+def profile_texts(draw):
+    """Profile text with repeated, blank and comment lines, padded names,
+    empty and repeated names and lines that miss a name."""
+    universe = draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=4, unique=True))
+    names_st = st.one_of(
+        st.permutations(universe),
+        st.lists(st.sampled_from(universe + [""]), min_size=1, max_size=5),
+    )
+    pool = [
+        ">".join(draw(PADS) + name + draw(PADS) for name in draw(names_st))
+        for _ in range(draw(st.integers(1, 4)))
+    ] + draw(st.lists(st.sampled_from(NOT_BALLOTS), max_size=2))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=12))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends))[: draw(st.sampled_from([None, -1]))]
+
+
+def parsed(parse, text):
+    try:
+        profile, names = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line_no
+    return profile.rankings, profile.m, names
+
+
+@settings(max_examples=400, deadline=None)
+@given(profile_texts())
+def test_parse_profile_reads_as_the_per_line_parser_does(text):
+    # one split per distinct line gives what one split per line gave, and
+    # refuses the same first bad line with the same message
+    assert parsed(parse_profile, text) == parsed(parse_profile_per_line, text)
+
+
+def test_parse_profile_shares_equal_lines_and_keeps_their_order():
+    text = "a > b > c\n# b > c > a\nb>c>a\n\n  a > b > c  \nb>c>a\na>b>c\n"
+    profile, names = parse_profile(text)
+    assert names == ["a", "b", "c"]
+    assert profile.rankings == ((0, 1, 2), (1, 2, 0), (0, 1, 2), (1, 2, 0), (0, 1, 2))
+    first, second, third, fourth, fifth = profile.rankings
+    assert first is third and second is fourth
+    assert fifth is not first  # "a>b>c" is another line than "a > b > c"
+
+
+def test_large_two_bloc_text_solves_as_its_ballots_do():
+    rng = random.Random(20)
+    blocs = [rand_ranking(rng, 7), rand_ranking(rng, 7)]
+    ballots = [blocs[rng.random() < 0.4] for _ in range(30_000)]
+    names = [f"c{c}" for c in range(7)]
+    text = "\n".join(" > ".join(names[c] for c in r) for r in ballots) + "\n"
+    got = kemeny_record(text, False, False)["result"]
+    want = kemeny_exact(Profile.of(ballots))
+    assert got["chosen"] == [names[c] for c in want.chosen]
+    assert (got["cost"], got["median_count"]) == (want.cost, want.count)
