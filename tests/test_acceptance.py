@@ -3,8 +3,11 @@
 Each criterion prints `ACCEPTANCE CRITERION k: PASS|FAIL - detail` on the
 real stdout (so the verdicts survive pytest's output capture) and then
 asserts, making a failure simultaneously grep-able and red.  Criteria 1, 2,
-3 and 10 share one 72,000-run protocol sweep (module-scoped fixture); the
-whole module takes a few minutes on one core.
+3 and 10 share one 72,000-run protocol sweep (module-scoped fixture) and
+judge each run by the properties ``cli.simulate_record`` reports for it,
+the verdict ``byzrank simulate --json`` prints; criterion 4 runs the check
+of ``byzrank kemeny --verify``.  The whole module takes about two minutes
+on one core.
 
 Two guarantees hold only inside a boundary, and the criteria check each one
 exactly where it can hold:
@@ -22,9 +25,11 @@ exactly where it can hold:
     of length L the unanimous edge has n-t correct supporters and every
     other edge at least n-2t, while each of the n-t correct ballots backs
     at most L-1 of its edges, so (n-t) + (L-1)(n-2t) <= (L-1)(n-t), i.e.
-    n <= L*t <= m*t.  alg2 keeps it too: n-t > 3n/4 for m >= 4 (the
-    3/4-majority rule for Kemeny medians) and n-t > 2n/3 for m = 3, so
-    every correct node's median already keeps the unanimous pair.
+    n <= L*t <= m*t.  alg2 keeps it too: a correct node's median view
+    holds the unanimous pair on at least n-t of at most n ballots, every
+    Kemeny median keeps a pair held by more than (m-1)/m of the ballots
+    (proved and checked in tests/test_lemmas.py), and (n-t)/n > (m-1)/m
+    iff n > m*t.  So every correct node's median already keeps the pair.
   * Fixed-pair cycles (criterion 9) occur iff n <= (m+1)*t.
     cycle_lock_attack builds one whenever n <= (L+1)*t for some L <= m.
     Without a unanimous edge the same count gives L(n-2t) <= (L-1)(n-t),
@@ -37,14 +42,14 @@ either turns a test red.
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from byzrank.kemeny import approx_ratio, kemeny_brute, kemeny_exact
-from byzrank.protocol import ProtocolConfig, expected_messages
+from byzrank.cli import kemeny_record, simulate_record
+from byzrank.kemeny import approx_ratio
+from byzrank.protocol import ProtocolConfig
 from byzrank.rankings import Profile
 from byzrank.scenarios import (
     appendix_c_search,
@@ -53,18 +58,12 @@ from byzrank.scenarios import (
     gen_binary_worst,
     measure_scenario,
 )
-from byzrank.simnet import (
-    STRATEGY_NAMES,
-    Honest,
-    adversary_search,
-    make_strategy,
-    run_sync,
-)
+from byzrank.simnet import STRATEGY_NAMES, Honest, adversary_search, run_sync
 
 PROTOCOLS = ("alg1", "alg2", "stv-baseline")
 SWEEP_NS = range(4, 14)
 SWEEP_MS = range(2, 6)
-SWEEP_SEEDS = range(100)
+SWEEP_SEEDS = 100
 
 # Every sweep run that ends without one of the correct nodes' unanimous
 # pairs, keyed (n, t, m, strategy, protocol, seed).  All five lie at
@@ -106,10 +105,6 @@ def verdict(capfd, k: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def run_id(n, t, m, strategy, protocol, seed):
-    return (n, t, m, strategy, protocol, seed)
-
-
 def fmt_run(rid):
     n, t, m, strategy, protocol, seed = rid
     return f"(n={n},t={t},m={m},{strategy},{protocol},seed={seed})"
@@ -119,105 +114,76 @@ def fmt_cells(cells):
     return ", ".join(f"(n={n},t={t},m={m})" for n, t, m in cells) or "no cell"
 
 
-@dataclass
-class SweepTally:
-    runs: int = 0
-    agreement_failures: list = field(default_factory=list)
-    pareto_failures: list = field(default_factory=list)
-    pareto_scope_runs: int = 0
-    round_mismatches: list = field(default_factory=list)
-    message_mismatches: list = field(default_factory=list)
-    budget_breaches: list = field(default_factory=list)
-    ratio_violations: list = field(default_factory=list)
-    max_ratio: Fraction = Fraction(0)
-    max_ratio_cell: tuple | None = None
-    integrity_events: int = 0
-
-
 @pytest.fixture(scope="module")
 def sweep():
-    """Run every (n, m, strategy, protocol, seed) cell once; tally outcomes."""
-    tally = SweepTally()
+    """Every run of the sweep as (run id, properties, ratio), judged by
+    ``simulate_record``, the function behind ``byzrank simulate --json``."""
+    rows = []
     started = time.monotonic()
     for n in SWEEP_NS:
         t = (n - 1) // 3
         for m in SWEEP_MS:
-            cfg = ProtocolConfig(n, t, m)
-            for strategy_name in STRATEGY_NAMES:
-                for seed in SWEEP_SEEDS:
-                    rng = random.Random(f"{n}/{t}/{m}/{strategy_name}/{seed}/inputs")
-                    inputs = [tuple(rng.sample(range(m), m)) for _ in range(n)]
-                    for protocol in PROTOCOLS:
-                        strategy = make_strategy(strategy_name, n=n, t=t, m=m)
-                        result = run_sync(protocol, inputs, strategy, cfg, seed=seed)
-                        rid = run_id(n, t, m, strategy_name, protocol, seed)
-                        tally.runs += 1
-                        if not result.agreement:
-                            tally.agreement_failures.append(rid)
-                        if pareto_possible(n, t, m):
-                            tally.pareto_scope_runs += 1
-                        if not result.pareto:
-                            tally.pareto_failures.append(rid)
-                        closed = expected_messages(
-                            protocol, n, t, m, result.byz_ids, cfg.dictator_schedule
-                        )
-                        if result.stats.rounds != len(closed):
-                            tally.round_mismatches.append(rid)
-                        if list(result.stats.messages_per_round) != closed:
-                            tally.message_mismatches.append(rid)
-                        if any(c > 2 * n * n + n for c in result.stats.messages_per_round):
-                            tally.budget_breaches.append(rid)
-                        tally.integrity_events += len(result.stats.integrity_errors)
-                        if protocol == "alg2" and result.agreement:
-                            correct_profile = Profile.of(
-                                list(result.correct_inputs.values()), m
-                            )
-                            ratio = approx_ratio(result.consensus, correct_profile).ratio
-                            bound = Fraction(n, n - 2 * t)
-                            if not (isinstance(ratio, Fraction) and ratio <= bound):
-                                tally.ratio_violations.append(rid)
-                            elif ratio > tally.max_ratio:
-                                tally.max_ratio, tally.max_ratio_cell = ratio, rid
+            for strategy in STRATEGY_NAMES:
+                for protocol in PROTOCOLS:
+                    record = simulate_record(protocol, strategy, n, t, m, SWEEP_SEEDS, 0)
+                    rows += [
+                        ((n, t, m, strategy, protocol, run["seed"]),
+                         run["properties"], run["ratio"])
+                        for run in record["runs"]
+                    ]
         print(
-            f"  sweep: n={n} done, {tally.runs} runs,"
+            f"  sweep: n={n} done, {len(rows)} runs,"
             f" {time.monotonic() - started:.0f}s elapsed",
             file=sys.__stdout__,
             flush=True,
         )
-    return tally
+    return rows
+
+
+def failures(sweep, prop):
+    """The runs whose record reports ``prop`` false (absent counts as held)."""
+    return [rid for rid, props, _ in sweep if not props.get(prop, True)]
+
+
+def max_alg2_ratio(sweep):
+    """The largest alg2 ratio within the n/(n-2t) bound, and its first run."""
+    best, at = Fraction(0), None
+    for rid, props, ratio in sweep:
+        if props.get("ratio_bound") and Fraction(ratio) > best:
+            best, at = Fraction(ratio), rid
+    return best, at
 
 
 def test_criterion_1_agreement_and_pareto(sweep, capfd):
-    in_scope = sorted(r for r in sweep.pareto_failures if pareto_possible(*r[:3]))
-    excluded = sweep.runs - sweep.pareto_scope_runs
-    out_of_scope = len(sweep.pareto_failures) - len(in_scope)
-    ok = not sweep.agreement_failures and not in_scope
+    disagreements = failures(sweep, "agreement")
+    pareto_failures = failures(sweep, "pareto")
+    in_scope = [r for r in pareto_failures if pareto_possible(*r[:3])]
+    scope_runs = sum(pareto_possible(*rid[:3]) for rid, _, _ in sweep)
+    ok = not disagreements and not in_scope
     detail = (
-        f"{sweep.runs} runs: agreement 100%"
-        if not sweep.agreement_failures
-        else f"{len(sweep.agreement_failures)} agreement failures"
+        f"{len(sweep)} runs: agreement 100%"
+        if not disagreements
+        else f"{len(disagreements)} agreement failures"
     )
     if in_scope:
         detail += f"; {len(in_scope)} runs with n > m*t lost a unanimous pair: " + ", ".join(
             fmt_run(r) for r in in_scope
         )
     else:
-        detail += (
-            f", unanimous pairs preserved in all {sweep.pareto_scope_runs} runs with n > m*t"
-        )
+        detail += f", unanimous pairs preserved in all {scope_runs} runs with n > m*t"
     detail += (
-        f"; {excluded} runs with n <= m*t excluded (Pareto impossible there),"
-        f" {out_of_scope} of them lost a pair"
+        f"; {len(sweep) - scope_runs} runs with n <= m*t excluded (Pareto impossible there),"
+        f" {len(pareto_failures) - len(in_scope)} of them lost a pair"
     )
     verdict(capfd, 1, ok, detail)
-    assert sweep.agreement_failures == []
-    assert sweep.pareto_scope_runs == 43_200
+    assert disagreements == []
+    assert scope_runs == 43_200
     assert in_scope == []
 
 
 def test_pareto_gap_census(sweep):
     # regression pin: the criterion-1 failures are exactly the known five
-    assert set(sweep.pareto_failures) == KNOWN_PARETO_GAPS
+    assert set(failures(sweep, "pareto")) == KNOWN_PARETO_GAPS
 
 
 class HonestGroup(Honest):
@@ -257,45 +223,44 @@ def test_rotation_groups_defeat_pareto(n, t, m):
 
 
 def test_criterion_2_round_exactness(sweep, capfd):
-    ok = sweep.round_mismatches == []
+    mismatches = failures(sweep, "rounds")
     verdict(capfd, 2,
-        ok,
-        f"rounds == t+1 / t+3 / (m-1)(t+1) in all {sweep.runs} runs"
-        if ok
-        else f"{len(sweep.round_mismatches)} mismatches, first "
-        + fmt_run(sweep.round_mismatches[0]),
+        not mismatches,
+        f"rounds == t+1 / t+3 / (m-1)(t+1) in all {len(sweep)} runs"
+        if not mismatches
+        else f"{len(mismatches)} mismatches, first " + fmt_run(mismatches[0]),
     )
-    assert sweep.round_mismatches == []
+    assert mismatches == []
 
 
 def test_criterion_3_message_budget(sweep, capfd):
-    ok = sweep.message_mismatches == [] and sweep.budget_breaches == []
+    breaches = failures(sweep, "messages")
     verdict(capfd, 3,
-        ok,
-        f"per-round counts match the closed form and stay <= 2n^2+n in all {sweep.runs} runs"
-        if ok
-        else f"{len(sweep.message_mismatches)} closed-form mismatches, "
-        f"{len(sweep.budget_breaches)} budget breaches",
+        not breaches,
+        f"per-round counts match the closed form and stay <= 2n^2+n in all {len(sweep)} runs"
+        if not breaches
+        else f"{len(breaches)} runs off the closed form or over 2n^2+n, first "
+        + fmt_run(breaches[0]),
     )
-    assert sweep.message_mismatches == []
-    assert sweep.budget_breaches == []
+    assert breaches == []
 
 
 def test_criterion_4_kemeny_oracle_equivalence(capfd):
+    # byzrank kemeny --verify's check: exact and brute force agree on the
+    # cost, the chosen median, the optima count and every median
     rng = random.Random("acceptance/kemeny-oracle")
     mismatches = 0
     for _ in range(500):
         m = rng.randint(2, 6)
         voters = rng.randint(1, 9)
-        profile = Profile.of(
-            [tuple(rng.sample(range(m), m)) for _ in range(voters)], m
+        text = "\n".join(
+            " > ".join(map(str, rng.sample(range(m), m))) for _ in range(voters)
         )
-        exact = kemeny_exact(profile)
-        brute = kemeny_brute(profile)
-        if exact.cost != brute.cost or exact.chosen != brute.chosen:
+        if not kemeny_record(text, ties=False, verify=True)["result"]["verified"]:
             mismatches += 1
     ok = mismatches == 0
-    verdict(capfd, 4, ok, f"exact == brute on 500/500 random profiles (m<=6, n<=9)"
+    verdict(capfd, 4, ok, "exact == brute in cost, median, optima count and every median"
+            " on 500/500 random profiles (m<=6, n<=9)"
             if ok else f"{mismatches}/500 mismatches")
     assert mismatches == 0
 
@@ -453,24 +418,22 @@ def test_criterion_10_upper_bound_conformance(sweep, capfd):
         )
     )
 
-    ok = not sweep.ratio_violations and not scenario_breaches and monotone_ok
-    tight = (
-        f"; sweep max {sweep.max_ratio} at {fmt_run(sweep.max_ratio_cell)}"
-        if sweep.max_ratio_cell
-        else ""
-    )
+    violations = failures(sweep, "ratio_bound")
+    ok = not violations and not scenario_breaches and monotone_ok
+    best, at = max_alg2_ratio(sweep)
+    tight = f"; sweep max {best} at {fmt_run(at)}" if at else ""
     verdict(capfd, 10,
         ok,
         f"ratio <= n/(n-2t) in every alg2 sweep run and <= the family closed form "
         f"in all {len(scenario_cells)} scenario cells{tight}",
     )
-    assert sweep.ratio_violations == []
+    assert violations == []
     assert scenario_breaches == []
     assert monotone_ok
 
 
 def test_sweep_max_ratio_is_tight(sweep):
     # the n/(n-2t) bound is attained, so it cannot be improved wholesale
-    assert sweep.max_ratio == Fraction(5, 2)
-    n, t, m, _, _, _ = sweep.max_ratio_cell
-    assert (n, t, m) == (10, 3, 2)
+    best, at = max_alg2_ratio(sweep)
+    assert best == Fraction(5, 2)
+    assert at[:3] == (10, 3, 2)

@@ -1,18 +1,29 @@
 """The majority lemmas behind alg2's Pareto argument, checked on every small
 multiset profile, with the witnesses that break them at weaker thresholds.
 
-The README's alg2 proof needs one fact about Kemeny medians: a pair backed by
-more than 2/3 of the ballots at m = 3, or by more than 3/4 at m = 4 and
-above, is kept by every median.  A correct node's median view holds a
-unanimous pair with weight at least n − t of n, which clears those
-thresholds where n > 3t and n > 4t respectively.
+(a) The distance form.  Write N_ab for the number of ballots with a above b.
+If a Kemeny median r puts b above a with k−1 candidates between them, then
+N_ab ≤ k·N_ba.  Proof: lift a to just above b (move A), or drop b to just
+below a (move B).  Both moves flip (a, b), and each flips one pair at every
+candidate c between them.  At each c a ballot changes the cost of the two
+moves together by +2 only if it holds b > c > a, and by at most 0
+otherwise.  So Δ_A + Δ_B ≤ 2(N_ba − N_ab) + 2(k−1)·N_ba = 2(k·N_ba − N_ab),
+and if N_ab > k·N_ba one move lowers the cost and r is no median.  As
+k ≤ m−1, every median keeps each pair held by more than (m−1)/m of the
+ballots: the ⅔ lemma at m = 3, the ¾ fact at m = 4.
 
-The m = 3 fact holds on every profile checked.  At m >= 4 it holds only for
-small n: the 3/4-majority rule (Betzler et al., AAMAS 2014) is about
-non-dirty candidates, those whose every pair is backed by more than 3/4 one
-way, and a 3/4 pair between two dirty candidates can be dropped.  The m = 6
-witness below drops one, and relabelled it makes alg2 lose Pareto at
-n > 4t, so the README's alg2 argument is open for m >= 4.
+The alg2 corollary: a correct node's median view holds a unanimous pair on
+at least n − t of at most n ballots, and (n−t)/n > (m−1)/m ⟺ n > m·t, so at
+n > m·t every correct median keeps the pair.  The bound is tight: in the m
+rotations of an m-cycle each adjacent pair holds exactly (m−1)/m of the
+ballots, and one median drops (0, 1).
+
+(b) The fixed thresholds.  A flat ¾ rule for m >= 4 is false: the
+3/4-majority rule (Betzler et al., AAMAS 2014) is about non-dirty
+candidates, those whose every pair is backed by more than 3/4 one way, and
+the m = 6 witness below drops a 31-of-41 pair between two dirty candidates.
+Relabelled, it makes alg2 lose Pareto at (41, 10, 6), where n > 4t but
+n ≤ 6t; 31/41 < 5/6, as (a) requires.
 
 (c) The counting behind alg1's Pareto proof and the cycle region: an L-cycle
 of fixed pairs through a unanimous edge needs n <= L·t, and any L-cycle of
@@ -66,6 +77,24 @@ def dropped_strong_pairs(
     ]
 
 
+def distance_form_breaches(profile: Profile) -> list:
+    """Each (median, a, b) where a Kemeny median puts b k places above a
+    although more than k times as many ballots put a above b."""
+    w = weight_matrix(profile.rankings, profile.m)
+    return [
+        (median, a, b)
+        for median in kemeny_exact(profile).medians
+        for i, b in enumerate(median)
+        for k, a in enumerate(median[i + 1:], 1)
+        if w[a][b] > k * w[b][a]
+    ]
+
+
+def rotations(m: int) -> Profile:
+    """The m rotations (s, s+1, ..., s−1) of the cycle 0 -> 1 -> ... -> 0."""
+    return Profile.of([tuple((s + i) % m for i in range(m)) for s in range(m)], m)
+
+
 def multisets(m: int, n_max: int):
     """Every profile of 1..n_max ballots over m candidates, up to voter order."""
     rankings = list(permutations(range(m)))
@@ -84,7 +113,33 @@ def check_every_multiset(m: int, n_max: int, above: Fraction) -> tuple[int, int]
     return profiles, strong
 
 
-# --- (a) m = 3: more than 2/3 ------------------------------------------------
+# --- (a) the distance form and its (m−1)/m corollary ---------------------------
+
+
+def test_no_median_inverts_a_pair_beyond_its_distance():
+    # every profile of up to 4 ballots at m = 4 and up to 2 at m = 5
+    for m, n_max, count in ((4, 4, 20_474), (5, 2, 7_380)):
+        profiles = 0
+        for profile in multisets(m, n_max):
+            assert distance_form_breaches(profile) == [], profile.rankings
+            profiles += 1
+        assert profiles == count
+
+
+def test_rotations_make_the_m_minus_1_over_m_bound_tight():
+    # each cycle edge holds exactly (m−1)/m, and the rotation starting at 1
+    # is a median that puts 1 above 0
+    for m in range(4, 8):
+        profile = rotations(m)
+        w = weight_matrix(profile.rankings, m)
+        assert all(w[i][(i + 1) % m] == m - 1 for i in range(m))
+        medians = kemeny_exact(profile).medians
+        assert len(medians) == m
+        assert [r for r in medians if (0, 1) not in pairs_of(r)] == [(1, *range(2, m), 0)]
+        assert distance_form_breaches(profile) == []
+
+
+# --- (b) m = 3: more than 2/3 ------------------------------------------------
 
 
 def test_two_thirds_pairs_are_kept_by_every_median_at_m3():
@@ -102,7 +157,7 @@ def test_the_condorcet_cycle_breaks_the_m3_lemma_at_three_fifths():
     assert {pair for pair, _ in dropped} == {(0, 1), (1, 2), (2, 0)}
 
 
-# --- (b) m = 4: more than 3/4 ------------------------------------------------
+# --- (b) m >= 4: more than 3/4 ----------------------------------------------
 
 
 def test_three_quarter_pairs_are_kept_by_every_median_at_m4():
@@ -113,22 +168,24 @@ def test_three_quarter_pairs_are_kept_by_every_median_at_m4():
 
 
 def test_four_rotations_break_the_m4_lemma_at_two_thirds():
-    # why the README needs n > 4t at m >= 4, not n > 3t
-    rotations = Profile.of([(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)])
-    assert weight_matrix(rotations.rankings, 4)[0][1] == 3
-    assert dropped_strong_pairs(rotations, Fraction(3, 4)) == (0, [])
-    _, dropped = dropped_strong_pairs(rotations, Fraction(2, 3))
+    # why alg2 needs n > 4t at m = 4, not n > 3t
+    four = rotations(4)
+    assert weight_matrix(four.rankings, 4)[0][1] == 3
+    assert dropped_strong_pairs(four, Fraction(3, 4)) == (0, [])
+    _, dropped = dropped_strong_pairs(four, Fraction(2, 3))
     assert any(pair == (0, 1) for pair, _ in dropped)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(5, 7).flatmap(lambda m: st.tuples(st.just(m), bloc_ballots(m, max_size=30))))
 def test_three_quarter_pairs_are_kept_by_every_median_at_m5_to_7(case):
-    # the 3/4-majority rule: every 3/4 pair at a non-dirty candidate is kept
+    # the 3/4-majority rule: every 3/4 pair at a non-dirty candidate is kept;
+    # and the distance form, on profiles too large to enumerate
     m, ballots = case
     profile = Profile.of(ballots, m)
     at = non_dirty(profile, Fraction(3, 4))
     assert dropped_strong_pairs(profile, Fraction(3, 4), at)[1] == []
+    assert distance_form_breaches(profile) == []
 
 
 # 41 ballots at m = 6; 31 of them put 4 above 3, and 10 put 3 above 4

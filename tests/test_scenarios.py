@@ -142,6 +142,10 @@ def test_cycle_more_candidates():
     rep5 = measure_scenario("cycle-worst", 18, 2, 5)
     assert cycle_closed_form(18, 2, 5) == Fraction(29, 23)
     assert rep5.ratio_measured == Fraction(24, 23) < Fraction(29, 23)
+    # and at t = 3, m = 4 below n = 2mt = 24
+    rep = measure_scenario("cycle-worst", 22, 3, 4)
+    assert cycle_closed_form(22, 3, 4) == Fraction(25, 19)
+    assert rep.ratio_measured == Fraction(39, 38) < Fraction(25, 19)
 
 
 def test_cycle_infeasible_parameters():
