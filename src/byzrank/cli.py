@@ -68,13 +68,13 @@ def _ratio_str(ratio) -> str:
 # --- kemeny -------------------------------------------------------------------
 
 
-def kemeny_record(profile_text: str, ties: bool, verify: bool) -> dict:
-    profile, names = parse_profile(profile_text)
-    result = kemeny_exact(profile)
+def kemeny_record(profile: str, ties: bool, verify: bool) -> dict:
+    parsed, names = parse_profile(profile)
+    result = kemeny_exact(parsed)
     record: dict = {
         "schema": SCHEMA,
         "command": "kemeny",
-        "config": {"profile": profile_text, "ties": ties, "verify": verify},
+        "config": {"profile": profile, "ties": ties, "verify": verify},
         "result": {
             "chosen": [names[c] for c in result.chosen],
             "cost": result.cost,
@@ -84,7 +84,7 @@ def kemeny_record(profile_text: str, ties: bool, verify: bool) -> dict:
     if ties:
         record["result"]["medians"] = [[names[c] for c in r] for r in result.medians]
     if verify:
-        brute = kemeny_brute(profile)
+        brute = kemeny_brute(parsed)
         agreed = (
             brute.cost == result.cost
             and brute.chosen == result.chosen
@@ -123,13 +123,13 @@ def _print_kemeny(record: dict) -> None:
 
 def simulate_record(
     protocol: str,
-    strategy_name: str,
+    strategy: str,
     n: int,
     t: int,
     m: int,
     seeds: int,
     seed_start: int,
-    profile_rankings: list | None = None,
+    profile: list | None = None,
 ) -> dict:
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
@@ -139,13 +139,13 @@ def simulate_record(
     all_ok = True
     for i in range(seeds):
         seed = seed_start + i
-        strategy = make_strategy(strategy_name, n=n, t=t, m=m)
-        if profile_rankings is not None:
-            inputs = [tuple(r) for r in profile_rankings]
+        adversary = make_strategy(strategy, n=n, t=t, m=m)
+        if profile is not None:
+            inputs = [tuple(r) for r in profile]
         else:
-            rng = random.Random(f"{n}/{t}/{m}/{strategy_name}/{seed}/inputs")
+            rng = random.Random(f"{n}/{t}/{m}/{strategy}/{seed}/inputs")
             inputs = random_rankings(rng, m, n)
-        result = run_sync(protocol, inputs, strategy, cfg, seed=seed)
+        result = run_sync(protocol, inputs, adversary, cfg, seed=seed)
         per_round = list(result.stats.messages_per_round)
         expected = expected_messages(protocol, n, t, m, result.byz_ids, cfg.dictator_schedule)
         props = {
@@ -182,13 +182,13 @@ def simulate_record(
         "command": "simulate",
         "config": {
             "protocol": protocol,
-            "strategy": strategy_name,
+            "strategy": strategy,
             "n": n,
             "t": t,
             "m": m,
             "seeds": seeds,
             "seed_start": seed_start,
-            "profile": profile_rankings,
+            "profile": profile,
         },
         "runs": runs,
         "ok": all_ok,
@@ -317,53 +317,53 @@ def _at_least(low: int):
     return lambda value: type(value) is int and value >= low
 
 
-# config keys each replayable command needs, in its record function's argument
-# order, each with the test its value must pass
-REPLAY_KEYS = {
-    "simulate": {
+# each replayable command's record function and the config keys it takes,
+# named as its parameters, each with the test its value must pass
+REPLAY = {
+    "simulate": (simulate_record, {
         "protocol": _one_of(*PROTOCOLS),
         "strategy": _one_of(*STRATEGY_NAMES),
         **dict.fromkeys(("n", "t"), _exactly(int)), "m": _at_least(2),
         "seeds": _at_least(1),
         "seed_start": _exactly(int),
         "profile": lambda v: v is None or type(v) is list and all(type(r) is list for r in v),
-    },
-    "scenario": {
+    }),
+    "scenario": (scenario_record, {
         "name": _one_of(*SCENARIO_NAMES),
         **dict.fromkeys(("n", "t"), _exactly(int)), "m": _at_least(2),
         "side": _one_of(*SIDES),
         "case": _one_of(*CASES, None),
-    },
-    "kemeny": {"profile": _exactly(str), **dict.fromkeys(("ties", "verify"), _exactly(bool))},
+    }),
+    "kemeny": (kemeny_record, {"profile": _exactly(str),
+                               **dict.fromkeys(("ties", "verify"), _exactly(bool))}),
 }
-RECORDS = {"simulate": simulate_record, "scenario": scenario_record, "kemeny": kemeny_record}
 
 
 def _price(protocol: str, n: int, t: int, m: int, seeds: int, solves: int) -> None:
-    """Refuse, before any of it runs, a replay that costs too much.
+    """Refuse, before any of it runs, a simulate replay that costs too much.
 
-    The cost of a run is its closed-form message count times m², plus
-    :data:`REPLAY_RUN_WORK`, plus ``solves`` Kemeny solves where m allows
-    them; every built-in strategy corrupts the last t ids.  The count needs
-    a t+1-entry schedule, so the bound n² per run is checked first: every
-    run has a king round whose n-t > 2n/3 correct senders send over n²
-    messages, so the bound refuses only records the count refuses too.
+    A run costs its closed-form message count times m², plus
+    :data:`REPLAY_RUN_WORK`, plus ``solves`` Kemeny solves; every built-in
+    strategy corrupts the last t ids.  The count needs a t+1-entry schedule,
+    so the bound n² per run is checked first: every run has a king round
+    whose n-t > 2n/3 correct senders send over n² messages, so the bound
+    refuses only records the count refuses too.
     """
     _refuse_above(seeds, n * n, m, "over ")
     schedule = ProtocolConfig(n, t, m).dictator_schedule
     byz = frozenset(range(n - t, n))
     messages = sum(expected_messages(protocol, n, t, m, byz, schedule))
-    _refuse_above(seeds, messages, m, solves=solves if m <= EXACT_MAX_M else 0)
+    _refuse_above(seeds, messages, m, solves=solves)
 
 
 def _refuse_above(seeds: int, messages: int, m: int, over: str = "", solves: int = 0) -> None:
     """Refuse ``seeds`` runs of ``messages`` messages and ``solves`` Kemeny
-    solves at ``m`` candidates above the replay cap."""
+    solves at ``m`` candidates above the replay cap; none runs above EXACT_MAX_M."""
     total = seeds * messages
-    each = 2**m * m // REPLAY_DP_STEPS if solves else 0
+    each = 2**m * m // REPLAY_DP_STEPS if solves and m <= EXACT_MAX_M else 0
     work = total * m * m + seeds * (REPLAY_RUN_WORK + solves * each)
     if work > REPLAY_WORK_MAX:
-        dp = f" plus {seeds * solves:,} Kemeny solve(s) at {each:,} each" if solves else ""
+        dp = f" plus {seeds * solves:,} Kemeny solve(s) at {each:,} each" if each else ""
         raise ValueError(
             f"record asks for {over}{total:,} messages at m={m}, {over}{total * m * m:,}"
             f" messages·m² plus {seeds:,} run(s) at {REPLAY_RUN_WORK:,} each{dp}, {over}{work:,}"
@@ -382,9 +382,9 @@ def replay(path: str) -> tuple[dict, bool]:
     :data:`REPLAY_RUN_WORK` per run and 2^m·m / :data:`REPLAY_DP_STEPS` per
     Kemeny solve: one per run for its ratio, and for alg2 one more per
     distinct round-1 view, of which there are at most n.  A two-sided
-    scenario record is priced as its cell's one-seed alg2 simulate record, a
-    bound on n and m, with three solves, and an appendix-c record by its
-    grid against :data:`REPLAY_GRID_MAX`.
+    scenario record is priced as one run of n messages, its ballots, with
+    three solves, and an appendix-c record by its grid against
+    :data:`REPLAY_GRID_MAX`.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -394,15 +394,16 @@ def replay(path: str) -> tuple[dict, bool]:
     if not isinstance(stored, dict):
         raise ValueError("record is not a JSON object")
     command = stored.get("command")
-    if type(command) is not str or command not in REPLAY_KEYS:
+    if type(command) is not str or command not in REPLAY:
         raise ValueError(f"record has unknown command {command!r}")
     cfg = stored.get("config")
     if not isinstance(cfg, dict):
         raise ValueError("record has no config object")
-    missing = [k for k in REPLAY_KEYS[command] if k not in cfg]
+    record, checks = REPLAY[command]
+    missing = [k for k in checks if k not in cfg]
     if missing:
         raise ValueError(f"record config lacks {', '.join(missing)}")
-    bad = [f"{k}={cfg[k]!r}" for k, valid in REPLAY_KEYS[command].items() if not valid(cfg[k])]
+    bad = [f"{k}={cfg[k]!r}" for k, valid in checks.items() if not valid(cfg[k])]
     if bad:
         raise ValueError(f"record config has bad values: {', '.join(bad)}")
     if command == "simulate":
@@ -422,10 +423,9 @@ def replay(path: str) -> tuple[dict, bool]:
                 f"record asks for a {grid:,}-cell weight grid; replay stops at {REPLAY_GRID_MAX:,}"
             )
     elif command == "scenario":
-        # no run, but its cell's one-seed alg2 record bounds n and m; it
-        # solves the completed view and both sides
-        _price("alg2", cfg["n"], cfg["t"], cfg["m"], 1, 3)
-    fresh = RECORDS[command](*(cfg[k] for k in REPLAY_KEYS[command]))
+        # n m-tuple ballots that three profiles build, hash and check; 3 solves
+        _refuse_above(1, cfg["n"], cfg["m"], solves=3)
+    fresh = record(**{k: cfg[k] for k in checks})
 
     def strip(rec: dict) -> dict:
         rec = json.loads(json.dumps(rec))

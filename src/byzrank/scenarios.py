@@ -129,8 +129,8 @@ def measure_scenario(kind: str, n: int, t: int, m: int, side: str = "both") -> L
     if side not in SIDES:
         raise ValueError("side must be left, right, or both")
     construct, closed_form = _FAMILIES[kind]
+    ProtocolConfig(n, t, m)  # refuse what an alg2 run would, before any ballot is built
     views = construct(n, t, m)
-    ProtocolConfig(n, t, m)  # refuse what an alg2 run would, with its messages
     correct, byz_ballots = views["left"]
     median = kemeny_exact(Profile.of(correct + byz_ballots, m)).chosen
     scored = ("left", "right") if side == "both" else (side,)

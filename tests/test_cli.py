@@ -360,6 +360,18 @@ def test_replay_admits_the_benchmarks_largest_record(tmp_path, capsys):
     assert code == 0 and "replay: identical" in out
 
 
+@pytest.mark.parametrize("name,n,t,m", [("cycle-worst", 1000, 100, 3),
+                                        ("binary-worst", 400, 100, 8)])
+def test_replay_admits_scenarios_priced_by_their_ballots(tmp_path, capsys, name, n, t, m):
+    # each builds in about 1 ms; priced as a one-seed alg2 simulate record,
+    # over 9,000,000 messages·m², both were refused
+    dest = tmp_path / "rec.json"
+    argv = ["scenario", name, "--n", str(n), "--t", str(t), "--m", str(m), "--json", str(dest)]
+    assert run_cli(argv, capsys)[0] == 0
+    code, out, _ = run_cli(["scenario", "--replay", str(dest)], capsys)
+    assert code == 0 and "replay: identical" in out
+
+
 def test_replay_unknown_command_exits_2(tmp_path, capsys):
     dest = tmp_path / "rec.json"
     dest.write_text(json.dumps({"command": "mystery", "config": {}}))
@@ -416,9 +428,10 @@ def scenario(**changes):
         # 60 s at n=4000
         (scenario(name="appendix-c", n=4000, t=1, m=3, case="C231"),
          "asks for a 8,000,000,000-cell weight grid; replay stops at 1,000,000"),
-        # each side is priced as a one-seed alg2 simulate record
-        (scenario(name="cycle-worst", n=4000, t=1000, m=3),
-         "asks for over 16,000,000 messages at m=3, over 144,000,000 messages·m²"),
+        # a scenario's n ballots are priced as n messages, plus three solves
+        (scenario(n=1_000_000, t=1),
+         "asks for 1,000,000 messages at m=2, 4,000,000 messages·m² plus 1 run(s) at 1,500"
+         " each plus 3 Kemeny solve(s) at 2 each, 4,001,506 in all"),
         ({"command": "kemeny", "config": {"profile": WIDE_PROFILE, "ties": False,
                                           "verify": False}},
          "exact solver handles m <= 16, got 17"),
@@ -440,6 +453,9 @@ def scenario(**changes):
         ({**sim(protocol="alg2", strategy="equivocate", m=16, seeds=198), "runs": [{}] * 198},
          "asks for 13,464 messages at m=16, 3,446,784 messages·m² plus 198 run(s) at 1,500"
          " each plus 990 Kemeny solve(s) at 349,525 each, 349,773,534 in all"),
+        # a negative t is refused before any ballot is built: at t = -10⁹
+        # the construction would have allocated gigabytes
+        (scenario(n=4, t=-10**9), "need n >= 1 and t >= 0"),
     ],
 )
 def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
@@ -519,6 +535,9 @@ def test_replay_cap_prices_each_kemeny_solve():
     with pytest.raises(ValueError, match="15 Kemeny solve"):
         cli._price("alg2", 4, 1, 16, 3, 5)
     cli._price("alg1", 4, 1, 17, 1, 1)
+    with pytest.raises(ValueError) as refused:
+        cli._refuse_above(1, 10**6, 17, solves=3)
+    assert "Kemeny" not in str(refused.value)
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])
@@ -637,8 +656,8 @@ RUN_RECORD_VALUES = st.sampled_from([
 ])
 RUN_RECORD_PLACES = st.sampled_from([
     ("command",), ("runs",), ("report",), ("config",),
-    *(("config", key) for key in dict.fromkeys([*cli.REPLAY_KEYS["simulate"],
-                                                *cli.REPLAY_KEYS["scenario"]])),
+    *(("config", key) for key in dict.fromkeys([*cli.REPLAY["simulate"][1],
+                                                *cli.REPLAY["scenario"][1]])),
 ])
 
 

@@ -32,6 +32,7 @@ fixed pairs needs n <= (L+1)·t, which is exactly where
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 
 from hypothesis import given, settings
@@ -43,6 +44,13 @@ from byzrank.rankings import Profile, pairs_of, unanimous_pairs
 from byzrank.simnet import completion_script, cycle_lock_attack, run_sync
 from byzrank.tournament import weight_matrix
 from conftest import bloc_ballots
+
+
+@cache
+def solve(profile: Profile):
+    """``kemeny_exact`` once per profile: the m = 4 checks of (a) and (b) share
+    their 20,474 multisets."""
+    return kemeny_exact(profile)
 
 
 def non_dirty(profile: Profile, above: Fraction) -> set[int]:
@@ -72,7 +80,7 @@ def dropped_strong_pairs(
         return 0, []
     return len(strong), [
         (pair, median)
-        for median in kemeny_exact(profile).medians
+        for median in solve(profile).medians
         for pair in sorted(strong - pairs_of(median))
     ]
 
@@ -83,7 +91,7 @@ def distance_form_breaches(profile: Profile) -> list:
     w = weight_matrix(profile.rankings, profile.m)
     return [
         (median, a, b)
-        for median in kemeny_exact(profile).medians
+        for median in solve(profile).medians
         for i, b in enumerate(median)
         for k, a in enumerate(median[i + 1:], 1)
         if w[a][b] > k * w[b][a]

@@ -1,9 +1,11 @@
-"""The package's public names resolve, and the README's library example runs."""
+"""The package's public names resolve, and the README's examples run."""
 
 import re
+import shlex
 from pathlib import Path
 
 import byzrank
+from byzrank.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +26,24 @@ def test_readme_quick_start_runs(capsys):
     assert len(printed) == len(claims) == 3
     for got, claim in zip(printed, claims):
         assert claim.startswith(got)
+
+
+def test_readme_cli_examples_print_what_they_show(tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+    # each "$ " line of a block is a command, and the lines up to the next
+    # one are what it prints; "cat FILE" shows a file the later lines read
+    steps = [step for block in re.findall(r"```\n(.*?)```", section, re.S)
+             for step in re.split(r"^\$ ", block, flags=re.M)[1:]]
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for step in steps:
+        command, *shown = step.splitlines()
+        program, *argv = shlex.split(command)
+        if program == "cat":
+            Path(*argv).write_text("\n".join(shown) + "\n", encoding="utf-8")
+            continue
+        assert program == "byzrank"
+        assert main(argv) == 0, command
+        assert capsys.readouterr().out.splitlines() == shown, command
+        ran += 1
+    assert ran == 4

@@ -1,5 +1,6 @@
 """Worst-case scenario families and the exact grid search."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -172,6 +173,19 @@ def test_measure_rejects_unknown_kind_and_side():
 def test_measure_rejects_grid_search_kind():
     with pytest.raises(ValueError):
         measure_scenario("appendix-c", 12, 2, 3)
+
+
+def test_measure_checks_the_cell_before_building_ballots():
+    # each binary-worst side holds n/2 - t ballots, 2,000,002 at
+    # t = -2,000,000: 48 MB if the cell were checked after the construction
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="need n >= 1 and t >= 0"):
+            measure_scenario("binary-worst", 4, -2_000_000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # both families, t in {1, 2, 3}, even n from 4t to 10t, m = 2..6: 189 cells

@@ -17,6 +17,7 @@ import pytest
 
 from byzrank.protocol import ProtocolConfig
 from byzrank.simnet import adversary_search
+from test_transcript_pin import canonical
 
 PROTOCOLS = ("alg1", "alg2", "stv-baseline")
 OBJECTIVES = ("trigger-integrity", "break-validity", "max-ratio")
@@ -35,16 +36,6 @@ PINNED = {
     "alg2": "04183b48e644b72c301ac51b131f5b0a21a8587ea2036df1b8e2298237264d74",
     "stv-baseline": "ef525c2b1337aae1fd69bfcb3bf8a0560f409a2bef8117b635da030824e40691",
 }
-
-
-def canonical(x):
-    if isinstance(x, (set, frozenset)):
-        return sorted(canonical(e) for e in x)
-    if isinstance(x, (tuple, list)):
-        return [canonical(e) for e in x]
-    if isinstance(x, dict):
-        return {str(k): canonical(v) for k, v in x.items()}
-    return x
 
 
 def report_form(report) -> dict:
