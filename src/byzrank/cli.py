@@ -50,8 +50,10 @@ REPLAY_WORK_MAX = 3_750_000
 # whatever its message count, which is what 500-3,000 messages·m² cost at m = 258
 REPLAY_RUN_WORK = 1_500
 # a Kemeny solve at m <= EXACT_MAX_M runs a subset DP of up to 2^m·m steps, and
-# this many steps take about what one unit does: one all-tie solve at m = 16
-# took 0.18-0.21 s against 0.50-0.60 µs per unit of a (4,1,258) replay
+# this many steps take about what one unit does: a 16-candidate DP took
+# 0.18-0.21 s against 0.50-0.60 µs per unit of a (4,1,258) replay.  2^m·m is an
+# upper bound: only a majority block with a strict pair runs the DP, and a
+# block whose pairs all tie is solved in closed form (under 1 ms at m = 16)
 REPLAY_DP_STEPS = 3
 # the most cells an appendix-c replay's weight grid may hold, the cube of the
 # weights' range n - t - ⌈n/2⌉ + 1: a 10⁶-cell grid (n=200, t=1) took 0.02 s,

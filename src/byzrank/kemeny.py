@@ -2,13 +2,15 @@
 
 Two independent solvers: :func:`kemeny_brute` enumerates all m! rankings
 (m <= 8, the test oracle) and :func:`kemeny_exact` runs a dynamic program
-over candidate subsets (m <= 16) once per majority block, in O(2^b * b) for
-the largest block's size b.  Both report the optimal cost, the number of
-optimal rankings and the same deterministic representative: ``chosen`` is
-the lexicographically smallest median under candidate-index order, so equal
-inputs yield equal outputs everywhere in the simulator.  The medians
-themselves are listed, in lexicographic order, only when a caller reads
-``MedianResult.medians``, and only up to :data:`MEDIANS_MAX` of them.
+over candidate subsets (m <= 16) once per majority block that holds a strict
+pair, in O(2^b * b) for the largest such block's size b; a block whose pairs
+all tie is solved in closed form, since every order of it costs the same.
+Both report the optimal cost, the number of optimal rankings and the same
+deterministic representative: ``chosen`` is the lexicographically smallest
+median under candidate-index order, so equal inputs yield equal outputs
+everywhere in the simulator.  The medians themselves are listed, in
+lexicographic order, only when a caller reads ``MedianResult.medians``, and
+only up to :data:`MEDIANS_MAX` of them.
 
 Ratios are exact :class:`fractions.Fraction` values; a positive-cost ranking
 measured against a zero-cost optimum reports :data:`INFINITE`
@@ -127,12 +129,17 @@ def _blocks(w: Sequence[Sequence[int]]) -> list[list[int]]:
     Each block beats every later one by strict majority on every pair, so
     every Kemeny ranking keeps this block order (Truchon 1998).  Sorted by
     Copeland score (2 per strict win, 1 per tie), the top k candidates close
-    a block exactly when their scores sum to k(k-1) + 2k(m-k).
+    a block exactly when their scores sum to k(k-1) + 2k(m-k).  Every pair
+    is ranked by all N ballots, so a score reads only its candidate's row: a
+    strict win is ``w > N//2`` and a tie ``w == N/2``.
     """
     m = len(w)
+    if m < 2:
+        return [[c] for c in range(m)]
+    n = w[0][1] + w[1][0]
+    half = n // 2
     score = [
-        sum(2 if w[c][d] > w[d][c] else 1 if w[c][d] == w[d][c] else 0 for d in range(m) if d != c)
-        for c in range(m)
+        2 * sum(map(half.__lt__, row)) + (0 if n % 2 else row.count(half)) for row in w
     ]
     order = sorted(range(m), key=lambda c: -score[c])
     blocks: list[list[int]] = []
@@ -156,7 +163,7 @@ def _prefix_dp(
     candidates' weight over ``c``.  That cost is read in O(1) from two
     prefix-sum tables per candidate, one over the low and one over the high
     half of the b candidates, so the program costs O(2^b * b); the solvers
-    run it once per majority block of two or more candidates.  Returns
+    run it once per majority block that holds a strict pair.  Returns
     ``(h, cnt, append_cost)``; ``h[0]`` is the optimum, ``cnt[0]`` the number
     of optimal rankings.
     """
@@ -231,6 +238,14 @@ def _solve(w: Sequence[Sequence[int]]) -> tuple[int, int, list[Callable[[], Iter
         if len(block) == 1:  # a lone candidate has one order at no cost
             listers.append(partial(iter, (tuple(block),)))
             continue
+        pairs = list(itertools.combinations(block, 2))
+        if all(w[a][b] == w[b][a] for a, b in pairs):
+            # every order of an all-tie block costs the same; permutations
+            # lists them lexicographically, from the block itself, as the DP would
+            cost += sum(w[a][b] for a, b in pairs)
+            count *= math.factorial(len(block))
+            listers.append(partial(itertools.permutations, block))
+            continue
         h, cnt, append_cost = _prefix_dp([[w[a][b] for b in block] for a in block])
         cost += h[0]
         count *= cnt[0]
@@ -241,10 +256,12 @@ def _solve(w: Sequence[Sequence[int]]) -> tuple[int, int, list[Callable[[], Iter
 def kemeny_exact(profile: Profile) -> MedianResult:
     """Exact optimum by the subset dynamic program per majority block (m <= 16).
 
-    The DP counts the optimal rankings; ``chosen`` is the first of them in
-    lexicographic order, and the rest are listed only when ``medians`` is
-    read: all optima share the block order, so the product of the blocks'
-    listings is in lexicographic order too.
+    Only a block with a strict pair pays the DP's O(2^b * b); a block whose
+    pairs all tie has all b! of its orders optimal.  The optimal rankings
+    are counted per block; ``chosen`` is the first of them in lexicographic
+    order, and the rest are listed only when ``medians`` is read: all optima
+    share the block order, so the product of the blocks' listings is in
+    lexicographic order too.
     """
     cost, count, listers = _solve(_exact_weights(profile))
 

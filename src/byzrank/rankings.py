@@ -73,8 +73,10 @@ class Profile:
         rankings, m = tuple(self.rankings), self.m
         # Plain tuples of plain ints are checked together, each distinct one
         # once: with no bool or float entry, no repeat can alias a ballot.
-        # Lists, unhashable entries and a failed check go ballot by ballot,
-        # which turns list ballots into tuples and names the first bad ballot.
+        # The entry types are read once per ballot object, since repeats of
+        # one object cannot alias each other.  Lists, unhashable entries and
+        # a failed check go ballot by ballot, which turns list ballots into
+        # tuples and names the first bad ballot.
         try:
             distinct = dict.fromkeys(rankings) if {tuple} >= set(map(type, rankings)) else ()
         except TypeError:  # an unhashable entry
@@ -82,7 +84,9 @@ class Profile:
         if not (
             distinct
             and set(map(len, distinct)) <= {m}
-            and {int}.issuperset(map(type, chain.from_iterable(rankings)))
+            and {int}.issuperset(
+                map(type, chain.from_iterable(dict(zip(map(id, rankings), rankings)).values()))
+            )
             and all(map(frozenset(range(m)).__eq__, map(frozenset, distinct)))
         ):
             rankings = tuple([validate_ranking(r, m) for r in rankings])

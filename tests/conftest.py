@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random rankings and profiles,
 bloc profiles for hypothesis, and per-item oracles for the engine's bulk
-computations and the profile parser's whole-profile passes."""
+computations, the Kemeny solver's block split and the profile parser's
+whole-profile passes."""
 
 import random
 
@@ -79,6 +80,29 @@ def weight_matrix_per_ballot(rankings, m: int) -> list:
             for j in range(i + 1, m):
                 row[r[j]] += 1
     return w
+
+
+def blocks_by_pairs(w) -> list:
+    """Majority blocks with each Copeland score read pair by pair: an oracle
+    for ``kemeny._blocks``, which reads each score from one row.
+
+    Sorted by score (2 per strict win, 1 per tie), the top k candidates
+    close a block exactly when their scores sum to k(k-1) + 2k(m-k).
+    """
+    m = len(w)
+    score = [
+        sum(2 if w[c][d] > w[d][c] else 1 if w[c][d] == w[d][c] else 0 for d in range(m) if d != c)
+        for c in range(m)
+    ]
+    order = sorted(range(m), key=lambda c: -score[c])
+    blocks = []
+    start = total = 0
+    for k, c in enumerate(order, 1):
+        total += score[c]
+        if total == k * (k - 1) + 2 * k * (m - k):
+            blocks.append(sorted(order[start:k]))
+            start = k
+    return blocks
 
 
 def tau_profile(r, profile: Profile) -> int:

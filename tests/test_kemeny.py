@@ -20,7 +20,7 @@ from byzrank.kemeny import (
 )
 from byzrank.rankings import Profile
 from byzrank.tournament import weight_matrix
-from conftest import rand_profile, rand_ranking, tau_profile
+from conftest import blocks_by_pairs, rand_profile, rand_ranking, tau_profile
 
 CYCLE = Profile.of([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
 
@@ -149,6 +149,18 @@ def test_exact_matches_brute_on_block_profiles():
     assert {2, 3, 4} <= block_counts
 
 
+def test_blocks_match_the_pairwise_copeland_oracle():
+    rng = random.Random(40)
+    profiles = [rand_profile(rng, rng.randint(1, 8), m) for m in range(1, 9) for _ in range(40)]
+    profiles += [*tie_heavy_profiles(rng), *block_profiles(rng)]
+    profiles += [Profile.of([(0,)] * n) for n in (1, 2)]
+    assert {p.m for p in profiles} == set(range(1, BRUTE_MAX_M + 1))
+    for p in profiles:
+        w = weight_matrix(p.rankings, p.m)
+        assert kemeny._blocks(w) == blocks_by_pairs(w)
+    assert kemeny._blocks([]) == blocks_by_pairs([]) == []
+
+
 def _dp_sizes(monkeypatch) -> list[int]:
     sizes: list[int] = []
     solve = kemeny._prefix_dp
@@ -171,11 +183,76 @@ def test_dp_runs_per_majority_block(monkeypatch):
     moved = list(ident)
     moved[3:6], moved[11:13] = [4, 5, 3], [12, 11]
     res = kemeny_exact(Profile.of([ident] * 3 + [tuple(moved)] * 3))
-    assert sizes == [3, 2]  # a lone candidate needs no table
+    # a lone candidate needs no table, and neither does the all-tie {11, 12};
+    # {3, 4, 5} holds the strict pair 4 over 5
+    assert sizes == [3]
     assert (res.cost, res.chosen, res.count) == (9, ident, 3 * 2)
     sizes.clear()
     all_tie = kemeny_exact(Profile.of([ident, ident[::-1]] * 3))
-    assert sizes == [m] and all_tie.count == math.factorial(m)
+    assert sizes == [] and all_tie.count == math.factorial(m)
+    # the 16 rotations of the identity: one block, tied only at distance 8,
+    # so the DP still runs at capacity; the rotations are the optima, at
+    # cost m(m^2 - 1)/6
+    started = time.monotonic()
+    rotations = kemeny_exact(Profile.of([ident[i:] + ident[:i] for i in range(m)]))
+    assert time.monotonic() - started < 5.0
+    assert sizes == [m]
+    assert (rotations.cost, rotations.chosen, rotations.count) == (m * (m * m - 1) // 6, ident, m)
+
+
+def tie_block_profiles(rng):
+    """A bloc of ballots that keeps 2-4 planned blocks in order, each in a
+    random inner order per ballot, and its copy with one block of two or
+    more candidates reversed: that block ties on every pair, and the other
+    blocks are as strict, tied or cyclic as the bloc makes them."""
+    for _ in range(120):
+        m = rng.randint(3, BRUTE_MAX_M)
+        ref = rand_ranking(rng, m)
+        cuts = sorted(rng.sample(range(1, m), rng.randint(1, min(3, m - 2))))
+        planned = [ref[a:b] for a, b in zip([0] + cuts, cuts + [m])]
+        tied = rng.choice([i for i, block in enumerate(planned) if len(block) > 1])
+        bloc = [
+            [tuple(rng.sample(block, len(block))) for block in planned]
+            for _ in range(rng.randint(1, 5))
+        ]
+        copy = [
+            [block[::-1] if i == tied else block for i, block in enumerate(ballot)]
+            for ballot in bloc
+        ]
+        yield Profile.of([sum(ballot, ()) for ballot in bloc + copy], m), sorted(planned[tied])
+
+
+def test_all_tie_block_between_strict_blocks_matches_brute(monkeypatch):
+    sizes = _dp_sizes(monkeypatch)
+    # the rotations of 0 > 1 > 2 and of 5 > 6 > 7 make two cyclic blocks, and
+    # the copy's reversal of 3 > 4 ties the block between them
+    rotations = [(j, j + 1, j + 2)[k:] + (j, j + 1, j + 2)[:k] for j in (0, 5) for k in range(3)]
+    bloc = [rotations[k] + (3, 4) + rotations[3 + k] for k in range(3)]
+    p = Profile.of(bloc + [r[:3] + (4, 3) + r[5:] for r in bloc])
+    assert kemeny._blocks(weight_matrix(p.rankings, 8)) == [[0, 1, 2], [3, 4], [5, 6, 7]]
+    b, e = kemeny_brute(p), kemeny_exact(p)
+    assert sizes == [3, 3]
+    # each cycle costs 2 * 4 and the tie 3; 3 * 2 * 3 optima
+    assert (e.cost, e.chosen, e.count) == (b.cost, b.chosen, b.count) == (19, tuple(range(8)), 18)
+    assert e.medians == b.medians
+    rng = random.Random(39)
+    strict_blocks = 0
+    for p, tied in tie_block_profiles(rng):
+        sizes.clear()
+        w = weight_matrix(p.rankings, p.m)
+        blocks = kemeny._blocks(w)
+        assert tied in blocks
+        b, e = kemeny_brute(p), kemeny_exact(p)
+        assert (e.cost, e.chosen, e.count) == (b.cost, b.chosen, b.count)
+        assert e.medians == b.medians
+        # the DP runs exactly on the blocks that hold a strict pair
+        strict = [
+            len(block) for block in blocks
+            if any(w[a][c] != w[c][a] for a, c in itertools.combinations(block, 2))
+        ]
+        assert sizes == strict
+        strict_blocks += len(strict)
+    assert strict_blocks > 0
 
 
 def test_exact_refuses_above_capacity_before_tallying(monkeypatch):

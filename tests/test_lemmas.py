@@ -60,7 +60,10 @@ def non_dirty(profile: Profile, above: Fraction) -> set[int]:
     w = weight_matrix(profile.rankings, m)
     return {
         c for c in range(m)
-        if all(max(w[c][x], w[x][c]) > above * n for x in range(m) if x != c)
+        if all(
+            max(w[c][x], w[x][c]) * above.denominator > above.numerator * n
+            for x in range(m) if x != c
+        )
     }
 
 
@@ -74,7 +77,9 @@ def dropped_strong_pairs(
     w = weight_matrix(profile.rankings, m)
     strong = {
         (a, b) for a in range(m) for b in range(m)
-        if a != b and w[a][b] > above * n and (at is None or a in at or b in at)
+        if a != b
+        and w[a][b] * above.denominator > above.numerator * n
+        and (at is None or a in at or b in at)
     }
     if not strong:
         return 0, []

@@ -166,6 +166,10 @@ def test_profile_refusals_keep_their_type_and_message():
         with pytest.raises(ValueError) as exc:
             Profile(((0, 1), (1, 0), (0, 1), alias), 2)
         assert str(exc.value) == f"not a permutation of 0..1: {alias!r}"
+    # entry types are read once per ballot object, and still for every object
+    with pytest.raises(ValueError) as exc:
+        Profile(((1, 0, 2),) * 10**5 + ((True, 0, 2),), 3)
+    assert str(exc.value) == "not a permutation of 0..2: (True, 0, 2)"
     # the first bad ballot is named, whatever follows it
     with pytest.raises(ValueError) as exc:
         Profile(((0, 1), (1, 1), 5), 2)
