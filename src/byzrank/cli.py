@@ -1,8 +1,8 @@
 """Command-line front end: kemeny solving, protocol simulation, scenarios.
 
 Every command can emit a schema-versioned JSON run record (--json); simulate
-and scenario can replay a stored record (--replay FILE) and verify that the
-regenerated record is bit-identical apart from wall-clock time.  Exit status:
+and scenario can replay a stored record of any command (--replay FILE) and
+verify that it regenerates bit-identical apart from wall-clock time.  Exit status:
 0 when every asserted property holds (or a replay matches), 1 on property
 failure or replay mismatch, 2 on usage errors.
 """
@@ -44,14 +44,14 @@ SCHEMA = "byzrank-run/1"
 # times the largest record the tests and the benchmark write (43,989 messages at
 # n=31, t=10, m=4: 705,345).  Slowest equivocate replays it admits, on a 2-core
 # VM: alg1 (4,1,258) 1.5 s, alg2 (7,2,2) × 1,462 seeds 1.4 s, alg2 (4,1,2) ×
-# 2,116 seeds 1.2 s, alg2 (4,1,16) × 2 seeds 1.1-1.6 s
+# 2,116 seeds 1.2 s, alg2 (4,1,16) × 2 seeds 0.75-0.96 s (then (4,1,258): 1.2-1.4 s)
 REPLAY_WORK_MAX = 3_750_000
 # a run's fixed work, in the same units: a one-seed m = 2 run costs 0.2-1 ms
 # whatever its message count, which is what 500-3,000 messages·m² cost at m = 258
 REPLAY_RUN_WORK = 1_500
 # a Kemeny solve at m <= EXACT_MAX_M runs a subset DP of up to 2^m·m steps, and
 # this many steps take about what one unit does: a 16-candidate DP took
-# 0.18-0.21 s against 0.50-0.60 µs per unit of a (4,1,258) replay.  2^m·m is an
+# 0.08-0.13 s against 0.33-0.38 µs per unit of a (4,1,258) replay.  2^m·m is an
 # upper bound: only a majority block with a strict pair runs the DP, and a
 # block whose pairs all tie is solved in closed form (under 1 ms at m = 16)
 REPLAY_DP_STEPS = 3
@@ -59,6 +59,9 @@ REPLAY_DP_STEPS = 3
 # weights' range n - t - ⌈n/2⌉ + 1: a 10⁶-cell grid (n=200, t=1) took 0.02 s,
 # and the largest record the tests and the benchmark write has 2,197 cells
 REPLAY_GRID_MAX = 1_000_000
+# the most optima a replayed kemeny record may list: 78,624 in one 16-candidate block
+# replayed in 1.27-1.43 s, against 1.37-1.96 s for alg1 (4,1,258) in the same sitting
+REPLAY_MEDIANS_MAX = 80_000
 
 
 def _ratio_str(ratio) -> str:
@@ -87,12 +90,8 @@ def kemeny_record(profile: str, ties: bool, verify: bool) -> dict:
         record["result"]["medians"] = [[names[c] for c in r] for r in result.medians]
     if verify:
         brute = kemeny_brute(parsed)
-        agreed = (
-            brute.cost == result.cost
-            and brute.chosen == result.chosen
-            and brute.count == result.count
-            and brute.medians == result.medians
-        )
+        # MedianResult equality compares cost, chosen and count, not the listings
+        agreed = brute == result and brute.medians == result.medians
         record["result"]["verified"] = agreed
         record["ok"] = agreed
     else:
@@ -385,8 +384,9 @@ def replay(path: str) -> tuple[dict, bool]:
     Kemeny solve: one per run for its ratio, and for alg2 one more per
     distinct round-1 view, of which there are at most n.  A two-sided
     scenario record is priced as one run of n messages, its ballots, with
-    three solves, and an appendix-c record by its grid against
-    :data:`REPLAY_GRID_MAX`.
+    three solves, an appendix-c record by its grid against
+    :data:`REPLAY_GRID_MAX`, and a kemeny record that lists its medians is
+    solved first and refused above :data:`REPLAY_MEDIANS_MAX` optima.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -427,6 +427,12 @@ def replay(path: str) -> tuple[dict, bool]:
     elif command == "scenario":
         # n m-tuple ballots that three profiles build, hash and check; 3 solves
         _refuse_above(1, cfg["n"], cfg["m"], solves=3)
+    elif cfg["ties"]:  # kemeny: the count needs the solve, which m <= EXACT_MAX_M bounds
+        count = kemeny_exact(parse_profile(cfg["profile"])[0]).count
+        if count > REPLAY_MEDIANS_MAX:
+            raise ValueError(
+                f"record lists {count:,} optimal rankings; replay stops at {REPLAY_MEDIANS_MAX:,}"
+            )
     fresh = record(**{k: cfg[k] for k in checks})
 
     def strip(rec: dict) -> dict:

@@ -3,8 +3,10 @@
 Two independent solvers: :func:`kemeny_brute` enumerates all m! rankings
 (m <= 8, the test oracle) and :func:`kemeny_exact` runs a dynamic program
 over candidate subsets (m <= 16) once per majority block that holds a strict
-pair, in O(2^b * b) for the largest such block's size b; a block whose pairs
-all tie is solved in closed form, since every order of it costs the same.
+pair, in O(2^b * b) for the largest such block's size b, reading each append
+cost from one table of summed weight rows per half of the block; a block
+whose pairs all tie is solved in closed form, since every order of it costs
+the same.
 Both report the optimal cost, the number of optimal rankings and the same
 deterministic representative: ``chosen`` is the lexicographically smallest
 median under candidate-index order, so equal inputs yield equal outputs
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -106,15 +109,6 @@ def kemeny_brute(profile: Profile) -> MedianResult:
     )
 
 
-def _subset_sums(col: Sequence[int]) -> list[int]:
-    """``sums[x]`` is the sum of ``col[d]`` over the set bits ``d`` of ``x``."""
-    sums = [0] * (1 << len(col))
-    for x in range(1, len(sums)):
-        low = x & -x
-        sums[x] = sums[x ^ low] + col[low.bit_length() - 1]
-    return sums
-
-
 def _exact_weights(profile: Profile) -> list[list[int]]:
     """The profile's weight matrix, refused above :data:`EXACT_MAX_M` before it is built."""
     if profile.m > EXACT_MAX_M:
@@ -152,46 +146,48 @@ def _blocks(w: Sequence[Sequence[int]]) -> list[list[int]]:
     return blocks
 
 
-def _prefix_dp(
-    w: Sequence[Sequence[int]],
-) -> tuple[list[int], list[int], Callable[[int, int], int]]:
+def _prefix_dp(w: list[list[int]]) -> tuple[list[int], list[int], Callable[[int, int], int]]:
     """Subset dynamic program over candidate prefixes of the weights ``w``.
 
     ``h[S]`` is the cheapest way to order the candidates outside ``S`` below
     a fixed prefix that contains exactly ``S``, and ``cnt[S]`` the number of
     orders that reach it; appending candidate ``c`` costs the yet-unplaced
-    candidates' weight over ``c``.  That cost is read in O(1) from two
-    prefix-sum tables per candidate, one over the low and one over the high
-    half of the b candidates, so the program costs O(2^b * b); the solvers
-    run it once per majority block that holds a strict pair.  Returns
-    ``(h, cnt, append_cost)``; ``h[0]`` is the optimum, ``cnt[0]`` the number
-    of optimal rankings.
+    candidates' weight over ``c``, read in O(1) from one row table per half
+    of the b candidates: ``lo[x]`` is the column sums minus the rows of the
+    low-half set ``x``, ``hi[y]`` the sum of the rows of the high-half set
+    ``y``, each row built by one C-level ``map``, so the cost of ``c`` after
+    ``S`` is ``lo[S & mask][c] - hi[S >> k][c]``.  The program costs
+    O(2^b * b); the solvers run it once per majority block that holds a
+    strict pair.  Returns ``(h, cnt, append_cost)``; ``h[0]`` is the
+    optimum, ``cnt[0]`` the number of optimal rankings.
     """
     m = len(w)
     k = m // 2
     mask = (1 << k) - 1
-    colsum = [sum(w[d][c] for d in range(m)) for c in range(m)]
-    lo = [[colsum[c] - v for v in _subset_sums([w[d][c] for d in range(k)])] for c in range(m)]
-    hi = [_subset_sums([w[d][c] for d in range(k, m)]) for c in range(m)]
+    # each row doubles its table: entry x + 2^d adds row d to entry x
+    lo = [[sum(col) for col in zip(*w)]]
+    for row in w[:k]:
+        lo += [list(map(operator.sub, x, row)) for x in lo]
+    hi = [[0] * m]
+    for row in w[k:]:
+        hi += [list(map(operator.add, y, row)) for y in hi]
 
     def append_cost(s: int, c: int) -> int:
-        return lo[c][s & mask] - hi[c][s >> k]
+        return lo[s & mask][c] - hi[s >> k][c]
 
     full = (1 << m) - 1
-    h = [0] * (full + 1)
-    cnt = [0] * (full + 1)
-    cnt[full] = 1
-    tables = [(1 << c, lo[c], hi[c]) for c in range(m)]
-    above = sum(colsum) + 1  # exceeds every cost
+    h, cnt = [0] * (full + 1), [0] * full + [1]
+    bits = [(c, 1 << c) for c in range(m)]
+    above = sum(lo[0]) + 1  # exceeds every cost
     # every successor s | bit is larger than s, so it is already solved
     for s in range(full - 1, -1, -1):
-        a, b = s & mask, s >> k
+        lo_s, hi_s = lo[s & mask], hi[s >> k]
         best, ways = above, 0
-        for bit, lo_c, hi_c in tables:
+        for c, bit in bits:
             if s & bit:
                 continue
             nxt = s | bit
-            cand = lo_c[a] - hi_c[b] + h[nxt]
+            cand = lo_s[c] - hi_s[c] + h[nxt]
             if cand < best:
                 best, ways = cand, cnt[nxt]
             elif cand == best:
@@ -221,9 +217,7 @@ def _optima(
         branches = []
         for i, c in enumerate(ids):
             bit = 1 << i
-            if s & bit:
-                continue
-            if append_cost(s, i) + h[s | bit] == h[s]:
+            if not s & bit and append_cost(s, i) + h[s | bit] == h[s]:
                 branches.append((s | bit, prefix + (c,)))
         stack.extend(reversed(branches))
 

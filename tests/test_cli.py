@@ -338,6 +338,50 @@ def test_replay_kemeny_identical(tmp_path, capsys):
     assert "replay: identical" in out
 
 
+def tie_blocks_profile(*sizes: int) -> str:
+    """Two ballots that keep blocks of ``sizes`` in order, the second with
+    each block reversed: every pair inside a block ties, so every order of
+    each block is optimal and the optima are the product of the sizes'
+    factorials."""
+    names = iter("abcdefghijklmnop")
+    blocks = [[next(names) for _ in range(size)] for size in sizes]
+    return "".join(
+        " > ".join(c for block in blocks for c in (block[::-1] if rev else block)) + "\n"
+        for rev in (False, True)
+    )
+
+
+def test_replay_prices_a_kemeny_listing_before_it_lists(tmp_path, capsys, monkeypatch):
+    listed = []
+    medians = kemeny.MedianResult.medians
+    monkeypatch.setattr(kemeny.MedianResult, "medians",
+                        property(lambda res: listed.append(res.count) or medians.func(res)))
+    dest = tmp_path / "rec.json"
+
+    def replay(profile: str, ties: bool = True):
+        config = {"profile": profile, "ties": ties, "verify": False}
+        dest.write_text(json.dumps({"command": "kemeny", "config": config}))
+        return run_cli(["scenario", "--replay", str(dest)], capsys)
+
+    # a 149-byte record over two reversed 9-candidate ballots asks for 9! optima
+    code, out, err = replay(tie_blocks_profile(9))
+    assert (code, out, listed) == (2, "", [])
+    assert err == "error: record lists 362,880 optimal rankings; replay stops at 80,000\n"
+    # 8! · 2! = 80,640 is refused, 8! listed; a record that lists nothing is
+    # not priced, and mismatches only because it holds no result
+    assert replay(tie_blocks_profile(8, 2))[0] == 2 and listed == []
+    assert replay(tie_blocks_profile(8, 2), ties=False)[0] == 1 and listed == []
+    assert replay(tie_blocks_profile(8))[0] == 1 and listed == [40_320]
+    # the cap admits a count equal to it
+    monkeypatch.setattr(cli, "REPLAY_MEDIANS_MAX", 12)
+    assert replay(tie_blocks_profile(3, 2))[0] == 1 and listed == [40_320, 12]
+    assert replay(tie_blocks_profile(3, 3))[0] == 2 and listed == [40_320, 12]
+    # every record the kemeny command writes with --ties replays identical
+    record = kemeny_record(tie_blocks_profile(3, 2), True, True)
+    dest.write_text(json.dumps(record))
+    assert run_cli(["simulate", "--replay", str(dest)], capsys)[:2] == (0, "replay: identical\n")
+
+
 def test_replay_ignores_wall_clock(tmp_path, capsys):
     dest = tmp_path / "rec.json"
     argv = ["simulate", "--protocol", "stv-baseline", "--strategy", "silent",

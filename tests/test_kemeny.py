@@ -200,6 +200,24 @@ def test_dp_runs_per_majority_block(monkeypatch):
     assert (rotations.cost, rotations.chosen, rotations.count) == (m * (m * m - 1) // 6, ident, m)
 
 
+@pytest.mark.parametrize("b", range(1, 9))
+def test_prefix_dp_rows_on_random_weights(b):
+    # any non-negative weights with a zero diagonal, not only a tournament's:
+    # odd and even b split the rows into halves of k = b // 2 and b - k, and
+    # b = 1 leaves the low half empty
+    rng = random.Random(b)
+    everyone = range(b)
+    for _ in range(6 if b < 8 else 2):
+        w = [[0 if d == c else rng.randint(0, 3) for c in everyone] for d in everyone]
+        h, cnt, append_cost = kemeny._prefix_dp(w)
+        for s in range(1 << b):
+            unplaced = [d for d in everyone if not s >> d & 1]
+            for c in unplaced:
+                assert append_cost(s, c) == sum(w[d][c] for d in unplaced if d != c)
+        costs = [kemeny._backward(w, order) for order in itertools.permutations(everyone)]
+        assert (h[0], cnt[0]) == (min(costs), costs.count(min(costs)))
+
+
 def tie_block_profiles(rng):
     """A bloc of ballots that keeps 2-4 planned blocks in order, each in a
     random inner order per ballot, and its copy with one block of two or
