@@ -1,10 +1,10 @@
 """Command-line front end: kemeny solving, protocol simulation, scenarios.
 
-Every command can emit a schema-versioned JSON run record (--json); simulate
-and scenario can replay a stored record of any command (--replay FILE) and
-verify that it regenerates bit-identical apart from wall-clock time.  Exit status:
-0 when every asserted property holds (or a replay matches), 1 on property
-failure or replay mismatch, 2 on usage errors.
+Every command can emit a schema-versioned JSON run record (--json); replay
+RECORD re-runs a stored record of any command and verifies that it regenerates
+bit-identical apart from wall-clock time.  Exit status: 0 when every asserted
+property holds (or a replay matches), 1 on property failure or replay mismatch,
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -17,24 +17,10 @@ import sys
 import time
 from fractions import Fraction
 
-from .kemeny import (
-    EXACT_MAX_M,
-    MEDIANS_MAX,
-    CapacityError,
-    approx_ratio,
-    kemeny_brute,
-    kemeny_exact,
-)
-from .rankings import ParseError, Profile, parse_profile
+from .kemeny import EXACT_MAX_M, MEDIANS_MAX, approx_ratio, kemeny_brute, kemeny_exact
+from .rankings import Profile, parse_profile
 from .protocol import ProtocolConfig, expected_messages
-from .scenarios import (
-    CASES,
-    SCENARIO_NAMES,
-    SIDES,
-    InfeasibleError,
-    appendix_c_search,
-    measure_scenario,
-)
+from .scenarios import CASES, SCENARIO_NAMES, SIDES, appendix_c_search, measure_scenario
 from .simnet import PROTOCOLS, STRATEGY_NAMES, make_strategy, random_rankings, run_sync
 
 SCHEMA = "byzrank-run/1"
@@ -277,10 +263,6 @@ def scenario_record(name: str, n: int, t: int, m: int, side: str, case: str) -> 
 
 
 def cmd_scenario(args) -> dict:
-    if args.name is None:
-        raise ValueError("need a scenario name (or --replay)")
-    if args.n is None or args.t is None:
-        raise ValueError("need --n and --t")
     if args.name != "appendix-c" and args.m is None:
         raise ValueError("need --m for this scenario")
     return scenario_record(
@@ -473,19 +455,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed-start", type=int, default=0)
     s.add_argument("--profile", help="use this profile as the input rankings")
     s.add_argument("--json", metavar="PATH", help="write the JSON record to PATH (- for stdout)")
-    s.add_argument("--replay", metavar="RECORD", help="re-run a stored record and compare")
     s.set_defaults(run=cmd_simulate, show=_print_simulate)
 
     c = sub.add_parser("scenario", help="worst-case lower-bound constructions")
-    c.add_argument("name", choices=SCENARIO_NAMES, nargs="?", default=None)
-    c.add_argument("--n", type=int, required=False)
-    c.add_argument("--t", type=int, required=False)
+    c.add_argument("name", choices=SCENARIO_NAMES)
+    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--t", type=int, required=True)
     c.add_argument("--m", type=int)
     c.add_argument("--side", choices=SIDES, default="both")
     c.add_argument("--case", choices=CASES, default="C231")
     c.add_argument("--json", metavar="PATH", help="write the JSON record to PATH (- for stdout)")
-    c.add_argument("--replay", metavar="RECORD", help="re-run a stored record and compare")
     c.set_defaults(run=cmd_scenario, show=_print_scenario)
+
+    r = sub.add_parser("replay", help="re-run a stored record of any command and compare")
+    r.add_argument("record", help="the stored JSON record")
+    r.add_argument("--json", metavar="PATH",
+                   help="write the regenerated record to PATH (- for stdout)")
     return parser
 
 
@@ -502,15 +487,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        if getattr(args, "replay", None):
-            record, ok = replay(args.replay)
+        if args.command == "replay":
+            record, ok = replay(args.record)
         else:
             record = args.run(args)
             ok = record["ok"]
         record["wall_ms"] = int((time.monotonic() - started) * 1000)
         if args.json:
             _emit_json(record, args.json)
-        if getattr(args, "replay", None):
+        if args.command == "replay":
             status = "replay: identical" if ok else "replay: MISMATCH"
             print(status, file=sys.stderr if args.json == "-" else sys.stdout)
         elif args.json != "-":
@@ -521,7 +506,7 @@ def main(argv=None) -> int:
         # flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, CapacityError, InfeasibleError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

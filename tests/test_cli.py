@@ -1,6 +1,7 @@
 """End-to-end checks for the byzrank command-line interface."""
 
 import copy
+import inspect
 import io
 import json
 import math
@@ -237,9 +238,10 @@ def test_scenario_appendix_refuses_other_m(capsys):
 
 
 def test_scenario_needs_name(capsys):
-    code, _, err = run_cli(["scenario", "--n", "12", "--t", "3"], capsys)
-    assert code == 2
-    assert "need a scenario name" in err
+    with pytest.raises(SystemExit) as exit_:
+        main(["scenario", "--n", "12", "--t", "3"])
+    assert exit_.value.code == 2
+    assert "the following arguments are required: name" in capsys.readouterr().err
 
 
 def test_scenario_needs_m(capsys):
@@ -297,7 +299,7 @@ def test_replay_simulate_identical(tmp_path, capsys):
             "--n", "4", "--t", "1", "--m", "3", "--seeds", "3",
             "--json", str(dest)]
     assert run_cli(argv, capsys)[0] == 0
-    code, out, _ = run_cli(["simulate", "--replay", str(dest)], capsys)
+    code, out, _ = run_cli(["replay", str(dest)], capsys)
     assert code == 0
     assert "replay: identical" in out
 
@@ -310,7 +312,7 @@ def test_replay_detects_tampering(tmp_path, capsys):
     record = json.loads(dest.read_text())
     record["report"]["ratio_measured"] = "3/1"
     dest.write_text(json.dumps(record))
-    code, out, _ = run_cli(["scenario", "--replay", str(dest)], capsys)
+    code, out, _ = run_cli(["replay", str(dest)], capsys)
     assert code == 1
     assert "replay: MISMATCH" in out
 
@@ -320,7 +322,7 @@ def test_replay_json_stdout_status_on_stderr(tmp_path, capsys):
     argv = ["scenario", "appendix-c", "--n", "12", "--t", "2", "--json", str(dest)]
     assert run_cli(argv, capsys)[0] == 0
     code, out, err = run_cli(
-        ["scenario", "--replay", str(dest), "--json", "-"], capsys
+        ["replay", str(dest), "--json", "-"], capsys
     )
     assert code == 0
     assert "replay: identical" in err
@@ -333,7 +335,7 @@ def test_replay_kemeny_identical(tmp_path, capsys):
     dest = tmp_path / "rec.json"
     argv = ["kemeny", "--profile", str(profile), "--ties", "--verify", "--json", str(dest)]
     assert run_cli(argv, capsys)[0] == 0
-    code, out, _ = run_cli(["simulate", "--replay", str(dest)], capsys)
+    code, out, _ = run_cli(["replay", str(dest)], capsys)
     assert code == 0
     assert "replay: identical" in out
 
@@ -361,7 +363,7 @@ def test_replay_prices_a_kemeny_listing_before_it_lists(tmp_path, capsys, monkey
     def replay(profile: str, ties: bool = True):
         config = {"profile": profile, "ties": ties, "verify": False}
         dest.write_text(json.dumps({"command": "kemeny", "config": config}))
-        return run_cli(["scenario", "--replay", str(dest)], capsys)
+        return run_cli(["replay", str(dest)], capsys)
 
     # a 149-byte record over two reversed 9-candidate ballots asks for 9! optima
     code, out, err = replay(tie_blocks_profile(9))
@@ -379,7 +381,7 @@ def test_replay_prices_a_kemeny_listing_before_it_lists(tmp_path, capsys, monkey
     # every record the kemeny command writes with --ties replays identical
     record = kemeny_record(tie_blocks_profile(3, 2), True, True)
     dest.write_text(json.dumps(record))
-    assert run_cli(["simulate", "--replay", str(dest)], capsys)[:2] == (0, "replay: identical\n")
+    assert run_cli(["replay", str(dest)], capsys)[:2] == (0, "replay: identical\n")
 
 
 def test_replay_ignores_wall_clock(tmp_path, capsys):
@@ -390,7 +392,7 @@ def test_replay_ignores_wall_clock(tmp_path, capsys):
     record = json.loads(dest.read_text())
     record["wall_ms"] = 999_999
     dest.write_text(json.dumps(record))
-    assert run_cli(["simulate", "--replay", str(dest)], capsys)[0] == 0
+    assert run_cli(["replay", str(dest)], capsys)[0] == 0
 
 
 def test_replay_admits_the_benchmarks_largest_record(tmp_path, capsys):
@@ -400,7 +402,7 @@ def test_replay_admits_the_benchmarks_largest_record(tmp_path, capsys):
             "--n", "31", "--t", "10", "--m", "4", "--json", str(dest)]
     assert run_cli(argv, capsys)[0] == 0
     assert json.loads(dest.read_text())["runs"][0]["messages_total"] == 43_989
-    code, out, _ = run_cli(["simulate", "--replay", str(dest)], capsys)
+    code, out, _ = run_cli(["replay", str(dest)], capsys)
     assert code == 0 and "replay: identical" in out
 
 
@@ -412,16 +414,37 @@ def test_replay_admits_scenarios_priced_by_their_ballots(tmp_path, capsys, name,
     dest = tmp_path / "rec.json"
     argv = ["scenario", name, "--n", str(n), "--t", str(t), "--m", str(m), "--json", str(dest)]
     assert run_cli(argv, capsys)[0] == 0
-    code, out, _ = run_cli(["scenario", "--replay", str(dest)], capsys)
+    code, out, _ = run_cli(["replay", str(dest)], capsys)
     assert code == 0 and "replay: identical" in out
 
 
 def test_replay_unknown_command_exits_2(tmp_path, capsys):
     dest = tmp_path / "rec.json"
     dest.write_text(json.dumps({"command": "mystery", "config": {}}))
-    code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
+    code, _, err = run_cli(["replay", str(dest)], capsys)
     assert code == 2
     assert "unknown command" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--replay", "rec.json"],
+    ["scenario", "--replay", "rec.json"],
+    ["scenario", "binary-worst", "--t", "3", "--m", "2"],
+])
+def test_parser_refuses_replay_options_and_missing_cells(capsys, argv):
+    # replay is its own command, and a scenario needs --n and --t
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: byzrank")
+
+
+@pytest.mark.parametrize("command", sorted(cli.REPLAY))
+def test_replay_checks_every_parameter_of_its_record_function(command):
+    # a config key added to a record function without its check, or a check
+    # without its parameter, would replay a record from a partial config
+    record, checks = cli.REPLAY[command]
+    assert list(checks) == list(inspect.signature(record).parameters)
 
 
 SIM_CONFIG = {
@@ -506,7 +529,7 @@ def test_replay_malformed_record_exits_2(tmp_path, capsys, record, message):
     dest = tmp_path / "rec.json"
     dest.write_text(json.dumps(record))
     started = time.monotonic()
-    code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
+    code, _, err = run_cli(["replay", str(dest)], capsys)
     assert time.monotonic() - started < 1.0
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
@@ -520,7 +543,7 @@ def test_replay_deeply_nested_record_exits_2(tmp_path, capsys, where):
     text = deep if where == "top" else f'{{"command": "simulate", "config": {deep}, "runs": [{{}}]}}'
     dest = tmp_path / "rec.json"
     dest.write_text(text)
-    code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
+    code, _, err = run_cli(["replay", str(dest)], capsys)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and "nests too deeply" in err
 
@@ -551,7 +574,7 @@ def test_replay_is_priced_before_it_allocates(tmp_path, capsys, monkeypatch, rec
     dest = tmp_path / "rec.json"
     dest.write_text(json.dumps(record))
     started = time.monotonic()
-    code, _, err = run_cli(["simulate", "--replay", str(dest)], capsys)
+    code, _, err = run_cli(["replay", str(dest)], capsys)
     assert time.monotonic() - started < 1.0
     assert code == 2 and err.startswith("error: ")
 
@@ -665,7 +688,7 @@ def replay_mutated(fuzz_file, stored: dict, mutations) -> None:
             else:
                 holder[key] = copy.deepcopy(value)
     fuzz_file.write_text(json.dumps(record.get("record")), encoding="utf-8")
-    run_untrusted(["simulate", "--replay", str(fuzz_file)])
+    run_untrusted(["replay", str(fuzz_file)])
 
 
 @settings(max_examples=150, deadline=None)

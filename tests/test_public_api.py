@@ -46,4 +46,15 @@ def test_readme_cli_examples_print_what_they_show(tmp_path, monkeypatch, capsys)
         assert main(argv) == 0, command
         assert capsys.readouterr().out.splitlines() == shown, command
         ran += 1
-    assert ran == 4
+    assert ran == 5
+
+
+def test_readme_cites_only_tests_that_exist():
+    # a renamed or deleted test must not leave the README citing it; file
+    # names such as test_lemmas.py and test_output.txt are not citations
+    cited = {name for name, ext in re.findall(r"\b(test_\w+)(\.\w+)?", README.read_text("utf-8"))
+             if not ext}
+    defined = {name for path in README.parent.joinpath("tests").glob("*.py")
+               for name in re.findall(r"^\s*def (test_\w+)", path.read_text("utf-8"), re.M)}
+    assert cited
+    assert sorted(cited - defined) == []
