@@ -3,9 +3,10 @@
 ``w[i][j]`` counts the ballots that rank candidate ``i`` above candidate
 ``j``; for any pair the two directions sum to the ballot count.
 
-The king rounds keep the same counts packed in one int (:class:`PairLanes`),
-so a tally grows by one big-int add per ballot or batch and is thresholded
-for every pair at once.
+Both tallies walk a ranking once with one big-int step per candidate, into
+byte-aligned lanes: :func:`weight_matrix` keeps one int per row, and the king
+rounds keep all rows in one int (:class:`PairLanes`), so a tally grows by one
+big-int add per ballot or batch and is thresholded for every pair at once.
 """
 
 from __future__ import annotations
@@ -21,15 +22,23 @@ from .rankings import Pair, Ranking
 def weight_matrix(rankings: Sequence[Ranking], m: int) -> list[list[int]]:
     """Pairwise-preference counts of a plain ranking list (no validation).
 
-    Each distinct ranking is added once, times its multiplicity, so a
-    profile of a few blocs costs its distinct rankings, not its ballots.
+    Row ``a`` is one int, lane ``b`` counting the ballots ranking ``a`` over ``b``;
+    each distinct ranking is walked once, one big-int step per candidate times
+    its multiplicity, so a bloc profile costs its distinct rankings, not ballots.
     """
-    w = [[0] * m for _ in range(m)]
+    width = (len(rankings).bit_length() + 8) // 8  # as in PairLanes: no carry
+    lane = [1 << s for s in range(0, 8 * width * m, 8 * width)]
+    rows = [0] * m
     for r, k in Counter(rankings).items():
-        for i, a in enumerate(r):
-            row = w[a]
-            for b in r[i + 1:]:
-                row[b] += k
+        below = 0
+        for c in reversed(r):
+            rows[c] += below * k
+            below += lane[c]
+    size = m * width
+    w = [list(row.to_bytes(size, "little")[::width]) for row in rows]
+    for j in range(1, width):  # byte j of a lane weighs 256**j
+        w = [list(map(int.__add__, lo, map((256**j).__mul__, x.to_bytes(size, "little")[j::width])))
+             for lo, x in zip(w, rows)]
     return w
 
 
@@ -41,8 +50,8 @@ class PairLanes:
     reaches the lane's top bit.  Tallies of at most ``n`` senders therefore
     add lane by lane with no carry.  A pair set is the int with 1 in each
     of its lanes, and :meth:`at_least` turns a tally into the pair set of
-    the lanes that reach a threshold.  Packing and unpacking are linear in
-    the lane count.
+    the lanes that reach a threshold.  :meth:`pairs` and :meth:`unpack` are
+    linear in the lane count; :meth:`ranking` takes one big-int step per candidate.
     """
 
     def __init__(self, n: int, m: int):
@@ -53,16 +62,17 @@ class PairLanes:
         self._ones = int.from_bytes((b"\1" + bytes(width - 1)) * (m * m), "little")
         self._high = self._ones << self._top
         self._pairs = [divmod(lane, m) for lane in range(m * m)]
+        self._lane = [1 << s for s in range(0, 8 * width * m, 8 * width)]
+        self._row = list(range(0, 8 * width * m * m, 8 * width * m))
 
     def ranking(self, ranking: Ranking) -> int:
         """The pair set of a ranking: row ``a`` holds every candidate below ``a``."""
-        width = self.width
-        row = bytearray(self.m * width)
-        rows: list[bytes] = [b""] * self.m
+        lane, row = self._lane, self._row
+        packed = below = 0
         for c in reversed(ranking):
-            rows[c] = bytes(row)
-            row[c * width] = 1
-        return int.from_bytes(b"".join(rows), "little")
+            packed += below << row[c]
+            below += lane[c]
+        return packed
 
     def pairs(self, pairs: Iterable[Pair]) -> int:
         """The pair set of plain ``(a, b)`` pairs over ``range(m)``."""

@@ -76,6 +76,26 @@ def test_lane_width_leaves_the_top_bit_clear():
     assert [pair_lanes(n, 3).width for n in (1, 127, 128, 32767, 32768)] == [1, 1, 2, 2, 3]
 
 
+def test_weight_matrix_across_lane_width_boundaries():
+    # lanes are 1, 2, 2 and 3 bytes wide at these ballot counts; a ranking and
+    # itself with its top or bottom pair swapped, each many times, fill most
+    # lanes to n while the oracle tallies only the distinct rankings
+    rng = random.Random(26)
+    for n in (127, 128, 32767, 32768):
+        for m in (1, 2, 16):
+            r = rand_ranking(rng, m)
+            distinct = list(dict.fromkeys([r, r[1::-1] + r[2:], r[:-2] + r[:-3:-1]]))
+            mult = [n // (i + 2) for i in range(len(distinct) - 1)]
+            mult.append(n - sum(mult))
+            ballots = [x for x, k in zip(distinct, mult) for _ in range(k)]
+            expect = [[0] * m for _ in range(m)]
+            for x, k in zip(distinct, mult):
+                for row, once in zip(expect, weight_matrix_per_ballot([x], m)):
+                    row[:] = [a + k * b for a, b in zip(row, once)]
+            assert len(ballots) == n
+            assert weight_matrix(ballots, m) == expect
+
+
 def lane_counts(lanes, tally: int, n: int) -> list:
     """Each pair's count in ``tally``, read back through ``at_least`` at every
     threshold 1..n: a pair's count is the number of thresholds it reaches."""
