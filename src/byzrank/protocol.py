@@ -40,7 +40,7 @@ from .simnet import (
     RunStats,
     SyncNetwork,
 )
-from .tournament import pair_lanes
+from .tournament import PairLanes, pair_lanes
 
 
 @dataclass(frozen=True)
@@ -271,6 +271,17 @@ def _tally(base: int, slots: Sequence, pack: Callable[[object], int], packed: di
     return base
 
 
+def _settled(lanes: PairLanes, tally: int, slack: int, *needs: int) -> bool:
+    """Whether every view of ``tally`` meets each of ``needs`` where ``tally`` does.
+
+    A view adds at most ``slack = len(byz_ids)`` sanitized slots, each at
+    most one per lane, so a lane at ``need`` stays there and one below
+    ``need - slack`` cannot reach it (the phase-king argument).  Needs
+    ``need - slack >= 1``, which 3t < n gives for t+1 and n-t.
+    """
+    return all(lanes.at_least(tally, need) == lanes.at_least(tally, need - slack) for need in needs)
+
+
 def _king_rounds(
     net: SyncNetwork, cfg: ProtocolConfig, m: int, rankings: dict[int, Ranking], start_round: int
 ) -> list[IntegrityEvent]:
@@ -285,14 +296,17 @@ def _king_rounds(
     (:class:`PairLanes`), each view adds one big-int per Byzantine slot,
     None slots counting nothing, and a correct dictator's ranking is read
     from ``rankings``.  Both phases tally through :func:`_tally`, which
-    packs each distinct ballot or batch once per round.  A node's steps
+    packs each distinct ballot or batch once per round.  When the correct
+    tally alone settles a phase's thresholds (:func:`_settled`), every node
+    shares its answer and no inbox is read.  Otherwise a node's steps
     depend only on its view, so :func:`_each_view` runs the proposal and
-    fixing steps once per distinct view; fixed sets are resolved once per
+    fixing steps once per distinct view.  Fixed sets are resolved once per
     run, and the ranking adjustments and dictator decisions are shared
     run-wide too.  Each dropped edge becomes one integrity event per correct
     node that holds it.
     """
     n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
+    slack = len(byz_ids)
     correct = [v for v in range(n) if v not in byz_ids]
     instance_inputs = {v: rankings[v] for v in correct}
     lanes = pair_lanes(n, m)
@@ -304,13 +318,19 @@ def _king_rounds(
         packed: dict[object, int] = {}  # this round's ballots and batches
         inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs)
         base = _tally(0, [rankings[u] for u in correct], lanes.ranking, packed)
-        proposals = dict(enumerate(_each_view(inboxes, byz_ids, lambda view: compute_proposals(
-            _tally(base, view, lanes.ranking, packed), n, t, m))))
+        if _settled(lanes, base, slack, n - t):
+            proposals = dict.fromkeys(range(n), compute_proposals(base, n, t, m))
+        else:
+            proposals = dict(enumerate(_each_view(inboxes, byz_ids, lambda view: compute_proposals(
+                _tally(base, view, lanes.ranking, packed), n, t, m))))
 
         inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs)
         receipts = _tally(0, [proposals[u] for u in correct], lanes.pairs, packed)
-        fixed = _each_view(inboxes, byz_ids, lambda view: collect_fixed_pairs(
-            _tally(receipts, view, lanes.pairs, packed), n, t, m, resolved))
+        if _settled(lanes, receipts, slack, t + 1, n - t):
+            fixed = [collect_fixed_pairs(receipts, n, t, m, resolved)] * n
+        else:
+            fixed = _each_view(inboxes, byz_ids, lambda view: collect_fixed_pairs(
+                _tally(receipts, view, lanes.pairs, packed), n, t, m, resolved))
         locks: dict[int, frozenset[Pair]] = {}
         for v, (kept, locks[v], drops) in enumerate(fixed):
             if v not in byz_ids:

@@ -19,6 +19,12 @@ from typing import Iterable, Sequence
 from .rankings import Pair, Ranking
 
 
+@lru_cache(maxsize=64)
+def _lane_starts(width: int, m: int) -> tuple[int, ...]:
+    """A 1 in the lowest bit of each of ``m`` lanes of ``width`` bytes."""
+    return tuple(1 << s for s in range(0, 8 * width * m, 8 * width))
+
+
 def weight_matrix(rankings: Sequence[Ranking], m: int) -> list[list[int]]:
     """Pairwise-preference counts of a plain ranking list (no validation).
 
@@ -27,7 +33,7 @@ def weight_matrix(rankings: Sequence[Ranking], m: int) -> list[list[int]]:
     its multiplicity, so a bloc profile costs its distinct rankings, not ballots.
     """
     width = (len(rankings).bit_length() + 8) // 8  # as in PairLanes: no carry
-    lane = [1 << s for s in range(0, 8 * width * m, 8 * width)]
+    lane = _lane_starts(width, m)
     rows = [0] * m
     for r, k in Counter(rankings).items():
         below = 0
@@ -62,7 +68,7 @@ class PairLanes:
         self._ones = int.from_bytes((b"\1" + bytes(width - 1)) * (m * m), "little")
         self._high = self._ones << self._top
         self._pairs = [divmod(lane, m) for lane in range(m * m)]
-        self._lane = [1 << s for s in range(0, 8 * width * m, 8 * width)]
+        self._lane = _lane_starts(width, m)
         self._row = list(range(0, 8 * width * m * m, 8 * width * m))
 
     def ranking(self, ranking: Ranking) -> int:

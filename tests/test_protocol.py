@@ -1,5 +1,6 @@
 """Node-level protocol steps and full agreement runs."""
 
+import itertools
 import random
 from collections import Counter, namedtuple
 from dataclasses import replace
@@ -757,3 +758,72 @@ def test_ranking_phase_packs_each_distinct_ballot_once_per_round(monkeypatch):
     assert len(packs) == len(set(packs))
     assert {r for r, _ in packs} == set(range(t + 1))
     assert sum(r == 0 for r, _ in packs) == len(set(inputs))
+
+
+# --- phases that no Byzantine slot can move ---------------------------------------
+
+
+def _batches(m):
+    """None and every antisymmetric batch over candidates 0..2, plus two full orders."""
+    small = [(a, b) for a in range(3) for b in range(a + 1, 3)]
+    out = [None]
+    for signs in itertools.product((0, 1, -1), repeat=len(small)):
+        out.append(frozenset(p if s == 1 else p[::-1] for p, s in zip(small, signs) if s))
+    return out + [pairs_of(tuple(range(m))), pairs_of(tuple(reversed(range(m))))]
+
+
+# (4,1,3) and (7,2,4) are n = 3t+1 cells, where the fix threshold's lower
+# edge t+1-t is 1; each cell is checked at every slack up to t
+@pytest.mark.parametrize("n, t, m", [(4, 1, 3), (7, 2, 4), (8, 2, 3), (10, 3, 3)])
+@pytest.mark.parametrize("phase", ["propose", "fix"])
+def test_settled_phase_gives_every_view_the_shared_answer(n, t, m, phase):
+    # lane (0,1) runs through every count a correct tally can hold; lane
+    # (1,2) sits at n-t, settled on both thresholds.  A phase is settled
+    # exactly when no lane lies in [need - slack, need) for any need: at
+    # need - slack the all-supporting Byzantine view crosses the threshold,
+    # and one lower every view of up to slack slots answers as the tally does
+    lanes = pair_lanes(n, m)
+    if phase == "propose":
+        needs, pack, support = (n - t,), lanes.ranking, tuple(range(m))
+        options = [None, *itertools.permutations(range(m))]
+
+        def step(tally):
+            return compute_proposals(tally, n, t, m)
+    else:
+        needs, pack, support = (t + 1, n - t), lanes.pairs, frozenset({(0, 1)})
+        options, memo = _batches(m), {}
+
+        def step(tally):
+            return collect_fixed_pairs(tally, n, t, m, memo)
+    for slack in range(1, t + 1):
+        views = list(itertools.product(options, repeat=slack))
+        edges = {need - slack for need in needs}
+        for count in range(n - slack + 1):
+            tally = count * lanes.pairs([(0, 1)]) + (n - t) * lanes.pairs([(1, 2)])
+            expect = [not need - slack <= count < need for need in needs]
+            assert [protocol._settled(lanes, tally, slack, need) for need in needs] == expect
+            settled = protocol._settled(lanes, tally, slack, *needs)
+            assert settled == all(expect)
+            shared = step(tally)
+            if settled:
+                assert all(step(protocol._tally(tally, v, pack, {})) == shared for v in views)
+            if count in edges:
+                assert step(protocol._tally(tally, (support,) * slack, pack, {})) != shared
+
+
+@pytest.mark.parametrize("protocol_name", ["alg1", "alg2", "stv-baseline"])
+def test_settled_phases_read_no_inbox(monkeypatch, protocol_name):
+    # with unanimous correct inputs every lane is at n - |byz| or 0, so no
+    # king-round phase goes per view, under any adversary
+    calls = []
+    real = protocol._each_view
+    monkeypatch.setattr(protocol, "_each_view", lambda *a: calls.append(a) or real(*a))
+    n, t, m = 7, 2, 4
+    cfg = ProtocolConfig(n, t, m)
+    res = run_sync(protocol_name, [(2, 0, 3, 1)] * n, Equivocate(), cfg, seed=0)
+    assert res.agreement and res.consensus == (2, 0, 3, 1)
+    assert len(calls) == (protocol_name == "alg2")  # alg2's round-1 median only
+    rng = random.Random(0)
+    inputs = [rand_ranking(rng, m) for _ in range(n)]
+    run_sync(protocol_name, inputs, Equivocate(), cfg, seed=0)
+    assert len(calls) > 1 + (protocol_name == "alg2")
