@@ -29,8 +29,8 @@ SCHEMA = "byzrank-run/1"
 # about as m², plus REPLAY_RUN_WORK and its Kemeny solves.  That is over five
 # times the largest record the tests and the benchmark write (43,989 messages at
 # n=31, t=10, m=4: 705,345).  Slowest equivocate replays it admits, on a 2-core
-# VM: alg1 (4,1,258) 1.5 s, alg2 (7,2,2) × 1,462 seeds 1.4 s, alg2 (4,1,2) ×
-# 2,116 seeds 1.2 s, alg2 (4,1,16) × 2 seeds 0.75-0.96 s (then (4,1,258): 1.2-1.4 s)
+# VM: alg1 (4,1,258) 1.5-1.8 s, alg2 (4,1,16) × 2 seeds 0.9-1.3 s, alg2 (7,2,2) ×
+# 1,453 seeds 0.7-1.1 s, alg2 (4,1,2) × 2,104 seeds 0.7-1.1 s
 REPLAY_WORK_MAX = 3_750_000
 # a run's fixed work, in the same units: a one-seed m = 2 run costs 0.2-1 ms
 # whatever its message count, which is what 500-3,000 messages·m² cost at m = 258

@@ -298,7 +298,9 @@ def _king_rounds(
     from ``rankings``.  Both phases tally through :func:`_tally`, which
     packs each distinct ballot or batch once per round.  When the correct
     tally alone settles a phase's thresholds (:func:`_settled`), every node
-    shares its answer and no inbox is read.  Otherwise a node's steps
+    shares its answer and no inbox is read, so the tally is taken before
+    the phase's exchange, which then skips the adversary (``read=False``)
+    unless a transcript is recorded.  Otherwise a node's steps
     depend only on its view, so :func:`_each_view` runs the proposal and
     fixing steps once per distinct view.  Fixed sets are resolved once per
     run, and the ranking adjustments and dictator decisions are shared
@@ -316,17 +318,19 @@ def _king_rounds(
     events: list[IntegrityEvent] = []
     for ground, dict_id in enumerate(cfg.dictator_schedule, start_round):
         packed: dict[object, int] = {}  # this round's ballots and batches
-        inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs)
         base = _tally(0, [rankings[u] for u in correct], lanes.ranking, packed)
-        if _settled(lanes, base, slack, n - t):
+        settled = _settled(lanes, base, slack, n - t)
+        inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs, read=not settled)
+        if settled:
             proposals = dict.fromkeys(range(n), compute_proposals(base, n, t, m))
         else:
             proposals = dict(enumerate(_each_view(inboxes, byz_ids, lambda view: compute_proposals(
                 _tally(base, view, lanes.ranking, packed), n, t, m))))
 
-        inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs)
         receipts = _tally(0, [proposals[u] for u in correct], lanes.pairs, packed)
-        if _settled(lanes, receipts, slack, t + 1, n - t):
+        settled = _settled(lanes, receipts, slack, t + 1, n - t)
+        inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs, read=not settled)
+        if settled:
             fixed = [collect_fixed_pairs(receipts, n, t, m, resolved)] * n
         else:
             fixed = _each_view(inboxes, byz_ids, lambda view: collect_fixed_pairs(

@@ -8,6 +8,11 @@ different payloads to different recipients (equivocation) or nothing at all.
 Corruption is static: the Byzantine set is fixed before the run, by default
 the last ``t`` node ids.
 
+The network asks the adversary for a phase only when some node reads that
+phase's inboxes or a transcript is recorded, so a strategy's answer must
+depend on its ``AdversaryContext`` and sender alone, never on which earlier
+phases it was asked about.
+
 All randomness is derived from string seeds via ``random.Random``, which is
 hash-seed independent, so equal ``(protocol, inputs, adversary, cfg, seed)``
 reproduce bit-identical transcripts.
@@ -124,7 +129,13 @@ class AdversaryStrategy:
 
     def send(self, ctx: AdversaryContext, sender: int):
         """Return None (silence), a payload (uniform broadcast), or a
-        recipient->payload dict (equivocation)."""
+        recipient->payload dict (equivocation).
+
+        The answer must be a function of ``ctx`` and ``sender`` alone: the
+        network skips a phase that no node reads unless a transcript is
+        recorded, so a strategy whose state carried over between calls would
+        answer differently with and without one.
+        """
         raise NotImplementedError
 
 
@@ -346,6 +357,7 @@ class SyncNetwork:
         m: int,
         payloads: Mapping[int, Payload],
         correct_inputs: Mapping[int, Ranking],
+        read: bool = True,
     ) -> list[dict[int, Payload]]:
         """Deliver one phase; returns per-recipient inboxes (sender->payload).
 
@@ -363,6 +375,12 @@ class SyncNetwork:
         plain-int node id of an equivocation (its other keys are skipped).
         Recipients with equal deliveries share one inbox object (every one
         of them when nobody equivocates), so callers must not mutate it.
+
+        ``read=False`` says no recipient will read this phase's inboxes.
+        Without a transcript the correct broadcasts are still counted, but
+        the adversary is not asked, nothing is sanitized, and every recipient
+        gets one shared empty inbox; with a transcript the phase is delivered
+        and logged in full, so recorded transcripts do not depend on it.
         """
         n = self.n
         transcript = self.transcript
@@ -374,6 +392,8 @@ class SyncNetwork:
                 payload = payloads[sender]
                 transcript.extend((round_no, phase, sender, v, payload) for v in range(n))
         self._current_round_messages += n * (len(payloads) - len(byz_senders))
+        if not read and transcript is None:
+            return [{}] * n
         # the adversary moves last (rushing)
         ctx = AdversaryContext(
             seed=self.seed,

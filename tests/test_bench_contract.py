@@ -49,18 +49,39 @@ def test_traced_exchange_resolves():
 
 
 def test_tracer_counts_sanitization():
-    # sanitization runs inside the network; the per-layer metrics must still see it
+    # sanitization runs inside the network; the per-layer metrics must still
+    # see it in every phase a node reads, and see none where no node does
     tracer_module = load_bench("tracer")
     modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
     prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
-    original = prog.simnet.sanitize_batch
+    simnet = prog.simnet
+    original = simnet.sanitize_batch
+    # the correct ballots leave (0,1) at 2 = n-t-1 receipts and rankings, so
+    # node 3 can still move it in round 1's two phases; it sends two distinct
+    # objects in each, and round 2, unanimous, is settled
+    inputs = [(0, 1, 2), (0, 1, 2), (1, 0, 2), (0, 1, 2)]
+    script = {
+        (1, simnet.RANKING, 3): {0: (0, 1, 2), 1: (0, 1, 2), 2: (1, 0, 2)},
+        (1, simnet.PROPOSE, 3): {0: frozenset({(0, 1)}), 2: [(1, 0), (0, 0)]},
+    }
+    cfg = prog.protocol.ProtocolConfig(4, 1, 3)
     tracer = tracer_module.Tracer(prog)
     with tracer.installed(0):
-        prog.cli.simulate_record("alg1", "random", 4, 1, 3, 1, 0)
-    assert prog.simnet.sanitize_batch is original
-    # one uniform Byzantine broadcast per round: a RANKING and a PROPOSE
-    assert tracer.calls["simnet.sanitize_batch"] == 2
+        res = simnet.run_sync("alg1", inputs, simnet.ScriptedViews(script), cfg, seed=0)
+    assert simnet.sanitize_batch is original
+    assert res.agreement and res.consensus == (0, 1, 2)
+    assert tracer.calls["simnet.adversary_send"] == 2
     assert tracer.calls["simnet.sanitize_ranking"] == 2
+    assert tracer.calls["simnet.sanitize_batch"] == 2
+    # unanimous inputs settle every king-round phase, so even an equivocating
+    # adversary is never asked and nothing is sanitized
+    tracer = tracer_module.Tracer(prog)
+    with tracer.installed(0):
+        prog.cli.simulate_record("alg1", "equivocate", 4, 1, 3, 1, 0, [[2, 0, 1]] * 4)
+    assert tracer.calls["simnet.exchange"] == 6
+    assert tracer.calls["simnet.adversary_send"] == 0
+    assert tracer.calls["simnet.sanitize_ranking"] == 0
+    assert tracer.calls["simnet.sanitize_batch"] == 0
 
 
 def test_tracer_times_every_strategy_send():
@@ -107,13 +128,26 @@ def test_tracer_counts_shared_inboxes():
 
 def test_tracer_counts_distinct_full_inboxes(monkeypatch):
     # an inbox holds only the Byzantine deliveries; full inboxes, which add
-    # every correct sender's broadcast, differ exactly where those do, so
-    # distinct_inbox_frac keeps counting what the naive network delivers
+    # every correct sender's broadcast, differ exactly where those do, so in
+    # every exchange the engine reads distinct_inbox_frac counts what the
+    # naive network delivers; an unread exchange returns one empty inbox
     tracer_module = load_bench("tracer")
     modules = {module for _span, module, _attr in tracer_module.FUNCTIONS}
     prog = SimpleNamespace(**{m: importlib.import_module(f"byzrank.{m}") for m in modules})
     rng = random.Random("full-inboxes")
     inputs = [rng.sample(range(3), 3) for _ in range(7)]
+    exchanges = []  # (read, the tracer's distinct count) per engine exchange
+    engine = prog.simnet.SyncNetwork.exchange
+
+    def logged(net, *args, read=True):
+        boxes = engine(net, *args, read=read)
+        counts = Counter()
+        tracer_module._AFTER["simnet.exchange"](counts, boxes)
+        exchanges.append((read, counts["distinct_inboxes"], boxes))
+        return boxes
+
+    # patched first, so the tracer wraps the logger and counts the same boxes
+    monkeypatch.setattr(prog.simnet.SyncNetwork, "exchange", logged)
     tracer = tracer_module.Tracer(prog)
     with tracer.installed(0):
         prog.cli.simulate_record("alg1", "equivocate", 7, 2, 3, 1, 0, inputs)
@@ -129,8 +163,14 @@ def test_tracer_counts_distinct_full_inboxes(monkeypatch):
     strategy = prog.simnet.make_strategy("equivocate", n=7, t=2, m=3)
     cfg = prog.protocol.ProtocolConfig(7, 2, 3)
     reference.run("alg1", [tuple(r) for r in inputs], strategy, cfg, seed=0)
-    assert len(distinct) == tracer.calls["simnet.exchange"]
-    assert sum(distinct) == tracer.counts["distinct_inboxes"] > len(distinct)
+    assert len(distinct) == len(exchanges) == tracer.calls["simnet.exchange"]
+    assert sum(count for _read, count, _boxes in exchanges) == tracer.counts["distinct_inboxes"]
+    read = [i for i, (was_read, _count, _boxes) in enumerate(exchanges) if was_read]
+    unread = [i for i in range(len(exchanges)) if i not in read]
+    assert [exchanges[i][1] for i in read] == [distinct[i] for i in read]
+    assert sum(distinct[i] for i in read) > len(read)
+    assert unread and all(exchanges[i][1] == 1 for i in unread)
+    assert all(box == {} for i in unread for box in exchanges[i][2])
 
 
 def test_tracer_reads_medians_as_a_sized_tuple():

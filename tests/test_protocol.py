@@ -29,6 +29,7 @@ from byzrank.simnet import (
     DICTATOR,
     PROPOSE,
     RANKING,
+    STRATEGY_NAMES,
     Equivocate,
     Honest,
     IntegrityEvent,
@@ -811,19 +812,73 @@ def test_settled_phase_gives_every_view_the_shared_answer(n, t, m, phase):
                 assert step(protocol._tally(tally, (support,) * slack, pack, {})) != shared
 
 
+class CountingEquivocate(Equivocate):
+    """Equivocate that counts its sends per (round, phase)."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = Counter()
+
+    def send(self, ctx, sender):
+        self.asked[ctx.round, ctx.phase] += 1
+        return super().send(ctx, sender)
+
+
 @pytest.mark.parametrize("protocol_name", ["alg1", "alg2", "stv-baseline"])
 def test_settled_phases_read_no_inbox(monkeypatch, protocol_name):
     # with unanimous correct inputs every lane is at n - |byz| or 0, so no
-    # king-round phase goes per view, under any adversary
+    # king-round phase goes per view, under any adversary, and without a
+    # transcript the adversary answers only in alg2's round-1 exchange
     calls = []
     real = protocol._each_view
     monkeypatch.setattr(protocol, "_each_view", lambda *a: calls.append(a) or real(*a))
     n, t, m = 7, 2, 4
     cfg = ProtocolConfig(n, t, m)
-    res = run_sync(protocol_name, [(2, 0, 3, 1)] * n, Equivocate(), cfg, seed=0)
+    unanimous = [(2, 0, 3, 1)] * n
+    strategy = CountingEquivocate()
+    res = run_sync(protocol_name, unanimous, strategy, cfg, seed=0)
     assert res.agreement and res.consensus == (2, 0, 3, 1)
     assert len(calls) == (protocol_name == "alg2")  # alg2's round-1 median only
+    first = Counter({(1, RANKING): t} if protocol_name == "alg2" else {})
+    assert strategy.asked == first
+    # a transcript logs every Byzantine sender of every phase; the default
+    # schedule's dictators are correct, so no dictator phase has one
+    kings = {
+        "alg1": range(1, t + 2),
+        "alg2": range(3, t + 4),
+        "stv-baseline": range(1, (m - 1) * (t + 1) + 1),
+    }[protocol_name]
+    strategy = CountingEquivocate()
+    recorded = run_sync(protocol_name, unanimous, strategy, cfg, seed=0, record_transcript=True)
+    every = Counter({(r, phase): t for r in kings for phase in (RANKING, PROPOSE)})
+    assert strategy.asked == first + every
+    assert recorded.outputs == res.outputs and recorded.stats == res.stats
+    calls.clear()
     rng = random.Random(0)
     inputs = [rand_ranking(rng, m) for _ in range(n)]
     run_sync(protocol_name, inputs, Equivocate(), cfg, seed=0)
     assert len(calls) > 1 + (protocol_name == "alg2")
+
+
+@pytest.mark.parametrize("protocol_name", ["alg1", "alg2", "stv-baseline"])
+@pytest.mark.parametrize("strategy_name", STRATEGY_NAMES)
+@pytest.mark.parametrize("n, t, m", [(4, 1, 3), (7, 2, 4), (13, 4, 5)])
+def test_recording_a_transcript_changes_no_run(protocol_name, strategy_name, n, t, m):
+    # a transcript makes the network ask the adversary for every phase, read
+    # or not; each built-in strategy answers from its context and sender
+    # alone, so the runs must not differ
+    for seed in range(4):
+        # odd seeds put a Byzantine dictator first: its phase is read after
+        # phases that may be unread
+        cfg = ProtocolConfig(n, t, m, (n - 1,) + tuple(range(t)) if seed % 2 else None)
+        rng = random.Random(f"{protocol_name}/{strategy_name}/{n}/{seed}")
+        inputs = [rand_ranking(rng, m) for _ in range(n)]
+        plain, recorded = (
+            run_sync(protocol_name, inputs, make_strategy(strategy_name, n=n, t=t, m=m), cfg,
+                     seed=seed, record_transcript=record)
+            for record in (False, True)
+        )
+        assert plain.transcript is None and recorded.transcript
+        assert plain.outputs == recorded.outputs
+        assert plain.stats.messages_per_round == recorded.stats.messages_per_round
+        assert plain.stats.integrity_errors == recorded.stats.integrity_errors

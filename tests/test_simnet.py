@@ -416,6 +416,34 @@ def test_uniform_phase_shares_one_inbox():
     assert boxes[0] == {3: boxes[0][3]}
 
 
+@pytest.mark.parametrize("phase", [RANKING, PROPOSE])
+def test_unread_phase_asks_the_adversary_only_for_a_transcript(phase):
+    # read=False still counts every correct broadcast; without a transcript
+    # the adversary is not asked and every recipient shares one empty inbox,
+    # and with one the phase is delivered and logged as a read phase is
+    n, m = 7, 3
+    rng = random.Random(phase)
+    rankings = {v: rand_ranking(rng, m) for v in range(n)}
+    payloads = {v: pairs_of(r) for v, r in rankings.items()} if phase == PROPOSE else rankings
+    correct = {v: rankings[v] for v in range(5)}
+    byz = frozenset({5, 6})
+    out = []
+    for read, record in ((False, False), (False, True), (True, True)):
+        asked = []
+        strategy = Equivocate()
+        send = strategy.send
+        strategy.send = lambda ctx, sender: asked.append(sender) or send(ctx, sender)
+        net = simnet.SyncNetwork(n, strategy, seed=0, byz_ids=byz, record_transcript=record)
+        boxes = net.exchange(1, phase, m, payloads, correct, read=read)
+        net.end_round()
+        assert net.messages_per_round == [5 * n]
+        out.append((asked, boxes, net.transcript))
+    (asked, boxes, transcript), logged, full = out
+    assert asked == [] and transcript is None
+    assert boxes == [{}] * n and len({id(box) for box in boxes}) == 1
+    assert logged == full and full[0] == [5, 6]
+
+
 def test_equivocated_deliveries_stay_per_recipient():
     # sender 5 equivocates to recipients 0 and 2 only; sender 6 broadcasts
     n = 7
