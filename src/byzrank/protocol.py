@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .kemeny import kemeny_exact
@@ -295,16 +296,16 @@ def _king_rounds(
     payloads from its own maps once into one packed int of per-pair lanes
     (:class:`PairLanes`), each view adds one big-int per Byzantine slot,
     None slots counting nothing, and a correct dictator's ranking is read
-    from ``rankings``.  Both phases tally through :func:`_tally`, which
-    packs each distinct ballot or batch once per round.  When the correct
-    tally alone settles a phase's thresholds (:func:`_settled`), every node
-    shares its answer and no inbox is read, so the tally is taken before
-    the phase's exchange, which then skips the adversary (``read=False``)
-    unless a transcript is recorded.  Otherwise a node's steps
-    depend only on its view, so :func:`_each_view` runs the proposal and
-    fixing steps once per distinct view.  Fixed sets are resolved once per
-    run, and the ranking adjustments and dictator decisions are shared
-    run-wide too.  Each dropped edge becomes one integrity event per correct
+    from ``rankings``.  The ranking and proposal phases run through one
+    helper, which tallies through :func:`_tally`, packing each distinct
+    ballot or batch once per round.  When the correct tally alone settles a
+    phase's thresholds (:func:`_settled`), every node shares its answer and
+    no inbox is read, so the tally is taken before the phase's exchange,
+    which then skips the adversary (``read=False``) unless a transcript is
+    recorded.  Otherwise a node's step depends only on its view, so
+    :func:`_each_view` runs it once per distinct view.  Fixed sets are
+    resolved once per run, and the ranking adjustments and dictator
+    decisions are shared run-wide too.  Each dropped edge becomes one integrity event per correct
     node that holds it.
     """
     n, t, byz_ids = cfg.n, cfg.t, net.byz_ids
@@ -316,25 +317,22 @@ def _king_rounds(
     adjusted: dict[tuple, Ranking] = {}
     decided: dict[tuple, Ranking] = {}
     events: list[IntegrityEvent] = []
+
+    def threshold_phase(phase, payloads, pack, step, *needs) -> list:
+        """``step(tally, n, t, m)`` per node for ``phase`` of round ``ground``."""
+        tally = _tally(0, [payloads[u] for u in correct], pack, packed)
+        settled = _settled(lanes, tally, slack, *needs)
+        inboxes = net.exchange(ground, phase, m, payloads, instance_inputs, read=not settled)
+        if settled:
+            return [step(tally, n, t, m)] * n
+        return _each_view(inboxes, byz_ids, lambda view: step(
+            _tally(tally, view, pack, packed), n, t, m))
+
+    fix = partial(collect_fixed_pairs, memo=resolved)
     for ground, dict_id in enumerate(cfg.dictator_schedule, start_round):
         packed: dict[object, int] = {}  # this round's ballots and batches
-        base = _tally(0, [rankings[u] for u in correct], lanes.ranking, packed)
-        settled = _settled(lanes, base, slack, n - t)
-        inboxes = net.exchange(ground, RANKING, m, rankings, instance_inputs, read=not settled)
-        if settled:
-            proposals = dict.fromkeys(range(n), compute_proposals(base, n, t, m))
-        else:
-            proposals = dict(enumerate(_each_view(inboxes, byz_ids, lambda view: compute_proposals(
-                _tally(base, view, lanes.ranking, packed), n, t, m))))
-
-        receipts = _tally(0, [proposals[u] for u in correct], lanes.pairs, packed)
-        settled = _settled(lanes, receipts, slack, t + 1, n - t)
-        inboxes = net.exchange(ground, PROPOSE, m, proposals, instance_inputs, read=not settled)
-        if settled:
-            fixed = [collect_fixed_pairs(receipts, n, t, m, resolved)] * n
-        else:
-            fixed = _each_view(inboxes, byz_ids, lambda view: collect_fixed_pairs(
-                _tally(receipts, view, lanes.pairs, packed), n, t, m, resolved))
+        proposals = threshold_phase(RANKING, rankings, lanes.ranking, compute_proposals, n - t)
+        fixed = threshold_phase(PROPOSE, dict(enumerate(proposals)), lanes.pairs, fix, t + 1, n - t)
         locks: dict[int, frozenset[Pair]] = {}
         for v, (kept, locks[v], drops) in enumerate(fixed):
             if v not in byz_ids:
@@ -354,7 +352,6 @@ def _king_rounds(
             if key not in decided:
                 decided[key] = decide_dictator(*key)
             rankings[v] = decided[key]
-        net.end_round()
     return events
 
 
@@ -417,15 +414,14 @@ def run_algorithm2(
     rankings = dict(enumerate(inputs))
     correct_inputs = {v: r for v, r in rankings.items() if v not in net.byz_ids}
     inboxes = net.exchange(1, RANKING, cfg.m, rankings, correct_inputs)
-    net.end_round()
 
     # the median depends on the ballots' weights alone, so the correct
     # ballots go first and each view adds its Byzantine slots
     ballots = list(correct_inputs.values())
     rankings.update(enumerate(_each_view(inboxes, net.byz_ids, lambda view: kemeny_exact(
         Profile.of(ballots + [r for r in view if r is not None], cfg.m)).chosen)))
-    net.end_round()  # round 2: local computation only
 
+    # round 2 is local computation only; the network counts it as 0 messages
     events = _king_rounds(net, cfg, cfg.m, rankings, 3)
     return _finish(net, rankings, inputs, events)
 

@@ -67,7 +67,7 @@ class RunStats:
 
     @property
     def rounds(self) -> int:
-        """Rounds the network closed, message-free ones included."""
+        """Rounds the network counted, message-free ones included."""
         return len(self.messages_per_round)
 
     @property
@@ -240,23 +240,16 @@ class Equivocate(AdversaryStrategy):
 
 
 class RandomRankings(AdversaryStrategy):
-    """One fresh random ranking per round, used consistently in all phases."""
+    """One fresh random ranking per round, used consistently in all phases.
+
+    Each call draws it again from a generator seeded by round and sender.
+    """
 
     name = "random"
 
-    def __init__(self):
-        self._round: tuple[str, int] | None = None  # the seed string and m of the round's draws
-        self._rankings: dict[int, Ranking] = {}
-
     def send(self, ctx, sender):
-        key = (f"{ctx.seed}/random/{ctx.round}", ctx.m)
-        if self._round != key:
-            self._round, self._rankings = key, {}
-        ranking = self._rankings.get(sender)
-        if ranking is None:
-            rnd = random.Random(f"{key[0]}/{sender}")
-            ranking = self._rankings[sender] = random_rankings(rnd, ctx.m, 1)[0]
-        return _phase_payload(ranking, ctx.phase)
+        rng = random.Random(f"{ctx.seed}/random/{ctx.round}/{sender}")
+        return _phase_payload(random_rankings(rng, ctx.m, 1)[0], ctx.phase)
 
 
 class ScriptedViews(AdversaryStrategy):
@@ -329,6 +322,8 @@ class SyncNetwork:
     messages are logged and counted (a broadcast is n point-to-point copies,
     self included) but filed in no inbox, as every recipient gets the same
     payload; Byzantine messages are delivered and logged but never counted.
+    Counts go under the round number each exchange carries, from 1, so a
+    round with no exchange (alg2's round 2) counts 0.
     Byzantine payloads are sanitized at delivery: the transcript logs them
     raw, the inbox gets the clean value, and a malformed one is left out,
     exactly as if it were never sent.
@@ -347,8 +342,7 @@ class SyncNetwork:
         self.seed = seed
         self.byz_ids = byz_ids
         self.transcript: list | None = [] if record_transcript else None
-        self.messages_per_round: list[int] = []
-        self._current_round_messages = 0
+        self.messages_per_round: list[int] = []  # index r-1 counts round r
 
     def exchange(
         self,
@@ -379,8 +373,9 @@ class SyncNetwork:
         ``read=False`` says no recipient will read this phase's inboxes.
         Without a transcript the correct broadcasts are still counted, but
         the adversary is not asked, nothing is sanitized, and every recipient
-        gets one shared empty inbox; with a transcript the phase is delivered
-        and logged in full, so recorded transcripts do not depend on it.
+        gets one shared empty inbox, as in a phase with no Byzantine sender;
+        with a transcript the phase is delivered and logged in full, so
+        recorded transcripts do not depend on it.
         """
         n = self.n
         transcript = self.transcript
@@ -391,8 +386,10 @@ class SyncNetwork:
             elif transcript is not None:
                 payload = payloads[sender]
                 transcript.extend((round_no, phase, sender, v, payload) for v in range(n))
-        self._current_round_messages += n * (len(payloads) - len(byz_senders))
-        if not read and transcript is None:
+        counts = self.messages_per_round
+        counts.extend([0] * (round_no - len(counts)))  # a message-free round counts 0
+        counts[round_no - 1] += n * (len(payloads) - len(byz_senders))
+        if not byz_senders or (not read and transcript is None):
             return [{}] * n
         # the adversary moves last (rushing)
         ctx = AdversaryContext(
@@ -434,10 +431,6 @@ class SyncNetwork:
                 else:
                     own[v][sender] = hit[1]
         return [shared | own[v] if v in own else shared for v in range(n)]
-
-    def end_round(self) -> None:
-        self.messages_per_round.append(self._current_round_messages)
-        self._current_round_messages = 0
 
 
 # --- payload sanitization (recipient side) ----------------------------------

@@ -740,25 +740,28 @@ def test_fixed_sets_resolve_once_per_run(monkeypatch):
 def test_ranking_phase_packs_each_distinct_ballot_once_per_round(monkeypatch):
     # both king-round phases tally through one packer with a per-round cache:
     # a ballot held by several nodes is packed once per round
-    packs, rounds = [], [0]
-    real_ranking, real_end = PairLanes.ranking, SyncNetwork.end_round
+    # (a ballot is packed before the exchange of its round's next phase, so
+    # each pack takes its round from the next exchange's round number)
+    packs, pending = [], []
+    real_ranking, real_exchange = PairLanes.ranking, SyncNetwork.exchange
 
     def ranking(self, r):
-        packs.append((rounds[0], r))
+        pending.append(r)
         return real_ranking(self, r)
 
-    def end_round(self):
-        rounds[0] += 1
-        real_end(self)
+    def exchange(self, round_no, *args, **kwargs):
+        packs.extend((round_no, r) for r in pending)
+        pending.clear()
+        return real_exchange(self, round_no, *args, **kwargs)
 
     monkeypatch.setattr(PairLanes, "ranking", ranking)
-    monkeypatch.setattr(SyncNetwork, "end_round", end_round)
+    monkeypatch.setattr(SyncNetwork, "exchange", exchange)
     n, t, m = 7, 2, 3
     inputs = [(0, 1, 2)] * 3 + [(2, 1, 0)] * 2 + [(1, 0, 2), (0, 1, 2)]
     run_algorithm1(inputs, Honest(), ProtocolConfig(n, t, m), seed=0)
-    assert len(packs) == len(set(packs))
-    assert {r for r, _ in packs} == set(range(t + 1))
-    assert sum(r == 0 for r, _ in packs) == len(set(inputs))
+    assert pending == [] and len(packs) == len(set(packs))
+    assert {r for r, _ in packs} == set(range(1, t + 2))
+    assert sum(r == 1 for r, _ in packs) == len(set(inputs))
 
 
 # --- phases that no Byzantine slot can move ---------------------------------------

@@ -234,6 +234,35 @@ def test_reused_strategy_runs_like_a_fresh_one(strategy):
             assert shared.send(ctx, 3) == strategy().send(ctx, 3)
 
 
+@pytest.mark.parametrize("name", simnet.STRATEGY_NAMES)
+def test_strategy_answer_depends_on_context_and_sender_alone(name):
+    # the network skips phases that nobody reads, so an instance asked about
+    # phases out of order, some of them never, must answer as a fresh one
+    # asked about every phase in order; m changes between rounds, as it does
+    # between stv-baseline stages
+    n, t = 7, 2
+    rng = random.Random(name)
+    contexts = {}
+    for rnd in range(1, 5):
+        m = 4 - rnd % 2
+        rankings = {v: rand_ranking(rng, m) for v in range(n)}
+        inputs = {v: rankings[v] for v in range(n - t)}
+        batches = {v: pairs_of(r) for v, r in rankings.items()}
+        for phase in (RANKING, PROPOSE, DICTATOR):
+            honest = (batches if phase == PROPOSE else rankings).__getitem__
+            contexts[rnd, phase] = AdversaryContext("contract", rnd, phase, n, m, inputs, honest)
+    byz = range(n - t, n)
+    fresh = make_strategy(name, n=n, t=t, m=3)
+    expected = {(key, u): fresh.send(ctx, u) for key, ctx in contexts.items() for u in byz}
+    assert name == "silent" or any(answer is not None for answer in expected.values())
+    keys = list(contexts)
+    rng.shuffle(keys)
+    shuffled = make_strategy(name, n=n, t=t, m=3)
+    for key in keys[: len(keys) * 2 // 3]:  # the rest are skipped
+        for u in byz:
+            assert shuffled.send(contexts[key], u) == expected[key, u]
+
+
 def test_scripted_views_follows_script_and_defaults_to_silence():
     script = {
         (1, "ranking", 3): (2, 1, 0),
@@ -435,13 +464,48 @@ def test_unread_phase_asks_the_adversary_only_for_a_transcript(phase):
         strategy.send = lambda ctx, sender: asked.append(sender) or send(ctx, sender)
         net = simnet.SyncNetwork(n, strategy, seed=0, byz_ids=byz, record_transcript=record)
         boxes = net.exchange(1, phase, m, payloads, correct, read=read)
-        net.end_round()
         assert net.messages_per_round == [5 * n]
         out.append((asked, boxes, net.transcript))
     (asked, boxes, transcript), logged, full = out
     assert asked == [] and transcript is None
     assert boxes == [{}] * n and len({id(box) for box in boxes}) == 1
     assert logged == full and full[0] == [5, 6]
+
+
+def test_messages_are_counted_under_the_round_each_exchange_carries():
+    # an exchange at round 3 after one at round 1 leaves round 2 message-free,
+    # as alg2's local-median round is, and it still counts as a round
+    n = 4
+    correct = {v: (0, 1, 2) for v in range(3)}
+    net = simnet.SyncNetwork(n, Equivocate(), seed=0, byz_ids=frozenset({3}))
+    net.exchange(1, RANKING, 3, {**correct, 3: (0, 1, 2)}, correct)
+    net.exchange(3, RANKING, 3, {**correct, 3: (0, 1, 2)}, correct)
+    net.exchange(3, DICTATOR, 3, {0: (0, 1, 2)}, correct)
+    assert net.messages_per_round == [3 * n, 0, 3 * n + n]
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_phase_without_byzantine_senders_asks_no_adversary(record):
+    # a correct dictator's phase (or one nobody sends in) has no Byzantine
+    # sender to ask: every recipient shares one empty inbox, and a transcript
+    # logs the correct broadcast alone.  A Byzantine dictator is still asked
+    n = 4
+    asked = []
+    strategy = Equivocate()
+    send = strategy.send
+    strategy.send = lambda ctx, sender: asked.append((ctx.round, sender)) or send(ctx, sender)
+    net = simnet.SyncNetwork(n, strategy, seed=0, byz_ids=frozenset({3}), record_transcript=record)
+    correct = {v: (0, 1, 2) for v in range(3)}
+    for read in (True, False):
+        for payloads in ({0: (2, 1, 0)}, {}):
+            boxes = net.exchange(1, DICTATOR, 3, payloads, correct, read=read)
+            assert boxes == [{}] * n and len({id(box) for box in boxes}) == 1
+    assert asked == []
+    rows = [(1, DICTATOR, 0, v, (2, 1, 0)) for v in range(n)]
+    assert net.transcript == (rows * 2 if record else None)
+    boxes = net.exchange(2, DICTATOR, 3, {3: (0, 1, 2)}, correct)
+    assert asked == [(2, 3)] and all(set(box) == {3} for box in boxes)
+    assert net.messages_per_round == [2 * n, 0]
 
 
 def test_equivocated_deliveries_stay_per_recipient():
