@@ -45,9 +45,6 @@ REPLAY_DP_STEPS = 3
 # weights' range n - t - ⌈n/2⌉ + 1: a 10⁶-cell grid (n=200, t=1) took 0.02 s,
 # and the largest record the tests and the benchmark write has 2,197 cells
 REPLAY_GRID_MAX = 1_000_000
-# the most optima a replayed kemeny record may list: 78,624 in one 16-candidate block
-# replayed in 1.27-1.43 s, against 1.37-1.96 s for alg1 (4,1,258) in the same sitting
-REPLAY_MEDIANS_MAX = 80_000
 
 
 def _ratio_str(ratio) -> str:
@@ -242,10 +239,10 @@ def scenario_record(name: str, n: int, t: int, m: int, side: str, case: str) -> 
         closed = _ratio_str(report.ratio_closed_form)
         witness = list(report.witness)
         config = {"name": name, "n": n, "t": t, "m": m, "side": side, "case": None}
-        # both sides must reach the closed form for binary-worst and for
-        # cycle-worst up to m = 4, which reaches it exactly where n >= 2mt
-        # (ROADMAP item 2); one side, or cycle-worst above m = 4, stays under
-        if side == "both" and (name == "binary-worst" or m <= 4):
+        # both sides must reach the closed form for binary-worst, and for
+        # cycle-worst at m <= 4 where n >= 2mt, the cells where alg2 reaches it
+        # (ROADMAP item 2); one side, or any other cycle-worst cell, stays under
+        if side == "both" and (name == "binary-worst" or m <= 4 and n >= 2 * m * t):
             ok = report.ratio_measured == report.ratio_closed_form
         else:
             ok = report.ratio_measured <= report.ratio_closed_form
@@ -366,9 +363,10 @@ def replay(path: str) -> tuple[dict, bool]:
     Kemeny solve: one per run for its ratio, and for alg2 one more per
     distinct round-1 view, of which there are at most n.  A two-sided
     scenario record is priced as one run of n messages, its ballots, with
-    three solves, an appendix-c record by its grid against
-    :data:`REPLAY_GRID_MAX`, and a kemeny record that lists its medians is
-    solved first and refused above :data:`REPLAY_MEDIANS_MAX` optima.
+    three solves, and an appendix-c record by its grid against
+    :data:`REPLAY_GRID_MAX`.  A kemeny record needs no price: its solve is
+    bounded by m <= EXACT_MAX_M, and its listing by the solver's own
+    ``MEDIANS_MAX``, checked before any optimum is listed.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -409,12 +407,6 @@ def replay(path: str) -> tuple[dict, bool]:
     elif command == "scenario":
         # n m-tuple ballots that three profiles build, hash and check; 3 solves
         _refuse_above(1, cfg["n"], cfg["m"], solves=3)
-    elif cfg["ties"]:  # kemeny: the count needs the solve, which m <= EXACT_MAX_M bounds
-        count = kemeny_exact(parse_profile(cfg["profile"])[0]).count
-        if count > REPLAY_MEDIANS_MAX:
-            raise ValueError(
-                f"record lists {count:,} optimal rankings; replay stops at {REPLAY_MEDIANS_MAX:,}"
-            )
     fresh = record(**{k: cfg[k] for k in checks})
 
     def strip(rec: dict) -> dict:

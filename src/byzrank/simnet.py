@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .kemeny import approx_ratio, kemeny_exact
+from .kemeny import EXACT_MAX_M, CapacityError, approx_ratio, kemeny_exact
 from .rankings import Pair, Profile, Ranking, is_ranking, pairs_of, unanimous_pairs
 
 # message phases
@@ -224,15 +224,14 @@ class Equivocate(AdversaryStrategy):
     name = "equivocate"
 
     def __init__(self):
-        self._rng = random.Random()  # reseeded per sender: seed() leaves a fresh object's state
         self._phase: tuple[int, str] | None = None
         self._payloads: dict[Ranking, Payload] = {}
 
     def send(self, ctx, sender):
         if self._phase != (ctx.round, ctx.phase):
             self._phase, self._payloads = (ctx.round, ctx.phase), {}
-        self._rng.seed(f"{ctx.seed}/equivocate/{ctx.round}/{ctx.phase}/{sender}")
-        rankings = random_rankings(self._rng, ctx.m, ctx.n)
+        rng = random.Random(f"{ctx.seed}/equivocate/{ctx.round}/{ctx.phase}/{sender}")
+        rankings = random_rankings(rng, ctx.m, ctx.n)
         table = self._payloads
         for ranking in set(rankings).difference(table):
             table[ranking] = _phase_payload(ranking, ctx.phase)
@@ -620,12 +619,16 @@ def adversary_search(
     opposite-median strategy, then randomized behaviours); otherwise inputs
     are resampled per run and a scripted fixed-pair cycle attack is tried
     first where one exists.  The first hit ends the search, except under
-    ``max-ratio``, which spends the whole budget.
+    ``max-ratio``, which spends the whole budget; it needs the exact median,
+    so above :data:`EXACT_MAX_M` candidates it raises
+    :class:`CapacityError` before any run.
     """
     if protocol not in _RUNNERS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if objective not in _HITS:
         raise ValueError(f"unknown objective {objective!r}")
+    if objective == "max-ratio" and cfg.m > EXACT_MAX_M:
+        raise CapacityError(f"max-ratio needs m <= {EXACT_MAX_M}, got {cfg.m}")
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     hit = _HITS[objective]

@@ -1,6 +1,7 @@
 """End-to-end checks for the byzrank command-line interface."""
 
 import copy
+import dataclasses
 import inspect
 import io
 import json
@@ -259,10 +260,14 @@ def test_scenario_infeasible_exits_2(capsys):
 
 
 @pytest.mark.parametrize("side", ["left", "right", "both"])
-@pytest.mark.parametrize("name,n,t,m", [("binary-worst", 12, 3, 2), ("cycle-worst", 90, 10, 3)])
+@pytest.mark.parametrize("name,n,t,m", [
+    ("binary-worst", 12, 3, 2), ("cycle-worst", 90, 10, 3),
+    ("cycle-worst", 8, 2, 3), ("cycle-worst", 12, 3, 3), ("cycle-worst", 16, 3, 3),
+])
 def test_scenario_each_side_passes(name, n, t, m, side, capsys):
     # the left side is the cheap one (ratio 1): one side only has to stay
-    # under the closed form, both sides together have to reach it
+    # under the closed form, both sides together have to reach it, for
+    # cycle-worst only where n >= 2mt; below that alg2 measures 1 on both
     code, out, _ = run_cli(
         ["scenario", name, "--n", str(n), "--t", str(t), "--m", str(m), "--side", side],
         capsys,
@@ -353,11 +358,18 @@ def tie_blocks_profile(*sizes: int) -> str:
     )
 
 
-def test_replay_prices_a_kemeny_listing_before_it_lists(tmp_path, capsys, monkeypatch):
-    listed = []
-    medians = kemeny.MedianResult.medians
-    monkeypatch.setattr(kemeny.MedianResult, "medians",
-                        property(lambda res: listed.append(res.count) or medians.func(res)))
+def test_replay_solves_a_kemeny_listing_once_under_the_cap(tmp_path, capsys, monkeypatch):
+    solves, listed = [], []
+    exact = cli.kemeny_exact
+
+    def counting(profile):
+        res = exact(profile)
+        solves.append(res.count)
+        return dataclasses.replace(
+            res, _listing=lambda: listed.append(res.count) or res._listing()
+        )
+
+    monkeypatch.setattr(cli, "kemeny_exact", counting)
     dest = tmp_path / "rec.json"
 
     def replay(profile: str, ties: bool = True):
@@ -365,23 +377,47 @@ def test_replay_prices_a_kemeny_listing_before_it_lists(tmp_path, capsys, monkey
         dest.write_text(json.dumps({"command": "kemeny", "config": config}))
         return run_cli(["replay", str(dest)], capsys)
 
-    # a 149-byte record over two reversed 9-candidate ballots asks for 9! optima
+    # a 149-byte record over two reversed 9-candidate ballots asks for 9!
+    # optima: replay solves it once, and the solver refuses to list them
     code, out, err = replay(tie_blocks_profile(9))
-    assert (code, out, listed) == (2, "", [])
-    assert err == "error: record lists 362,880 optimal rankings; replay stops at 80,000\n"
-    # 8! · 2! = 80,640 is refused, 8! listed; a record that lists nothing is
-    # not priced, and mismatches only because it holds no result
+    assert (code, out, solves, listed) == (2, "", [362_880], [])
+    assert err == "error: 362880 optimal rankings; listing them stops at 80000\n"
+    # 8! · 2! = 80,640 is refused, 8! listed; a record that lists nothing
+    # mismatches only because it holds no result
     assert replay(tie_blocks_profile(8, 2))[0] == 2 and listed == []
     assert replay(tie_blocks_profile(8, 2), ties=False)[0] == 1 and listed == []
     assert replay(tie_blocks_profile(8))[0] == 1 and listed == [40_320]
-    # the cap admits a count equal to it
-    monkeypatch.setattr(cli, "REPLAY_MEDIANS_MAX", 12)
-    assert replay(tie_blocks_profile(3, 2))[0] == 1 and listed == [40_320, 12]
-    assert replay(tie_blocks_profile(3, 3))[0] == 2 and listed == [40_320, 12]
-    # every record the kemeny command writes with --ties replays identical
-    record = kemeny_record(tie_blocks_profile(3, 2), True, True)
-    dest.write_text(json.dumps(record))
+    assert solves == [362_880, 80_640, 80_640, 40_320]
+    # the cap admits a count equal to it: the kemeny command writes that
+    # record and it replays identical, from one solve
+    monkeypatch.setattr(kemeny, "MEDIANS_MAX", 12)
+    profile = tmp_path / "ties.txt"
+    profile.write_text(tie_blocks_profile(3, 2))
+    solves.clear()
+    argv = ["kemeny", "--profile", str(profile), "--ties", "--verify", "--json", str(dest)]
+    assert run_cli(argv, capsys)[0] == 0 and listed[-1] == 12
     assert run_cli(["replay", str(dest)], capsys)[:2] == (0, "replay: identical\n")
+    assert solves == [12, 12] and listed[1:] == [12, 12]
+    # one optimum over the cap, replay refuses that record and the command
+    # writes none
+    monkeypatch.setattr(kemeny, "MEDIANS_MAX", 11)
+    refusal = (2, "", "error: 12 optimal rankings; listing them stops at 11\n")
+    assert run_cli(["replay", str(dest)], capsys) == refusal
+    dest.unlink()
+    assert run_cli(argv, capsys) == refusal and not dest.exists()
+    assert solves == [12] * 4 and listed[1:] == [12, 12]
+
+
+def test_kemeny_ties_over_the_cap_writes_no_record(tmp_path, capsys):
+    # two reversed 9-candidate ballots have 9! optima, over the one cap that
+    # the command and replay share, so no record is written for replay to refuse
+    profile = tmp_path / "nine.txt"
+    profile.write_text(tie_blocks_profile(9))
+    dest = tmp_path / "rec.json"
+    argv = ["kemeny", "--profile", str(profile), "--ties", "--json", str(dest)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, dest.exists()) == (2, "", False)
+    assert err.count("\n") == 1 and err.startswith("error: 362880 optimal rankings")
 
 
 def test_replay_ignores_wall_clock(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzrank import simnet
+from byzrank.kemeny import CapacityError
 from byzrank.protocol import ProtocolConfig
 from byzrank.rankings import is_ranking, pairs_of, validate_ranking
 from byzrank.simnet import (
@@ -738,6 +739,17 @@ def test_search_rejects_unknown_objective():
     for budget in (1, 0):
         with pytest.raises(ValueError, match="objective"):
             adversary_search("alg1", ProtocolConfig(4, 1, 3), "who-knows", budget=budget)
+
+
+def test_search_refuses_max_ratio_above_the_exact_solver_before_any_run(monkeypatch):
+    # a zero budget used to return an empty report, and a positive one ran a
+    # whole simulation before approx_ratio refused m = 17
+    runs = []
+    monkeypatch.setattr(simnet, "run_sync", lambda *args, **kw: runs.append(args))
+    for budget in (0, 3):
+        with pytest.raises(CapacityError, match="m <= 16, got 17"):
+            adversary_search("alg1", ProtocolConfig(4, 1, 17), "max-ratio", budget=budget)
+    assert runs == []
 
 
 def test_search_rejects_unknown_protocol_and_negative_budget():
