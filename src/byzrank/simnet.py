@@ -11,7 +11,9 @@ the last ``t`` node ids.
 The network asks the adversary for a phase only when some node reads that
 phase's inboxes or a transcript is recorded, so a strategy's answer must
 depend on its ``AdversaryContext`` and sender alone, never on which earlier
-phases it was asked about.
+phases it was asked about.  A strategy that sends rankings gets their
+payloads from ``AdversaryContext.payloads``; the context lives one phase, so
+no built-in strategy keeps per-phase state.
 
 All randomness is derived from string seeds via ``random.Random``, which is
 hash-seed independent, so equal ``(protocol, inputs, adversary, cfg, seed)``
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -117,6 +119,16 @@ class AdversaryContext:
     m: int
     correct_inputs: Mapping[int, Ranking]
     honest: Callable[[int], Payload]
+    _payloads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def payloads(self, rankings: Sequence[Ranking]) -> list[Payload]:
+        """Each ranking's payload in this phase: itself, or its pairs as a
+        proposal batch.  Equal rankings get one object for the whole phase, so
+        the network sanitizes each value once, whoever sends it to whom."""
+        table = self._payloads
+        for ranking in set(rankings).difference(table):
+            table[ranking] = pairs_of(ranking) if self.phase == PROPOSE else ranking
+        return list(map(table.__getitem__, rankings))
 
 
 class AdversaryStrategy:
@@ -134,7 +146,8 @@ class AdversaryStrategy:
         The answer must be a function of ``ctx`` and ``sender`` alone: the
         network skips a phase that no node reads unless a transcript is
         recorded, so a strategy whose state carried over between calls would
-        answer differently with and without one.
+        answer differently with and without one.  ``ctx.payloads`` builds the
+        phase's payloads for a list of rankings.
         """
         raise NotImplementedError
 
@@ -164,11 +177,6 @@ def random_rankings(rng: random.Random, m: int, count: int) -> list[Ranking]:
     return out
 
 
-def _phase_payload(ranking: Ranking, phase: str) -> Payload:
-    """What sending ``ranking`` means in ``phase``: its pairs as a proposal batch."""
-    return pairs_of(ranking) if phase == PROPOSE else ranking
-
-
 class Honest(AdversaryStrategy):
     """Corrupted nodes follow the protocol with their own inputs."""
 
@@ -192,50 +200,36 @@ class OppositeMedian(AdversaryStrategy):
 
     The same reversed ranking is broadcast in every phase: as the round
     ranking, as a (transitive) full proposal batch, and as the dictator
-    value.
+    value.  It needs the exact median, so :func:`make_strategy` refuses it
+    above :data:`EXACT_MAX_M` candidates.
     """
 
     name = "opposite-median"
 
     def __init__(self):
-        self._memo: dict = {}
+        self._memo: dict = {}  # (m, correct inputs) -> reversed median
 
     def send(self, ctx, sender):
-        # one payload object per phase, so the network sanitizes it once
         key = (ctx.m, tuple(sorted(ctx.correct_inputs.items())))
-        payloads = self._memo.get(key)
-        if payloads is None:
+        target = self._memo.get(key)
+        if target is None:
             med = kemeny_exact(Profile.of(list(ctx.correct_inputs.values()), ctx.m))
-            target = tuple(reversed(med.chosen))
-            payloads = self._memo[key] = {
-                phase: _phase_payload(target, phase) for phase in (RANKING, PROPOSE, DICTATOR)
-            }
-        return payloads[ctx.phase]
+            target = self._memo[key] = tuple(reversed(med.chosen))
+        return ctx.payloads((target,))[0]
 
 
 class Equivocate(AdversaryStrategy):
     """Every message is a fresh random value, chosen per recipient.
 
-    Each sender's values are one batch from its own seed.  Equal values of
-    one phase go out as one interned object, so the network sanitizes each
-    once; the table holds the current phase's values only.
+    Each sender's values are one batch from its own seed, built through
+    :meth:`AdversaryContext.payloads`.
     """
 
     name = "equivocate"
 
-    def __init__(self):
-        self._phase: tuple[int, str] | None = None
-        self._payloads: dict[Ranking, Payload] = {}
-
     def send(self, ctx, sender):
-        if self._phase != (ctx.round, ctx.phase):
-            self._phase, self._payloads = (ctx.round, ctx.phase), {}
         rng = random.Random(f"{ctx.seed}/equivocate/{ctx.round}/{ctx.phase}/{sender}")
-        rankings = random_rankings(rng, ctx.m, ctx.n)
-        table = self._payloads
-        for ranking in set(rankings).difference(table):
-            table[ranking] = _phase_payload(ranking, ctx.phase)
-        return dict(enumerate(map(table.__getitem__, rankings)))
+        return dict(enumerate(ctx.payloads(random_rankings(rng, ctx.m, ctx.n))))
 
 
 class RandomRankings(AdversaryStrategy):
@@ -248,7 +242,7 @@ class RandomRankings(AdversaryStrategy):
 
     def send(self, ctx, sender):
         rng = random.Random(f"{ctx.seed}/random/{ctx.round}/{sender}")
-        return _phase_payload(random_rankings(rng, ctx.m, 1)[0], ctx.phase)
+        return ctx.payloads(random_rankings(rng, ctx.m, 1))[0]
 
 
 class ScriptedViews(AdversaryStrategy):
@@ -307,10 +301,12 @@ PROTOCOLS = tuple(_RUNNERS)
 
 
 def make_strategy(name: str, *, n: int, t: int, m: int) -> AdversaryStrategy:
-    """Instantiate a built-in strategy by CLI name."""
+    """Instantiate a built-in strategy by CLI name; refuses opposite-median above EXACT_MAX_M."""
     cls = _STRATEGIES.get(name)
     if cls is None:
         raise ValueError(f"unknown strategy {name!r} (choose from {', '.join(STRATEGY_NAMES)})")
+    if cls is OppositeMedian and m > EXACT_MAX_M:
+        raise CapacityError(f"opposite-median needs m <= {EXACT_MAX_M}, got {m}")
     return cls(default_script(n, t, m)) if cls is ScriptedViews else cls()
 
 

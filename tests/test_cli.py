@@ -176,6 +176,20 @@ def test_simulate_profile_file(tmp_path, capsys):
     assert record["runs"][0]["consensus"] == [0, 1, 2]
 
 
+def test_simulate_refuses_opposite_median_above_the_exact_solver(tmp_path, capsys):
+    # four equal ballots need no median to agree, yet the strategy needs one:
+    # the refusal must not depend on whether some phase is read
+    p = tmp_path / "wide.txt"
+    p.write_text(WIDE_PROFILE * 4)
+    code, out, err = run_cli(
+        ["simulate", "--protocol", "alg1", "--strategy", "opposite-median",
+         "--t", "1", "--profile", str(p)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: opposite-median needs m <= 16, got 17\n"
+
+
 def test_simulate_profile_n_mismatch(tmp_path, capsys):
     p = tmp_path / "profile.txt"
     p.write_text("a > b\nb > a\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from byzrank import simnet
 from byzrank.kemeny import CapacityError
-from byzrank.protocol import ProtocolConfig
+from byzrank.protocol import ProtocolConfig, expected_messages
 from byzrank.rankings import is_ranking, pairs_of, validate_ranking
 from byzrank.simnet import (
     DICTATOR,
@@ -36,21 +36,6 @@ from conftest import rand_ranking
 from test_transcript_pin import canonical, run_form
 
 INPUTS4 = [(0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1)]
-
-
-def expected_messages(protocol: str, cfg: ProtocolConfig, byz_ids) -> tuple[int, ...]:
-    """Closed form: correct nodes send n ranking copies + n batch copies per
-    king round, plus n dictator copies when the scheduled dictator is correct."""
-    c = cfg.n - len(byz_ids)
-    king = lambda d: 2 * c * cfg.n + (cfg.n if d not in byz_ids else 0)
-    sched = cfg.dictator_schedule
-    if protocol == "alg1":
-        return tuple(king(d) for d in sched)
-    if protocol == "alg2":
-        return (c * cfg.n, 0) + tuple(king(d) for d in sched)
-    if protocol == "stv-baseline":
-        return tuple(king(d) for _ in range(cfg.m - 1) for d in sched)
-    raise AssertionError(protocol)
 
 
 # --- determinism ---------------------------------------------------------------
@@ -90,7 +75,8 @@ def test_message_counts_match_closed_form(protocol, n, t, m):
     rng = random.Random(f"msg/{protocol}/{n}/{t}/{m}")
     inputs = [rand_ranking(rng, m) for _ in range(n)]
     res = run_sync(protocol, inputs, Silent(), cfg, seed=7)
-    assert res.stats.messages_per_round == expected_messages(protocol, cfg, res.byz_ids)
+    expected = expected_messages(protocol, n, t, m, res.byz_ids, cfg.dictator_schedule)
+    assert list(res.stats.messages_per_round) == expected
     assert res.stats.messages_total == sum(res.stats.messages_per_round)
 
 
@@ -411,6 +397,28 @@ def test_byzantine_batches_are_sanitized_once_per_distinct_payload(monkeypatch, 
         if phase == PROPOSE and sender in res.byz_ids
     }
     assert len(seen) == len(distinct) == calls
+
+
+def test_equal_rankings_of_one_phase_are_sanitized_once_across_senders(monkeypatch):
+    # at m = 2 three senders draw at most two distinct rankings; each sender
+    # asks the strategy alone, yet equal batches share one object per phase
+    n, m = 7, 2
+    seen = []
+    real = simnet.sanitize_batch
+
+    def counted(payload, m):
+        seen.append(payload)
+        return real(payload, m)
+
+    monkeypatch.setattr(simnet, "sanitize_batch", counted)
+    byz = frozenset({4, 5, 6})
+    net = simnet.SyncNetwork(n, RandomRankings(), seed=0, byz_ids=byz)
+    rankings = {v: (v % 2, 1 - v % 2) for v in range(n)}
+    payloads = {v: pairs_of(r) for v, r in rankings.items()}
+    boxes = net.exchange(1, PROPOSE, m, payloads, {v: rankings[v] for v in range(4)})
+    sent = [boxes[0][u] for u in sorted(byz)]
+    assert len(seen) == len(set(sent)) <= 2
+    assert all(batch in (frozenset({(0, 1)}), frozenset({(1, 0)})) for batch in sent)
 
 
 def test_malformed_byzantine_payload_is_logged_raw_and_ignored():
